@@ -13,11 +13,11 @@ import os
 import threading
 import time
 import unicodedata
+import urllib.error
+import urllib.request
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import requests
 
 from . import segment
 from .backends import GenerationParams, summarize
@@ -127,19 +127,21 @@ class HttpTranslator:
         self.source_lang = source_lang
         self.target_lang = target_lang
         self.timeout = timeout
-        self._session = requests.Session()
-        self._session.headers["Authorization"] = f"Bearer {key}"
+        self._headers = {"Authorization": f"Bearer {key}",
+                         "Content-Type": "application/json"}
 
     def translate(self, sentence: str, source_lang: str,
                   target_lang: str) -> str:
-        response = self._session.post(
-            self.endpoint,
-            json={"text": sentence, "source": source_lang,
-                  "target": target_lang},
-            timeout=self.timeout,
-        )
-        response.raise_for_status()
-        body = response.json()
+        data = json.dumps({"text": sentence, "source": source_lang,
+                           "target": target_lang}).encode("utf-8")
+        request = urllib.request.Request(self.endpoint, data=data,
+                                         headers=self._headers)
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                body = json.load(response)
+        except urllib.error.HTTPError as exc:
+            exc.close()  # a 4xx/5xx error still holds the open response
+            raise
         translation = body.get("translation")
         if not isinstance(translation, str) or not translation.strip():
             raise TranslationFailure(

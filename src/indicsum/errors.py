@@ -23,12 +23,6 @@ class EmptySplit(IndicSumError):
     """An operation needs at least one record."""
 
 
-# --- segment --------------------------------------------------------------
-
-class EmptyBatch(IndicSumError):
-    """pad_batch called with no sequences."""
-
-
 # --- augment --------------------------------------------------------------
 
 class MissingGoldSummary(IndicSumError):

@@ -39,7 +39,9 @@ from .crosslingual import (
     pipeline_summarize,
 )
 from .errors import ConfigError, EmptyReport, IndicSumError, MissingGoldSummary
-from .rouge import DEFAULT_ORDERS, corpus_rouge, rouge_n
+from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
+# Unused here, but e2ebench/tracing.py wraps these two names in this module.
+from .rouge import corpus_rouge, rouge_n  # noqa: F401
 from .segment import LANGUAGES
 
 __all__ = [
@@ -354,7 +356,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             )
 
         record_rows = []
-        pairs = []
+        per_record = []
         for rec in eval_split:
             try:
                 if rec.summary is None:
@@ -370,17 +372,16 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                     candidate = summarize(handle, rec.article, generation)
             except IndicSumError as exc:
                 raise type(exc)(f"record {rec.id!r}: {exc}") from exc
-            scores = {
-                str(n): _score_triplet(rouge_n(candidate, rec.summary, n))
-                for n in DEFAULT_ORDERS
-            }
-            record_rows.append({"id": rec.id, "summary": candidate,
-                                "scores": scores})
-            pairs.append((candidate, rec.summary))
+            scores = rouge_scores(candidate, rec.summary, DEFAULT_ORDERS)
+            record_rows.append({
+                "id": rec.id, "summary": candidate,
+                "scores": {str(n): _score_triplet(s) for n, s in scores.items()},
+            })
+            per_record.append(scores)
 
         aggregate = {
             str(n): _score_triplet(score)
-            for n, score in corpus_rouge(pairs, DEFAULT_ORDERS).items()
+            for n, score in mean_scores(per_record).items()
         }
 
         backend_meta = backend.describe()

@@ -11,19 +11,23 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import segment
-from ._kernels import KERNEL_BACKEND, clipped_ngram_stats
 from .errors import EmptyCorpus, InvalidN
 
 DEFAULT_ORDERS = (1, 2, 4)
+
+# There is a single pure-Python scorer; e2ebench/run.py still records this name.
+KERNEL_BACKEND = "python"
 
 __all__ = [
     "DEFAULT_ORDERS",
     "KERNEL_BACKEND",
     "RougeScore",
     "corpus_rouge",
+    "mean_scores",
     "ngrams",
     "overlap_stats",
     "rouge_n",
+    "rouge_scores",
     "rouge_tokens",
 ]
 
@@ -47,14 +51,19 @@ def ngrams(tokens, n: int) -> Counter:
     if n < 1:
         raise InvalidN(f"n-gram order must be >= 1, got {n}")
     tokens = list(tokens)
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def overlap_stats(cand_tokens, ref_tokens, n: int):
-    """(clipped overlap, candidate window count, reference window count)."""
-    if n < 1:
-        raise InvalidN(f"n-gram order must be >= 1, got {n}")
-    return clipped_ngram_stats(list(cand_tokens), list(ref_tokens), n)
+    """(clipped overlap, candidate window count, reference window count).
+
+    The clipped overlap is the sum over distinct n-grams of
+    min(candidate count, reference count); a sequence shorter than
+    ``n`` has zero windows.
+    """
+    cand = ngrams(cand_tokens, n)
+    ref = ngrams(ref_tokens, n)
+    return sum((cand & ref).values()), cand.total(), ref.total()
 
 
 def _score(overlap: int, cand_total: int, ref_total: int, n: int) -> RougeScore:
@@ -64,29 +73,33 @@ def _score(overlap: int, cand_total: int, ref_total: int, n: int) -> RougeScore:
     return RougeScore(n=n, precision=precision, recall=recall, f1=f1)
 
 
+def rouge_scores(candidate: str, reference: str,
+                 ns=DEFAULT_ORDERS) -> dict[int, RougeScore]:
+    """ROUGE-N of ``candidate`` against ``reference`` for every order in
+    ``ns``, tokenizing each text once."""
+    cand, ref = rouge_tokens(candidate), rouge_tokens(reference)
+    return {n: _score(*overlap_stats(cand, ref, n), n=n) for n in ns}
+
+
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """ROUGE-N of ``candidate`` against ``reference``."""
-    overlap, cand_total, ref_total = overlap_stats(
-        rouge_tokens(candidate), rouge_tokens(reference), n
-    )
-    return _score(overlap, cand_total, ref_total, n)
+    return rouge_scores(candidate, reference, (n,))[n]
 
 
-def corpus_rouge(pairs, ns=DEFAULT_ORDERS) -> dict[int, RougeScore]:
-    """Macro-averaged ROUGE-N over ``(candidate, reference)`` pairs.
+def mean_scores(per_pair) -> dict[int, RougeScore]:
+    """Macro average, per order, of ``rouge_scores`` results that share
+    their orders.
 
     Precision, recall and F1 are each averaged arithmetically across
-    records (per-record F1 first, then the mean — not F1 of the mean).
+    pairs (per-pair F1 first, then the mean — not F1 of the mean).
     """
-    token_pairs = [(rouge_tokens(c), rouge_tokens(r)) for c, r in pairs]
-    if not token_pairs:
-        raise EmptyCorpus("corpus_rouge needs at least one pair")
+    per_pair = list(per_pair)
+    if not per_pair:
+        raise EmptyCorpus("corpus scoring needs at least one pair")
+    count = len(per_pair)
     out = {}
-    for n in ns:
-        scores = [
-            _score(*overlap_stats(c, r, n), n=n) for c, r in token_pairs
-        ]
-        count = len(scores)
+    for n in per_pair[0]:
+        scores = [pair[n] for pair in per_pair]
         out[n] = RougeScore(
             n=n,
             precision=sum(s.precision for s in scores) / count,
@@ -94,3 +107,8 @@ def corpus_rouge(pairs, ns=DEFAULT_ORDERS) -> dict[int, RougeScore]:
             f1=sum(s.f1 for s in scores) / count,
         )
     return out
+
+
+def corpus_rouge(pairs, ns=DEFAULT_ORDERS) -> dict[int, RougeScore]:
+    """Macro-averaged ROUGE-N over ``(candidate, reference)`` pairs."""
+    return mean_scores(rouge_scores(c, r, ns) for c, r in pairs)

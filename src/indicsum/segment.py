@@ -1,21 +1,21 @@
-"""Sentence segmentation, word tokenization and batch padding.
+"""Sentence segmentation and word tokenization.
 
 Segmentation is a deliberate plain delimiter split (no abbreviation
 handling): English and Gujarati sentences end on ``.``, ``?`` or ``!``;
 Hindi additionally ends on the danda ``।``.
 """
 
+import re
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import EmptyBatch
-
 LANGUAGES = ("english", "hindi", "gujarati")
 
-_TERMINATORS = {
-    "english": ".?!",
-    "gujarati": ".?!",
-    "hindi": ".?!।",
+# A run of consecutive sentence terminators, per language.
+_TERMINATOR_RUNS = {
+    "english": re.compile(r"[.?!]+"),
+    "gujarati": re.compile(r"[.?!]+"),
+    "hindi": re.compile(r"[.?!।]+"),
 }
 
 
@@ -47,9 +47,8 @@ def split_sentences(text: str, language: str = "english") -> SentenceList:
     is one sentence), trailing text without a terminator forms a final
     sentence, and blank segments are dropped.
     """
-    if language not in _TERMINATORS:
+    if language not in _TERMINATOR_RUNS:
         raise ValueError(f"unknown language: {language!r}")
-    terminators = _TERMINATORS[language]
     sentences: list[str] = []
     spans: list[tuple[int, int]] = []
 
@@ -63,19 +62,10 @@ def split_sentences(text: str, language: str = "english") -> SentenceList:
         spans.append((begin, begin + len(stripped)))
 
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in terminators:
-            j = i + 1
-            while j < n and text[j] in terminators:
-                j += 1
-            push(start, j)
-            start = j
-            i = j
-        else:
-            i += 1
-    push(start, n)
+    for m in _TERMINATOR_RUNS[language].finditer(text):
+        push(start, m.end())
+        start = m.end()
+    push(start, len(text))
     return SentenceList(tuple(sentences), tuple(spans))
 
 
@@ -88,31 +78,19 @@ def tokenize_words(text: str) -> list[str]:
 # marks matter: Indic vowel signs, nukta and virama are category Mn/Mc
 # and must survive punctuation stripping or Hindi/Gujarati words get
 # mangled.
-_KEEP: dict[str, bool] = {}
+class _WordCharTable(dict):
+    """``str.translate`` table: a word character maps to itself, any
+    other code point to a space.  Entries are filled on first use."""
+
+    def __missing__(self, code: int):
+        value = code if unicodedata.category(chr(code))[0] in "LMN" else " "
+        self[code] = value
+        return value
+
+
+_TABLE = _WordCharTable()
 
 
 def strip_punctuation(text: str) -> str:
     """Replace every non-word character (see above) with a space."""
-    out = []
-    for ch in text:
-        keep = _KEEP.get(ch)
-        if keep is None:
-            keep = unicodedata.category(ch)[0] in "LMN"
-            _KEEP[ch] = keep
-        out.append(ch if keep else " ")
-    return "".join(out)
-
-
-def pad_batch(sequences, pad_id):
-    """Right-pad integer-id sequences to the longest row.
-
-    Returns ``(rows, mask)`` where mask rows hold 1 for real tokens and
-    0 for padding.
-    """
-    sequences = list(sequences)
-    if not sequences:
-        raise EmptyBatch("pad_batch needs at least one sequence")
-    width = max(len(seq) for seq in sequences)
-    rows = [list(seq) + [pad_id] * (width - len(seq)) for seq in sequences]
-    mask = [[1] * len(seq) + [0] * (width - len(seq)) for seq in sequences]
-    return rows, mask
+    return text.translate(_TABLE)

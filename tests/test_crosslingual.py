@@ -280,17 +280,33 @@ class _Translate(BaseHTTPRequestHandler):
         pass
 
 
+class _Fail(_Translate):
+    def do_POST(self):
+        self.send_response(500)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+def _serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/translate"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 class TestHttpTranslator:
     @pytest.fixture
     def endpoint(self):
-        server = HTTPServer(("127.0.0.1", 0), _Translate)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield f"http://127.0.0.1:{server.server_port}/translate"
-        finally:
-            server.shutdown()
-            thread.join(timeout=5)
+        yield from _serve(_Translate)
+
+    @pytest.fixture
+    def failing_endpoint(self):
+        yield from _serve(_Fail)
 
     def test_requires_api_key(self, monkeypatch):
         monkeypatch.delenv("TRANSLATE_API_KEY", raising=False)
@@ -304,6 +320,13 @@ class TestHttpTranslator:
         english, mapping = build_mapping("small test. another one.", client)
         assert english == "SMALL TEST. ANOTHER ONE."
         assert set(_Translate.seen_auth) == {"Bearer sekrit"}
+
+    def test_server_error_raises_translation_failure(self, failing_endpoint,
+                                                      monkeypatch):
+        monkeypatch.setenv("TRANSLATE_API_KEY", "sekrit")
+        client = HttpTranslator(failing_endpoint, source_lang="english")
+        with pytest.raises(TranslationFailure, match="HTTP Error 500"):
+            build_mapping("small test.", client, sleep=lambda _: None)
 
 
 class TestTableTranslatorFile:

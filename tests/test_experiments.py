@@ -18,7 +18,7 @@ from indicsum.experiments import (
     render_report,
     run_experiment,
 )
-from indicsum.rouge import corpus_rouge
+from indicsum.rouge import corpus_rouge, rouge_n
 
 from conftest import STUB_PATH
 
@@ -166,6 +166,13 @@ class TestRunExperiment:
             assert run.aggregate[str(n)]["f1"] == pytest.approx(
                 again[n].f1, abs=1e-12
             )
+        for row in run.records:
+            for n in (1, 2, 4):
+                single = rouge_n(row["summary"], refs[row["id"]], n)
+                for key in ("precision", "recall", "f1"):
+                    assert row["scores"][str(n)][key] == pytest.approx(
+                        getattr(single, key), abs=1e-12
+                    )
         assert run.approach == "lead-baseline"
 
     def test_determinism_and_append_only_log(self, eval_csv, tmp_path):

@@ -2,10 +2,15 @@ import random
 
 import pytest
 
-from indicsum._kernels import KERNEL_BACKEND, clipped_ngram_stats
-from indicsum._kernels._ngram_py import clipped_ngram_stats as py_stats
 from indicsum.errors import EmptyCorpus, InvalidN
-from indicsum.rouge import corpus_rouge, ngrams, overlap_stats, rouge_n, rouge_tokens
+from indicsum.rouge import (
+    corpus_rouge,
+    ngrams,
+    overlap_stats,
+    rouge_n,
+    rouge_scores,
+    rouge_tokens,
+)
 
 
 def oracle_stats(cand, ref, n):
@@ -126,24 +131,27 @@ class TestOracleEquivalence:
                 got = rouge_n(" ".join(cand), " ".join(ref), n).f1
                 assert abs(got - oracle_f1(cand, ref, n)) <= 1e-12
 
-    def test_kernel_backends_agree(self):
-        # when the compiled kernel is active this is a cross-check
-        # against the pure-Python fallback; otherwise it is a no-op
+    def test_rouge_scores_matches_oracle(self):
+        # every order from one call, on small and on wide vocabularies
         rng = random.Random(7)
-        for _ in range(300):
-            cand, ref = self._random_tokens(rng), self._random_tokens(rng)
-            for n in (1, 2, 3, 4, 5):
-                assert clipped_ngram_stats(cand, ref, n) == py_stats(cand, ref, n)
-
-    def test_compiled_kernel_wide_vocab_path(self):
-        if KERNEL_BACKEND != "cython":
-            pytest.skip("compiled kernel not active")
-        rng = random.Random(3)
         vocab = [f"tok{i}" for i in range(70000)]
-        cand = [rng.choice(vocab) for _ in range(200)]
-        ref = cand[50:] + [rng.choice(vocab) for _ in range(80)]
-        for n in (4, 5):
-            assert clipped_ngram_stats(cand, ref, n) == py_stats(cand, ref, n)
+        orders = (1, 2, 3, 4, 5)
+        for trial in range(300):
+            if trial % 10:
+                cand, ref = self._random_tokens(rng), self._random_tokens(rng)
+            else:
+                cand = [rng.choice(vocab) for _ in range(200)]
+                ref = cand[50:] + [rng.choice(vocab) for _ in range(80)]
+            scores = rouge_scores(" ".join(cand), " ".join(ref), orders)
+            assert sorted(scores) == list(orders)
+            for n in orders:
+                overlap, cand_total, ref_total = oracle_stats(cand, ref, n)
+                assert scores[n].n == n
+                assert scores[n].precision == (
+                    overlap / cand_total if cand_total else 0.0)
+                assert scores[n].recall == (
+                    overlap / ref_total if ref_total else 0.0)
+                assert abs(scores[n].f1 - oracle_f1(cand, ref, n)) <= 1e-12
 
 
 class TestProperties:

@@ -1,9 +1,9 @@
 import random
+import unicodedata
 
 import pytest
 
-from indicsum.errors import EmptyBatch
-from indicsum.segment import pad_batch, split_sentences, tokenize_words
+from indicsum.segment import split_sentences, strip_punctuation, tokenize_words
 
 
 class TestSplitSentences:
@@ -90,33 +90,19 @@ class TestTokenizeWords:
         assert all(tokenize_words(" x \t y \n "))
 
 
-class TestPadBatch:
-    def test_two_rows(self):
-        rows, mask = pad_batch([[1, 2], [3]], 0)
-        assert rows == [[1, 2], [3, 0]]
-        assert mask == [[1, 1], [1, 0]]
-
-    def test_single_row_unchanged(self):
-        rows, mask = pad_batch([[5, 6, 7]], 9)
-        assert rows == [[5, 6, 7]]
-        assert mask == [[1, 1, 1]]
-
-    def test_pad_id_used(self):
-        rows, _ = pad_batch([[1], [2, 3, 4]], 9)
-        assert rows == [[1, 9, 9], [2, 3, 4]]
-
-    def test_empty_batch(self):
-        with pytest.raises(EmptyBatch):
-            pad_batch([], 0)
-
-    def test_mask_sums_are_lengths(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            seqs = [
-                [rng.randint(1, 9) for _ in range(rng.randint(0, 8))]
-                for _ in range(rng.randint(1, 6))
-            ]
-            rows, mask = pad_batch(seqs, 0)
-            width = max(len(s) for s in seqs)
-            assert all(len(r) == width for r in rows)
-            assert [sum(m) for m in mask] == [len(s) for s in seqs]
+class TestStripPunctuation:
+    def test_matches_category_definition(self):
+        codes = [
+            *range(0x80),
+            *range(0x900, 0xB00),            # Devanagari and Gujarati
+            0x200C, 0x200D,                  # ZWNJ, ZWJ
+            0x1D400, 0x20000, 0x1F600, 0x1F4A9,
+        ]
+        text = "".join(map(chr, codes))
+        expected = [
+            chr(c) if unicodedata.category(chr(c))[0] in "LMN" else " "
+            for c in codes
+        ]
+        # the second pass reads the table the first pass filled
+        for _ in range(2):
+            assert list(strip_punctuation(text)) == expected
