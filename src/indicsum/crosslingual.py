@@ -8,6 +8,7 @@ resolved to mapping entries (exact match first, then a clipped unigram
 F1 fallback with a configurable threshold).
 """
 
+import http.client
 import json
 import os
 import threading
@@ -21,7 +22,13 @@ from dataclasses import dataclass
 
 from . import segment
 from .backends import GenerationParams, summarize
-from .errors import EmptyInput, EmptySummary, NoAlignment, TranslationFailure
+from .errors import (
+    ConfigError,
+    EmptyInput,
+    EmptySummary,
+    NoAlignment,
+    TranslationFailure,
+)
 from .rouge import rouge_tokens
 
 __all__ = [
@@ -64,6 +71,8 @@ class SentenceMapping:
 class IdentityTranslator:
     """Returns the input unchanged; the offline default for tests."""
 
+    local = True  # in memory: build_mapping calls it inline, on one thread
+
     def __init__(self, source_lang: str = "gujarati",
                  target_lang: str = "english"):
         self.source_lang = source_lang
@@ -76,6 +85,8 @@ class IdentityTranslator:
 
 class TableTranslator:
     """Fixed-table translator backed by a two-column UTF-8 TSV."""
+
+    local = True
 
     def __init__(self, table: dict, source_lang: str = "gujarati",
                  target_lang: str = "english"):
@@ -142,7 +153,9 @@ class HttpTranslator:
         except urllib.error.HTTPError as exc:
             exc.close()  # a 4xx/5xx error still holds the open response
             raise
-        translation = body.get("translation")
+        except (ValueError, http.client.HTTPException) as exc:
+            raise TranslationFailure(f"endpoint sent a bad response: {exc}") from exc
+        translation = body.get("translation") if isinstance(body, dict) else None
         if not isinstance(translation, str) or not translation.strip():
             raise TranslationFailure(
                 f"endpoint returned no translation: {body!r}"
@@ -154,23 +167,41 @@ class TranslationCache:
     """Append-only persistent sentence-translation cache.
 
     One JSON record per line: {"src", "src_lang", "tgt_lang", "dst"}.
-    Existing entries are loaded eagerly; writes append immediately, so
-    concurrent readers in other processes see completed entries only.
+    Existing entries are loaded eagerly.  Each ``put`` appends its batch
+    of new records with one write.  One process may write a file at a
+    time (``run_experiment`` holds its output directory's lock).  A
+    process killed mid-write leaves a torn last line: loading skips it,
+    and the next ``put`` cuts it off before appending.  An unreadable
+    line anywhere else is a ``ConfigError``.
     """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
         self._map = {}
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    key = (rec["src"], rec["src_lang"], rec["tgt_lang"])
-                    self._map[key] = rec["dst"]
+        self._torn_at = None    # byte offset of a torn last line
+        self._newline_first = False
+        if not os.path.exists(path):
+            return
+        bad = None  # (line number, byte offset) of an unreadable line
+        with open(path, "rb") as fh:
+            offset = 0
+            line = b"\n"  # an empty file needs no leading newline
+            for lineno, line in enumerate(fh, start=1):
+                start, offset = offset, offset + len(line)
+                if not line.strip():
+                    continue
+                if bad is not None:
+                    raise ConfigError(f"{path}:{bad[0]}: bad cache record")
+                try:
+                    rec = json.loads(line.decode("utf-8"))
+                    self._map[rec["src"], rec["src_lang"], rec["tgt_lang"]] = rec["dst"]
+                except (ValueError, KeyError, TypeError):
+                    bad = (lineno, start)
+        if bad is not None:
+            self._torn_at = bad[1]
+        elif not line.endswith(b"\n"):
+            self._newline_first = True
 
     def __len__(self):
         return len(self._map)
@@ -179,19 +210,37 @@ class TranslationCache:
         with self._lock:
             return self._map.get((src, src_lang, tgt_lang))
 
-    def put(self, src: str, src_lang: str, tgt_lang: str, dst: str) -> None:
+    def put(self, pairs, src_lang: str, tgt_lang: str) -> None:
+        """Record ``(src, dst)`` pairs, appending the new ones in order."""
         with self._lock:
-            if (src, src_lang, tgt_lang) in self._map:
+            lines = []
+            for src, dst in pairs:
+                key = (src, src_lang, tgt_lang)
+                if key in self._map:
+                    continue
+                self._map[key] = dst
+                record = {"src": src, "src_lang": src_lang,
+                          "tgt_lang": tgt_lang, "dst": dst}
+                lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+            if not lines:
                 return
-            self._map[(src, src_lang, tgt_lang)] = dst
-            record = {"src": src, "src_lang": src_lang,
-                      "tgt_lang": tgt_lang, "dst": dst}
+            if self._newline_first:
+                lines.insert(0, "\n")
             with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                if self._torn_at is not None:
+                    fh.truncate(self._torn_at)
+                fh.write("".join(lines))
+            self._torn_at = None
+            self._newline_first = False
 
 
 def _translate_once(client, sentence, retry_attempts, retry_base_delay, sleep):
-    """Call the client with bounded retry and exponential backoff."""
+    """Call the client with bounded retry and exponential backoff.
+
+    Only transport errors (``OSError``, which covers ``URLError``,
+    ``ConnectionError`` and ``TimeoutError``) and ``TranslationFailure``
+    are retried; any other exception is a bug and propagates at once.
+    """
     src, tgt = client.source_lang, client.target_lang
     last_exc = None
     for attempt in range(retry_attempts):
@@ -202,7 +251,7 @@ def _translate_once(client, sentence, retry_attempts, retry_base_delay, sleep):
                     f"client returned an empty translation for {sentence!r}"
                 )
             return translated
-        except Exception as exc:
+        except (OSError, TranslationFailure) as exc:
             last_exc = exc
             if attempt + 1 < retry_attempts:
                 sleep(retry_base_delay * (2 ** attempt))
@@ -221,8 +270,10 @@ def build_mapping(article: str, client, *, cache: TranslationCache | None = None
     The source language (taken from the client) selects sentence
     delimiters.  Each distinct sentence is translated at most once per
     call; the persistent cache, when given, short-circuits repeat work
-    across calls.  Translations of distinct sentences run concurrently
-    on up to ``parallelism`` threads.
+    across calls, and new translations go to it in one ``put``.  A
+    client that declares ``local = True`` (an in-memory translator) is
+    called inline on this thread; any other client translates distinct
+    sentences concurrently on up to ``parallelism`` threads.
     """
     language = client.source_lang
     if language not in segment.LANGUAGES:
@@ -245,20 +296,20 @@ def build_mapping(article: str, client, *, cache: TranslationCache | None = None
             pending.append(sentence)
 
     if pending:
-        workers = max(1, min(parallelism, len(pending)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            translated = list(
-                pool.map(
-                    lambda s: _translate_once(
-                        client, s, retry_attempts, retry_base_delay, sleep
-                    ),
-                    pending,
-                )
-            )
-        for sentence, result in zip(pending, translated):
-            memo[sentence] = result
-            if cache is not None:
-                cache.put(sentence, src, tgt, result)
+        def translate(sentence):
+            return _translate_once(client, sentence, retry_attempts,
+                                   retry_base_delay, sleep)
+
+        if getattr(client, "local", False):
+            translated = [translate(s) for s in pending]
+        else:
+            workers = max(1, min(parallelism, len(pending)))
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                translated = list(pool.map(translate, pending))
+        new = list(zip(pending, translated))
+        memo.update(new)
+        if cache is not None:
+            cache.put(new, src, tgt)
 
     entries = tuple(
         (i, sentence, memo[sentence]) for i, sentence in enumerate(sentences)
@@ -303,12 +354,14 @@ def back_map(english_summary: str, mapping: SentenceMapping,
     exact = {}
     for index, _, translated in mapping.entries:
         exact.setdefault(_normalize(translated), index)
-    entry_tokens = [rouge_tokens(t) for _, _, t in mapping.entries]
+    entry_tokens = None  # tokenized on the first fuzzy match only
 
     matched = []
     for sentence in summary_sentences:
         index = exact.get(_normalize(sentence))
         if index is None:
+            if entry_tokens is None:
+                entry_tokens = [rouge_tokens(t) for _, _, t in mapping.entries]
             tokens = rouge_tokens(sentence)
             best_index, best_score = 0, -1.0
             for i, ref in enumerate(entry_tokens):

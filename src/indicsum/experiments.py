@@ -371,7 +371,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 else:
                     candidate = summarize(handle, rec.article, generation)
             except IndicSumError as exc:
-                raise type(exc)(f"record {rec.id!r}: {exc}") from exc
+                # Re-raise the same object so fields such as
+                # NoAlignment.sentence survive the added record id.
+                exc.args = (f"record {rec.id!r}: {exc}", *exc.args[1:])
+                raise
             scores = rouge_scores(candidate, rec.summary, DEFAULT_ORDERS)
             record_rows.append({
                 "id": rec.id, "summary": candidate,

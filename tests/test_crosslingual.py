@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from indicsum import crosslingual
 from indicsum.backends import (
     AdapterBackend,
     GenerationParams,
@@ -21,11 +22,13 @@ from indicsum.crosslingual import (
     pipeline_summarize,
 )
 from indicsum.errors import (
+    ConfigError,
     EmptyInput,
     EmptySummary,
     NoAlignment,
     TranslationFailure,
 )
+from indicsum.rouge import rouge_tokens
 from indicsum.segment import split_sentences
 
 GUJ = "પહેલું વાક્ય અહીં છે. બીજું વાક્ય અહીં છે. ત્રીજું વાક્ય અહીં છે."
@@ -97,6 +100,19 @@ class TestBuildMapping:
         assert client.calls == 3
         assert delays == [0.5, 1.0]
 
+    def test_programming_error_not_retried(self):
+        class Buggy(FailingClient):
+            def translate(self, sentence, source_lang, target_lang):
+                self.calls += 1
+                raise TypeError("bug")
+
+        delays = []
+        client = Buggy()
+        with pytest.raises(TypeError):
+            build_mapping("એક વાક્ય છે.", client, sleep=delays.append)
+        assert client.calls == 1
+        assert delays == []
+
     def test_client_called_once_per_distinct_sentence(self):
         client = CountingIdentity()
         repeated = "એક સરખું વાક્ય. બીજું વાક્ય. એક સરખું વાક્ય."
@@ -112,6 +128,35 @@ class TestBuildMapping:
         )
         assert [e[1] for e in mapping] == sentences
         assert english == " ".join(sentences)
+
+    def test_local_translator_runs_on_calling_thread(self):
+        threads = set()
+
+        class Recording(IdentityTranslator):
+            def translate(self, sentence, source_lang, target_lang):
+                threads.add(threading.get_ident())
+                return sentence
+
+        sentences = [f"વાક્ય ક્રમ {i} છે." for i in range(30)]
+        build_mapping(" ".join(sentences), Recording(), parallelism=8)
+        assert threads == {threading.get_ident()}
+
+    def test_other_clients_translate_concurrently(self):
+        # Each call waits for a second one; a serial caller would break
+        # the barrier after 5 s.
+        barrier = threading.Barrier(2, timeout=5)
+
+        class Remote:
+            source_lang = "gujarati"
+            target_lang = "english"
+
+            def translate(self, sentence, source_lang, target_lang):
+                barrier.wait()
+                return sentence
+
+        english, _ = build_mapping(" ".join(GUJ_SENTENCES[:2]), Remote(),
+                                   parallelism=2)
+        assert english == " ".join(GUJ_SENTENCES[:2])
 
     def test_empty_article(self):
         with pytest.raises(EmptyInput):
@@ -147,6 +192,63 @@ class TestBuildMapping:
         reloaded = TranslationCache(cache_path)
         english, _ = build_mapping(GUJ, FailingClient(), cache=reloaded)
         assert english == " ".join(GUJ_SENTENCES)
+
+    def test_cold_mapping_appends_in_one_put(self, tmp_path, monkeypatch):
+        batches = []
+        put = TranslationCache.put
+
+        def counting_put(self, pairs, src_lang, tgt_lang):
+            batches.append(list(pairs))
+            put(self, pairs, src_lang, tgt_lang)
+
+        monkeypatch.setattr(TranslationCache, "put", counting_put)
+        cache_path = tmp_path / "cache.jsonl"
+        build_mapping(GUJ, IdentityTranslator(), cache=TranslationCache(cache_path))
+        assert len(batches) == 1
+        assert cache_path.read_text(encoding="utf-8") == "".join(
+            cache_line(s, s) for s in GUJ_SENTENCES
+        )
+
+
+def cache_line(src, dst):
+    return json.dumps({"src": src, "src_lang": "gujarati", "tgt_lang": "english",
+                       "dst": dst}, ensure_ascii=False) + "\n"
+
+
+class TestTranslationCache:
+    @pytest.fixture
+    def torn(self, tmp_path):
+        """A cache whose last record was cut off mid-character."""
+        path = tmp_path / "cache.jsonl"
+        second = cache_line(GUJ_SENTENCES[1], "e2.").encode("utf-8")
+        path.write_bytes(cache_line(GUJ_SENTENCES[0], "e1.").encode("utf-8")
+                         + second[:len(second) // 2 + 1])
+        return path
+
+    def test_torn_last_line_skipped_then_cut_off(self, torn):
+        cache = TranslationCache(torn)
+        assert len(cache) == 1
+        cache.put([(GUJ_SENTENCES[2], "e3.")], "gujarati", "english")
+        assert torn.read_text(encoding="utf-8") == (
+            cache_line(GUJ_SENTENCES[0], "e1.") + cache_line(GUJ_SENTENCES[2], "e3.")
+        )
+        assert TranslationCache(torn).get(GUJ_SENTENCES[2], "gujarati",
+                                          "english") == "e3."
+
+    def test_missing_final_newline(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(cache_line(GUJ_SENTENCES[0], "e1.").rstrip("\n"),
+                        encoding="utf-8")
+        cache = TranslationCache(path)
+        assert len(cache) == 1
+        cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati", "english")
+        assert len(TranslationCache(path)) == 2
+
+    def test_bad_middle_line(self, torn):
+        with open(torn, "a", encoding="utf-8") as fh:
+            fh.write("\n" + cache_line(GUJ_SENTENCES[2], "e3."))
+        with pytest.raises(ConfigError, match=f"{torn}:2: bad cache record"):
+            TranslationCache(torn)
 
 
 def ten_token_mapping():
@@ -206,6 +308,20 @@ class TestBackMap:
             )
         )
         assert back_map("same translated words here.", twin) == "પહેલું મૂળ વાક્ય."
+
+    def test_entries_tokenized_only_on_fuzzy_path(self, monkeypatch):
+        calls = []
+
+        def counting_tokens(text):
+            calls.append(text)
+            return rouge_tokens(text)
+
+        monkeypatch.setattr(crosslingual, "rouge_tokens", counting_tokens)
+        mapping = ten_token_mapping()
+        back_map(mapping.entries[2][2] + " " + mapping.entries[0][2], mapping)
+        assert calls == []
+        back_map("a0 a1 a2 a3 zzz a5 a6 a7 a8 a9.", mapping)
+        assert len(calls) == len(mapping) + 1
 
     def test_empty_summary(self):
         with pytest.raises(EmptySummary):
@@ -287,6 +403,14 @@ class _Fail(_Translate):
         self.end_headers()
 
 
+class _Garbled(_Translate):
+    def do_POST(self):
+        self.send_response(200)
+        self.send_header("Content-Length", "8")
+        self.end_headers()
+        self.wfile.write(b"not json")
+
+
 def _serve(handler):
     server = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -308,6 +432,10 @@ class TestHttpTranslator:
     def failing_endpoint(self):
         yield from _serve(_Fail)
 
+    @pytest.fixture
+    def garbled_endpoint(self):
+        yield from _serve(_Garbled)
+
     def test_requires_api_key(self, monkeypatch):
         monkeypatch.delenv("TRANSLATE_API_KEY", raising=False)
         with pytest.raises(TranslationFailure):
@@ -326,6 +454,13 @@ class TestHttpTranslator:
         monkeypatch.setenv("TRANSLATE_API_KEY", "sekrit")
         client = HttpTranslator(failing_endpoint, source_lang="english")
         with pytest.raises(TranslationFailure, match="HTTP Error 500"):
+            build_mapping("small test.", client, sleep=lambda _: None)
+
+    def test_malformed_response_raises_translation_failure(self, garbled_endpoint,
+                                                           monkeypatch):
+        monkeypatch.setenv("TRANSLATE_API_KEY", "sekrit")
+        client = HttpTranslator(garbled_endpoint, source_lang="english")
+        with pytest.raises(TranslationFailure, match="bad response"):
             build_mapping("small test.", client, sleep=lambda _: None)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from indicsum.backends import SummarizerSpec
 from indicsum.cli import main
-from indicsum.errors import ConfigError, EmptyReport, MissingGoldSummary
+from indicsum.errors import ConfigError, EmptyReport, MissingGoldSummary, NoAlignment
 from indicsum.experiments import (
     ExperimentConfig,
     RunRecord,
@@ -226,6 +226,20 @@ class TestRunExperiment:
         with pytest.raises(MissingGoldSummary) as info:
             run_experiment(base_config(path, tmp_path))
         assert "x9" in str(info.value)
+
+    def test_record_id_keeps_exception_fields(self, write_csv, tmp_path,
+                                              gujarati_records):
+        rec = gujarati_records[0]
+        path = write_csv([[rec.id, "", "", rec.article, rec.summary]])
+        # Two words cut the first sentence short, and no fragment reaches
+        # a threshold of 1.0.
+        config = base_config(path, tmp_path, language="gujarati",
+                             pipeline="translate-map", threshold=1.0, max_tokens=2)
+        with pytest.raises(NoAlignment) as info:
+            run_experiment(config)
+        assert str(info.value).startswith(f"record {rec.id!r}: ")
+        assert info.value.sentence is not None
+        assert info.value.best_score is not None
 
     def test_translate_map_pipeline(self, write_csv, tmp_path, gujarati_records):
         rows = [
