@@ -103,45 +103,6 @@ class Preset:
     augment: str | None = None
     pipeline: str = "direct"
 
-    def to_config(self) -> dict:
-        """Flatten to primitive key/value pairs (config-file shaped)."""
-        out = {
-            "name": self.name,
-            "language": self.language,
-            "pipeline": self.pipeline,
-            "max_tokens": self.generation.max_tokens,
-            "seed": self.generation.seed,
-        }
-        if self.augment is not None:
-            out["augment"] = self.augment
-        if self.spec is not None:
-            out.update(asdict(self.spec))
-        return out
-
-    @classmethod
-    def from_config(cls, conf: dict) -> "Preset":
-        spec = None
-        if "model_id" in conf:
-            spec = SummarizerSpec(
-                model_id=str(conf["model_id"]),
-                epochs=int(conf["epochs"]),
-                weight_decay=float(conf.get("weight_decay", 0.0)),
-                learning_rate=float(conf.get("learning_rate", 5e-5)),
-                batch_size=int(conf.get("batch_size", 4)),
-                max_input_tokens=int(conf.get("max_input_tokens", 512)),
-            )
-        return cls(
-            name=str(conf["name"]),
-            language=str(conf["language"]),
-            spec=spec,
-            generation=GenerationParams(
-                max_tokens=int(conf.get("max_tokens", 75)),
-                seed=int(conf.get("seed", 13)),
-            ),
-            augment=conf.get("augment"),
-            pipeline=str(conf.get("pipeline", "direct")),
-        )
-
 
 def _preset_table() -> dict[str, Preset]:
     def spec(model_id, epochs, **kw):

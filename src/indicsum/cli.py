@@ -2,56 +2,26 @@
 
 One subcommand per pipeline stage: prepare, augment, train, summarize,
 translate-map, evaluate, report, plus ``run`` for a whole config-driven
-experiment.  All commands exit nonzero with a one-line message on
-toolkit errors.
+experiment.  ``train``, ``summarize`` and ``translate-map`` run through
+the same backend, generation and per-record helpers as ``run``.  All
+commands exit nonzero with a one-line message on toolkit errors.
 """
 
 import argparse
 import csv
+import os
 import sys
+from contextlib import closing, nullcontext
 
 from . import augment as augment_mod
 from . import corpus, experiments
-from .backends import (
-    AdapterBackend,
-    GenerationParams,
-    TrainedHandle,
-    baseline_handle,
-    fine_tune,
-    get_preset,
-    summarize,
-)
-from .crosslingual import TranslationCache, pipeline_summarize
+from .backends import TrainedHandle, fine_tune, get_preset
+from .crosslingual import DEFAULT_THRESHOLD, TranslationCache
 from .errors import IndicSumError, MissingColumn, MissingGoldSummary
 from .rouge import DEFAULT_ORDERS, corpus_rouge
 from .segment import LANGUAGES
 
 __all__ = ["main"]
-
-
-def _backend_from_args(args, language: str):
-    """Adapter if requested on the command line, else the baseline."""
-    if getattr(args, "adapter", None):
-        return AdapterBackend(argv=args.adapter)
-    if getattr(args, "socket", None):
-        host, _, port = args.socket.rpartition(":")
-        return AdapterBackend(address=(host, int(port)))
-    return baseline_handle(language).backend
-
-
-def _generation_from_args(args, preset) -> GenerationParams:
-    generation = preset.generation if preset else GenerationParams()
-    if getattr(args, "max_tokens", None) is not None:
-        generation = GenerationParams(max_tokens=args.max_tokens,
-                                      seed=generation.seed)
-    return generation
-
-
-def _write_summaries(path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "Summary"])
-        writer.writerows(rows)
 
 
 def _cmd_prepare(args) -> int:
@@ -93,42 +63,38 @@ def _cmd_train(args) -> int:
         return 2
     language = args.lang or preset.language
     split = corpus.load_csv(args.train, "train", language)
-    backend = _backend_from_args(args, language)
-    handle = fine_tune(backend, split, preset.spec)
+    with closing(experiments.open_backend(args.adapter, args.socket,
+                                          language)) as backend:
+        handle = fine_tune(backend, split, preset.spec)
     print(f"checkpoint: {handle.checkpoint}")
     return 0
 
 
 def _cmd_summarize(args) -> int:
+    """``summarize``, or ``translate-map`` when ``args.translator`` is set."""
     preset = get_preset(args.preset) if args.preset else None
     language = args.lang or (preset.language if preset else "english")
     split = corpus.load_csv(args.csv, args.split, language)
-    backend = _backend_from_args(args, language)
-    generation = _generation_from_args(args, preset)
-    handle = TrainedHandle(backend=backend, checkpoint=args.checkpoint)
-    rows = [(rec.id, summarize(handle, rec.article, generation))
-            for rec in split]
-    _write_summaries(args.out, rows)
-    print(f"{args.out}: {len(rows)} summaries")
-    return 0
-
-
-def _cmd_translate_map(args) -> int:
-    language = args.lang
-    split = corpus.load_csv(args.csv, args.split, language)
-    translator = experiments.make_translator(args.translator, language)
-    backend = _backend_from_args(args, "english")
-    handle = TrainedHandle(backend=backend, checkpoint=args.checkpoint)
-    generation = GenerationParams(max_tokens=args.max_tokens)
-    cache = TranslationCache(args.cache) if args.cache else None
-    rows = []
-    for rec in split:
-        summary = pipeline_summarize(
-            rec.article, translator, handle, generation,
-            threshold=args.threshold, cache=cache,
-        )
-        rows.append((rec.id, summary))
-    _write_summaries(args.out, rows)
+    translator = None
+    if args.translator:
+        translator = experiments.make_translator(args.translator, language)
+    generation = experiments.generation_params(preset, args.max_tokens)
+    lock = nullcontext()
+    if args.cache:
+        # The lock run_experiment holds over its cache: one writer per file.
+        cache_dir = os.path.dirname(os.path.abspath(args.cache))
+        os.makedirs(cache_dir, exist_ok=True)
+        lock = experiments.directory_lock(cache_dir)
+    with lock, closing(experiments.open_backend(
+        args.adapter, args.socket, "english" if translator else language,
+    )) as backend:
+        cache = TranslationCache(args.cache) if args.cache else None
+        handle = TrainedHandle(backend=backend, checkpoint=args.checkpoint)
+        rows = [(rec.id, summary) for rec, summary in experiments.summarize_split(
+            split, handle, generation, translator=translator, cache=cache,
+            threshold=args.threshold,
+        )]
+    experiments.write_summaries(args.out, rows)
     print(f"{args.out}: {len(rows)} summaries")
     return 0
 
@@ -225,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--out", required=True)
     _add_adapter_flags(p)
-    p.set_defaults(func=_cmd_summarize)
+    p.set_defaults(func=_cmd_summarize, translator=None, cache=None,
+                   threshold=DEFAULT_THRESHOLD)
 
     p = sub.add_parser("translate-map",
                        help="translate, summarize in English, back-map")
@@ -234,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", default="gujarati", choices=LANGUAGES)
     p.add_argument("--translator", default="identity",
                    help="identity, table:<tsv> or live:<url>")
-    p.add_argument("--threshold", type=float, default=0.6)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--max-tokens", type=int, default=85)
     p.add_argument("--cache", help="persistent translation cache (JSONL)")
     p.add_argument("--out", required=True)
     _add_adapter_flags(p)
-    p.set_defaults(func=_cmd_translate_map)
+    p.set_defaults(func=_cmd_summarize, preset=None)
 
     p = sub.add_parser("evaluate", help="score candidate summaries")
     p.add_argument("cands", help="CSV with id,Summary columns")

@@ -169,7 +169,8 @@ class TranslationCache:
     One JSON record per line: {"src", "src_lang", "tgt_lang", "dst"}.
     Existing entries are loaded eagerly.  Each ``put`` appends its batch
     of new records with one write.  One process may write a file at a
-    time (``run_experiment`` holds its output directory's lock).  A
+    time (``run_experiment`` and ``translate-map --cache`` hold
+    ``experiments.directory_lock`` on the file's directory).  A
     process killed mid-write leaves a torn last line: loading skips it,
     and the next ``put`` cuts it off before appending.  An unreadable
     line anywhere else is a ``ConfigError``.

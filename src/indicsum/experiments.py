@@ -7,15 +7,18 @@ to apply to the train split, and whether generation runs directly or
 through the translate/back-map pipeline.  Running one produces a
 RunRecord: per-record summaries with their ROUGE scores plus corpus
 aggregates, appended as one JSON line to ``runs.jsonl`` in the output
-directory.  A lock file serializes experiments per output directory.
+directory.  An flock on the output directory serializes experiments.
+The CLI stages share ``run_experiment``'s backend, generation and
+per-record helpers.
 """
 
 import csv
+import fcntl
 import hashlib
 import io
 import json
 import os
-import shlex
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
@@ -32,6 +35,7 @@ from .backends import (
 )
 from .corpus import load_csv
 from .crosslingual import (
+    DEFAULT_THRESHOLD,
     HttpTranslator,
     IdentityTranslator,
     TableTranslator,
@@ -48,10 +52,15 @@ __all__ = [
     "ExperimentConfig",
     "RunRecord",
     "config_hash",
+    "directory_lock",
+    "generation_params",
     "load_runs",
+    "open_backend",
     "parse_config_file",
     "render_report",
     "run_experiment",
+    "summarize_split",
+    "write_summaries",
 ]
 
 DEFAULT_NOISE_RATE = 0.1
@@ -273,28 +282,82 @@ def make_translator(spec: str, language: str):
     raise ConfigError(f"unknown translator {spec!r}")
 
 
-def _build_backend(config: ExperimentConfig, preset):
-    """The backend process/object plus a human-readable approach label."""
-    language = "english" if config.pipeline == "translate-map" else config.language
-    if config.adapter:
-        backend = AdapterBackend(argv=shlex.split(config.adapter))
-    elif config.socket:
-        host, _, port = config.socket.rpartition(":")
+def open_backend(adapter: str | None, socket: str | None, language: str):
+    """The adapter given as a command line or ``host:port``, else the
+    lead baseline for ``language``.  The caller closes it."""
+    if adapter:
+        return AdapterBackend(argv=adapter)
+    if socket:
+        host, _, port = socket.rpartition(":")
         if not host:
-            raise ConfigError(f"socket must be host:port, got {config.socket!r}")
+            raise ConfigError(f"socket must be host:port, got {socket!r}")
         try:
-            backend = AdapterBackend(address=(host, int(port)))
+            return AdapterBackend(address=(host, int(port)))
         except ValueError as exc:
-            raise ConfigError(f"bad socket address {config.socket!r}: {exc}") from None
-    else:
-        backend = LeadBaselineBackend(language)
-    if config.preset:
-        approach = config.preset
-    elif config.pipeline == "translate-map":
-        approach = "translate-map+lead-baseline"
-    else:
-        approach = "lead-baseline"
-    return backend, approach
+            raise ConfigError(f"bad socket address {socket!r}: {exc}") from None
+    return LeadBaselineBackend(language)
+
+
+def generation_params(preset, max_tokens: int | None,
+                      seed: int = DEFAULT_SEED) -> GenerationParams:
+    """The preset's generation settings (or the defaults), with
+    ``max_tokens`` overriding its budget when given."""
+    generation = preset.generation if preset else GenerationParams()
+    if max_tokens is not None:
+        generation = replace(generation, max_tokens=max_tokens)
+    return replace(generation, seed=seed)
+
+
+def summarize_split(split, handle, generation, *, translator=None,
+                    cache=None, threshold: float = DEFAULT_THRESHOLD):
+    """Yield ``(record, summary)`` for every record of ``split``, in order.
+
+    With a ``translator`` each summary goes through the translate/back-map
+    pipeline, else straight through ``handle``.  Toolkit errors are
+    re-raised with the record id prepended.
+    """
+    for rec in split:
+        try:
+            if translator is None:
+                summary = summarize(handle, rec.article, generation)
+            else:
+                summary = pipeline_summarize(
+                    rec.article, translator, handle, generation,
+                    threshold=threshold, cache=cache,
+                )
+        except IndicSumError as exc:
+            # Re-raise the same object so fields such as
+            # NoAlignment.sentence survive the added record id.
+            exc.args = (f"record {rec.id!r}: {exc}", *exc.args[1:])
+            raise
+        yield rec, summary
+
+
+def write_summaries(path, rows) -> None:
+    """Write ``(id, summary)`` rows as an ``id,Summary`` CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "Summary"])
+        writer.writerows(rows)
+
+
+@contextmanager
+def directory_lock(path):
+    """Hold an exclusive lock on directory ``path`` for the block.
+
+    ``ConfigError`` if the lock is already held.  The lock is an flock on
+    an open descriptor, so the kernel releases it when the holder exits,
+    even after ``kill -9``.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"another process holds the lock on {path}") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -307,29 +370,18 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """
     _validate(config)
     preset = get_preset(config.preset) if config.preset else None
-
-    generation = preset.generation if preset else GenerationParams()
-    if config.max_tokens is not None:
-        generation = replace(generation, max_tokens=config.max_tokens)
-    generation = replace(generation, seed=config.seed)
+    generation = generation_params(preset, config.max_tokens, config.seed)
+    translate_map = config.pipeline == "translate-map"
+    approach = config.preset or (
+        "translate-map+lead-baseline" if translate_map else "lead-baseline"
+    )
 
     digest = config_hash(config)
     os.makedirs(config.output_dir, exist_ok=True)
-    lock_path = os.path.join(config.output_dir, ".lock")
-    try:
-        lock_fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"another experiment is running in {config.output_dir}"
-            f" (stale lock? remove {lock_path})"
-        ) from None
-    os.write(lock_fd, str(os.getpid()).encode())
-    os.close(lock_fd)
-
-    backend = None
-    try:
-        backend, approach = _build_backend(config, preset)
-
+    with directory_lock(config.output_dir), closing(open_backend(
+        config.adapter, config.socket,
+        "english" if translate_map else config.language,
+    )) as backend:
         spec = config.spec or (preset.spec if preset else None)
         handle = TrainedHandle(backend=backend)
         if spec is not None and backend.capabilities.trainable and config.train_path:
@@ -346,10 +398,16 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             handle = fine_tune(backend, train_split, spec)
 
         eval_split = load_csv(config.eval_path, config.eval_kind, config.language)
+        for rec in eval_split:
+            if rec.summary is None:
+                raise MissingGoldSummary(
+                    f"record {rec.id!r}: no gold summary;"
+                    " evaluation needs references"
+                )
 
         translator = None
         cache = None
-        if config.pipeline == "translate-map":
+        if translate_map:
             translator = make_translator(config.translator, config.language)
             cache = TranslationCache(
                 os.path.join(config.output_dir, "translation-cache.jsonl")
@@ -357,24 +415,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
         record_rows = []
         per_record = []
-        for rec in eval_split:
-            try:
-                if rec.summary is None:
-                    raise MissingGoldSummary(
-                        "no gold summary; evaluation needs references"
-                    )
-                if config.pipeline == "translate-map":
-                    candidate = pipeline_summarize(
-                        rec.article, translator, handle, generation,
-                        threshold=config.threshold, cache=cache,
-                    )
-                else:
-                    candidate = summarize(handle, rec.article, generation)
-            except IndicSumError as exc:
-                # Re-raise the same object so fields such as
-                # NoAlignment.sentence survive the added record id.
-                exc.args = (f"record {rec.id!r}: {exc}", *exc.args[1:])
-                raise
+        for rec, candidate in summarize_split(
+            eval_split, handle, generation, translator=translator,
+            cache=cache, threshold=config.threshold,
+        ):
             scores = rouge_scores(candidate, rec.summary, DEFAULT_ORDERS)
             record_rows.append({
                 "id": rec.id, "summary": candidate,
@@ -402,23 +446,14 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             aggregate=aggregate,
         )
 
-        summaries_path = os.path.join(
-            config.output_dir, f"summaries-{digest[:12]}.csv"
+        write_summaries(
+            os.path.join(config.output_dir, f"summaries-{digest[:12]}.csv"),
+            ((row["id"], row["summary"]) for row in record_rows),
         )
-        with open(summaries_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "Summary"])
-            for row in record_rows:
-                writer.writerow([row["id"], row["summary"]])
-
         with open(os.path.join(config.output_dir, "runs.jsonl"), "a",
                   encoding="utf-8") as fh:
             fh.write(run.to_json() + "\n")
         return run
-    finally:
-        if backend is not None:
-            backend.close()
-        os.unlink(lock_path)
 
 
 def _check_consistency(run: RunRecord, path, lineno: int) -> None:

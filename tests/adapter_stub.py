@@ -11,11 +11,13 @@ predict every response:
 
 Failure modes for transport tests: --fail-op returns an error response
 for one op, --malformed writes a non-JSON line, --crash-after exits
-hard after N requests.
+hard after N requests.  --pid-file records the process id on start, so
+a test can check that the process has exited.
 """
 
 import argparse
 import json
+import os
 import socket
 import sys
 
@@ -75,7 +77,11 @@ def main():
     parser.add_argument("--crash-after", type=int)
     parser.add_argument("--malformed", action="store_true")
     parser.add_argument("--fixed-summary")
+    parser.add_argument("--pid-file")
     opts = parser.parse_args()
+    if opts.pid_file:
+        with open(opts.pid_file, "w", encoding="utf-8") as fh:
+            fh.write(str(os.getpid()))
 
     if opts.port is None:
         serve(sys.stdin, sys.stdout, opts)

@@ -1,11 +1,18 @@
 import csv
 import dataclasses
+import fcntl
 import json
+import os
 import shlex
+import signal
+import subprocess
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import indicsum
 from indicsum.backends import SummarizerSpec
 from indicsum.cli import main
 from indicsum.errors import ConfigError, EmptyReport, MissingGoldSummary, NoAlignment
@@ -35,9 +42,23 @@ ENG_ROWS = [
 ]
 
 
+SRC_DIR = str(Path(indicsum.__file__).resolve().parents[1])
+
+
 @pytest.fixture
 def eval_csv(write_csv):
     return write_csv(ENG_ROWS)
+
+
+@contextmanager
+def held_flock(directory):
+    """Hold an exclusive flock on ``directory`` from this process."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
 
 
 def base_config(eval_csv, tmp_path, **kw):
@@ -198,14 +219,40 @@ class TestRunExperiment:
         config = base_config(eval_csv, tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text("busy")
-        with pytest.raises(ConfigError):
+        with held_flock(out), pytest.raises(ConfigError):
             run_experiment(config)
 
     def test_lock_released_after_run(self, eval_csv, tmp_path):
         config = base_config(eval_csv, tmp_path)
         run_experiment(config)
         assert not (tmp_path / "out" / ".lock").exists()
+        # Raises BlockingIOError if the run still held the lock.
+        with held_flock(tmp_path / "out"):
+            pass
+
+    def test_killed_lock_holder_does_not_block(self, eval_csv, tmp_path):
+        config = base_config(eval_csv, tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        holder_code = (
+            "import sys\n"
+            "from indicsum.experiments import directory_lock\n"
+            "with directory_lock(sys.argv[1]):\n"
+            "    print('locked', flush=True)\n"
+            "    sys.stdin.read()\n"
+        )
+        with subprocess.Popen(
+            [sys.executable, "-c", holder_code, str(out)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+        ) as holder:
+            assert holder.stdout.readline() == "locked\n"
+            with pytest.raises(ConfigError):
+                run_experiment(config)
+            os.kill(holder.pid, signal.SIGKILL)
+            assert holder.wait(timeout=10) == -signal.SIGKILL
+        run = run_experiment(config)
+        assert [r["id"] for r in run.records] == ["e1", "e2", "e3"]
 
     def test_unknown_preset(self, eval_csv, tmp_path):
         with pytest.raises(ConfigError):
@@ -422,6 +469,77 @@ class TestCli:
                      "--split", "validation", "--max-tokens", "6",
                      "--out", str(out)]) == 0
         assert "5 summaries" in capsys.readouterr().out
+
+    def test_translate_map_cache_lock_held(self, write_csv, tmp_path,
+                                           gujarati_records, capsys):
+        src = write_csv([[r.id, "", "", r.article, r.summary]
+                         for r in gujarati_records[:3]])
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        out = tmp_path / "guj.csv"
+        with held_flock(cache_dir):
+            assert main(["translate-map", str(src), "--max-tokens", "6",
+                         "--cache", str(cache_dir / "tc.jsonl"),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_summarize_bad_socket(self, eval_csv, tmp_path, capsys):
+        assert main(["summarize", str(eval_csv), "--lang", "english",
+                     "--socket", "host:bad",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_summarize_adapter_error_names_record(self, eval_csv, tmp_path,
+                                                  capsys):
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--fail-op", "generate"])
+        assert main(["summarize", str(eval_csv), "--lang", "english",
+                     "--adapter", adapter,
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        assert "error: record 'e1': adapter error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["train", "summarize", "translate-map"])
+    def test_stage_closes_adapter(self, stage, write_csv, eval_csv, tmp_path,
+                                  gujarati_records, capsys):
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--pid-file", str(pid_file)])
+        out = str(tmp_path / "c.csv")
+        if stage == "train":
+            train = write_csv([["t1", "", "", "Body one. Body two.", "Body one."]])
+            argv = ["train", "--preset", "english-t5", "--train", str(train)]
+        elif stage == "summarize":
+            argv = ["summarize", str(eval_csv), "--lang", "english", "--out", out]
+        else:
+            src = write_csv([[r.id, "", "", r.article, r.summary]
+                             for r in gujarati_records[:3]])
+            argv = ["translate-map", str(src), "--out", out]
+        assert main([*argv, "--adapter", adapter]) == 0
+        pid = int(pid_file.read_text(encoding="utf-8"))
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    @pytest.mark.parametrize("stage", ["summarize", "translate-map"])
+    def test_stage_matches_run_experiment(self, stage, write_csv, tmp_path,
+                                          gujarati_records):
+        if stage == "summarize":
+            src = write_csv(ENG_ROWS)
+            language, max_tokens, pipeline = "english", 5, "direct"
+        else:
+            src = write_csv([[r.id, "", "", r.article, r.summary]
+                             for r in gujarati_records[:10]])
+            language, max_tokens, pipeline = "gujarati", 6, "translate-map"
+        run = run_experiment(base_config(src, tmp_path, language=language,
+                                         max_tokens=max_tokens,
+                                         pipeline=pipeline))
+        out = tmp_path / "cli.csv"
+        assert main([stage, str(src), "--lang", language,
+                     "--max-tokens", str(max_tokens), "--out", str(out)]) == 0
+        expected = tmp_path / "out" / f"summaries-{run.config_hash[:12]}.csv"
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_run_and_report(self, eval_csv, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
