@@ -1,8 +1,8 @@
 """Multilingual news-article summarization experiment toolkit.
 
 Covers the full experiment loop for English, Hindi and Gujarati news
-corpora: CSV ingestion and cleaning, dataset augmentation, pluggable
-abstractive backends with a deterministic lead baseline, an extractive
+corpora: CSV ingestion, dataset augmentation, pluggable abstractive
+backends with a deterministic lead baseline, an extractive
 sentence-selection summarizer, a translate/summarize/back-map
 cross-lingual pipeline, exact ROUGE-1/2/4 scoring and a config-driven
 experiment runner.
@@ -19,7 +19,7 @@ from .backends import (
     lead_baseline,
     summarize,
 )
-from .corpus import ArticleRecord, CleanOptions, DatasetSplit, clean_text, load_csv
+from .corpus import ArticleRecord, DatasetSplit, load_csv
 from .crosslingual import back_map, build_mapping, pipeline_summarize
 from .errors import IndicSumError
 from .experiments import ExperimentConfig, RunRecord, render_report, run_experiment
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArticleRecord",
-    "CleanOptions",
     "DatasetSplit",
     "ExperimentConfig",
     "GenerationParams",
@@ -45,7 +44,6 @@ __all__ = [
     "back_map",
     "baseline_handle",
     "build_mapping",
-    "clean_text",
     "corpus_rouge",
     "fine_tune",
     "get_preset",

@@ -11,8 +11,9 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import segment
-from .corpus import ArticleRecord, CleanOptions, DatasetSplit, clean_text
+from .corpus import ArticleRecord, DatasetSplit
 from .errors import DegenerateClassDistribution, MissingGoldSummary
+from .rouge import rouge_tokens, score_counts
 
 __all__ = [
     "LabeledSentence",
@@ -94,32 +95,27 @@ def label_sentences(
 ) -> list[LabeledSentence]:
     """Assign each article sentence a 0/1 extractive label.
 
-    A sentence is positive when its cleaned form (lowercased,
-    punctuation stripped, stopwords kept) equals a cleaned gold-summary
+    A sentence is positive when its metric tokens (``rouge_tokens``:
+    lowercased, punctuation stripped) equal those of a gold-summary
     sentence.  When no sentence matches exactly, the single sentence
-    with the highest unigram recall against the whole gold summary is
-    positive, ties going to the earliest position.  At least one label
-    is always 1.
+    with the highest unigram recall (``rouge.score_counts``) against
+    the whole gold summary is positive, ties going to the earliest
+    position.  At least one label is always 1.
     """
     if record.summary is None or not record.summary.strip():
         raise MissingGoldSummary(f"record {record.id!r} has no gold summary")
-    opts = CleanOptions.matching()
     sentences = list(segment.split_sentences(record.article, language))
-    cleaned = [clean_text(s, opts) for s in sentences]
+    tokens = [tuple(rouge_tokens(s)) for s in sentences]
     gold_sentences = {
-        clean_text(s, opts) for s in segment.split_sentences(record.summary, language)
+        tuple(rouge_tokens(s))
+        for s in segment.split_sentences(record.summary, language)
     }
-    gold_sentences.discard("")
-
-    labels = [1 if c and c in gold_sentences else 0 for c in cleaned]
+    labels = [1 if t and t in gold_sentences else 0 for t in tokens]
     if not any(labels):
-        gold_counts = Counter(clean_text(record.summary, opts).split())
-        gold_total = sum(gold_counts.values())
+        gold_counts = Counter(rouge_tokens(record.summary))
         best_pos, best_recall = 0, -1.0
-        for pos, c in enumerate(cleaned):
-            counts = Counter(c.split())
-            hits = sum(min(n, gold_counts[t]) for t, n in counts.items())
-            recall = hits / gold_total if gold_total else 0.0
+        for pos, t in enumerate(tokens):
+            recall = score_counts(Counter(t), gold_counts).recall
             if recall > best_recall:
                 best_pos, best_recall = pos, recall
         labels[best_pos] = 1

@@ -32,7 +32,6 @@ from .errors import BackendUnavailable, ConfigError, EmptyInput, InvalidSpec
 
 __all__ = [
     "AdapterBackend",
-    "BackendCapabilities",
     "GenerationParams",
     "LeadBaselineBackend",
     "PRESETS",
@@ -84,12 +83,6 @@ class GenerationParams:
     def validate(self) -> None:
         if self.max_tokens < 1:
             raise InvalidSpec(f"max_tokens must be >= 1, got {self.max_tokens}")
-
-
-@dataclass(frozen=True)
-class BackendCapabilities:
-    trainable: bool
-    languages: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -217,13 +210,12 @@ def lead_baseline(article: str, params: GenerationParams,
 class LeadBaselineBackend:
     """Non-trainable backend wrapping :func:`lead_baseline`."""
 
+    trainable = False
+
     def __init__(self, language: str = "english"):
         if language not in segment.LANGUAGES:
             raise ValueError(f"unknown language: {language!r}")
         self.language = language
-        self.capabilities = BackendCapabilities(
-            trainable=False, languages=frozenset(segment.LANGUAGES)
-        )
 
     def generate(self, article: str, params: GenerationParams,
                  checkpoint: str | None = None) -> str:
@@ -243,12 +235,13 @@ class AdapterBackend:
     split with shell quoting rules) and ``address`` ((host, port) of a
     listening adapter) must be given.  The transport starts lazily on
     the first request and is reused; requests are serialized through a
-    lock, matching the adapters' single-threaded protocol loop.
+    lock, matching the adapters' single-threaded protocol loop.  With
+    ``trainable=False`` ``fine_tune`` refuses the backend and
+    ``run_experiment`` skips training.
     """
 
     def __init__(self, argv=None, address=None, *, trainable: bool = True,
-                 languages=segment.LANGUAGES, timeout: float = 30.0,
-                 name: str = "adapter"):
+                 timeout: float = 30.0, name: str = "adapter"):
         if (argv is None) == (address is None):
             raise ValueError("pass exactly one of argv or address")
         if isinstance(argv, str):
@@ -263,9 +256,7 @@ class AdapterBackend:
         self._lock = threading.Lock()
         self._next_id = 0
         self.name = name
-        self.capabilities = BackendCapabilities(
-            trainable=trainable, languages=frozenset(languages)
-        )
+        self.trainable = trainable
 
     # -- transport ---------------------------------------------------
 
@@ -433,7 +424,7 @@ def fine_tune(backend, dataset: DatasetSplit, spec: SummarizerSpec) -> TrainedHa
     spec.validate()
     if dataset.kind != "train":
         raise InvalidSpec(f"fine_tune needs a train split, got {dataset.kind!r}")
-    if not backend.capabilities.trainable:
+    if not backend.trainable:
         raise InvalidSpec("backend is not trainable")
     checkpoint = backend.train(dataset, spec)
     return TrainedHandle(backend=backend, checkpoint=checkpoint, spec=spec)

@@ -38,11 +38,13 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    split = corpus.load_csv(args.csv, args.split, args.lang)
     if not args.right_shift and args.noise_rate is None:
         print("nothing to do: pass --right-shift and/or --noise-rate",
               file=sys.stderr)
         return 2
+    if args.noise_rate is not None:
+        experiments.check_unit_interval("noise rate", args.noise_rate)
+    split = corpus.load_csv(args.csv, args.split, args.lang)
     out_split = augment_mod.augment_split(
         split,
         shift=args.right_shift,
@@ -72,6 +74,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_summarize(args) -> int:
     """``summarize``, or ``translate-map`` when ``args.translator`` is set."""
+    experiments.check_unit_interval("threshold", args.threshold)
     preset = get_preset(args.preset) if args.preset else None
     language = args.lang or (preset.language if preset else "english")
     split = corpus.load_csv(args.csv, args.split, language)

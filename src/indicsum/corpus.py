@@ -1,4 +1,4 @@
-"""ILSUM-style CSV ingestion, text cleaning and corpus statistics.
+"""ILSUM-style CSV ingestion and corpus statistics.
 
 Dataset files are UTF-8 CSV with RFC-style quoting (articles contain
 commas and newlines).  Train files carry ``id,Link,Heading,Article,
@@ -7,9 +7,7 @@ Summary``; validation and test files carry ``id,Link,Heading,Article``.
 
 import csv
 import sys
-import unicodedata
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 
 from . import segment
 from .errors import (
@@ -52,81 +50,6 @@ class DatasetSplit:
 
     def __iter__(self):
         return iter(self.records)
-
-
-@dataclass(frozen=True)
-class CleanOptions:
-    """Text-cleaning switches.
-
-    The default keeps case and drops only punctuation; seq2seq inputs
-    should not be lowercased or stopword-stripped because the targets
-    are raw text.  ``aggressive()`` reproduces the full cleaning recipe
-    (lowercase, punctuation, stopwords) used for matching-style work.
-    """
-
-    lowercase: bool = False
-    strip_punctuation: bool = True
-    remove_stopwords: bool = False
-    stopword_list: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.remove_stopwords and not self.stopword_list:
-            raise ValueError("remove_stopwords=True requires a stopword_list")
-
-    @classmethod
-    def aggressive(cls, language: str) -> "CleanOptions":
-        words = load_stopwords(language)
-        return cls(
-            lowercase=True,
-            strip_punctuation=True,
-            remove_stopwords=bool(words),
-            stopword_list=words,
-        )
-
-    @classmethod
-    def matching(cls) -> "CleanOptions":
-        """Normalization used when comparing sentences for equality."""
-        return cls(lowercase=True, strip_punctuation=True)
-
-
-def load_stopwords(language: str) -> frozenset[str]:
-    """Load the bundled stopword list for ``language``.
-
-    The English list is mandatory; an absent Hindi/Gujarati list yields
-    an empty set, which makes stopword removal a no-op.
-    """
-    if language not in LANGUAGES:
-        raise ValueError(f"unknown language: {language!r}")
-    res = resources.files("indicsum").joinpath(f"data/stopwords_{language}.txt")
-    if not res.is_file():
-        if language == "english":
-            raise FileNotFoundError("bundled English stopword list is missing")
-        return frozenset()
-    words = set()
-    for line in res.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
-
-
-def clean_text(text: str, opts: CleanOptions) -> str:
-    """Clean ``text`` per ``opts``; deterministic and idempotent.
-
-    Order: canonical Unicode composition, lowercasing, replacement of
-    characters that are neither letters, combining marks nor digits
-    with spaces, then stopword removal over whitespace tokens.  Runs
-    of whitespace collapse to single spaces.
-    """
-    text = unicodedata.normalize("NFC", text)
-    if opts.lowercase:
-        text = text.lower()
-    if opts.strip_punctuation:
-        text = segment.strip_punctuation(text)
-    tokens = text.split()
-    if opts.remove_stopwords:
-        tokens = [t for t in tokens if t not in opts.stopword_list]
-    return " ".join(tokens)
 
 
 def load_csv(path, kind: str, language: str) -> DatasetSplit:

@@ -29,7 +29,7 @@ from .errors import (
     NoAlignment,
     TranslationFailure,
 )
-from .rouge import rouge_tokens
+from .rouge import rouge_tokens, score_counts
 
 __all__ = [
     "HttpTranslator",
@@ -323,27 +323,15 @@ def _normalize(text: str) -> str:
     return " ".join(unicodedata.normalize("NFC", text).casefold().split())
 
 
-def _unigram_f1(cand_tokens, ref_tokens) -> float:
-    if not cand_tokens or not ref_tokens:
-        return 0.0
-    cand_counts = Counter(cand_tokens)
-    ref_counts = Counter(ref_tokens)
-    overlap = sum(min(c, ref_counts[t]) for t, c in cand_counts.items())
-    if overlap == 0:
-        return 0.0
-    precision = overlap / len(cand_tokens)
-    recall = overlap / len(ref_tokens)
-    return 2 * precision * recall / (precision + recall)
-
-
 def back_map(english_summary: str, mapping: SentenceMapping,
              threshold: float = DEFAULT_THRESHOLD) -> str:
     """Restore original-language sentences for an English summary.
 
     Each summary sentence resolves to the mapping entry whose
     translation matches exactly after whitespace/case normalization,
-    falling back to the entry with maximal clipped unigram F1 when that
-    score reaches ``threshold`` (ties go to the lowest index).  Matched
+    falling back to the entry with maximal clipped unigram F1
+    (``rouge.score_counts`` over ``rouge_tokens``) when that score
+    reaches ``threshold`` (ties go to the lowest index).  Matched
     source sentences come out deduplicated, in article order.
     """
     if not mapping.entries:
@@ -355,18 +343,19 @@ def back_map(english_summary: str, mapping: SentenceMapping,
     exact = {}
     for index, _, translated in mapping.entries:
         exact.setdefault(_normalize(translated), index)
-    entry_tokens = None  # tokenized on the first fuzzy match only
+    entry_counts = None  # tokenized on the first fuzzy match only
 
     matched = []
     for sentence in summary_sentences:
         index = exact.get(_normalize(sentence))
         if index is None:
-            if entry_tokens is None:
-                entry_tokens = [rouge_tokens(t) for _, _, t in mapping.entries]
-            tokens = rouge_tokens(sentence)
+            if entry_counts is None:
+                entry_counts = [Counter(rouge_tokens(t))
+                                for _, _, t in mapping.entries]
+            counts = Counter(rouge_tokens(sentence))
             best_index, best_score = 0, -1.0
-            for i, ref in enumerate(entry_tokens):
-                score = _unigram_f1(tokens, ref)
+            for i, ref in enumerate(entry_counts):
+                score = score_counts(counts, ref).f1
                 if score > best_score:
                     best_index, best_score = i, score
             if best_score < threshold:

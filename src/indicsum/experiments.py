@@ -51,6 +51,7 @@ from .segment import LANGUAGES
 __all__ = [
     "ExperimentConfig",
     "RunRecord",
+    "check_unit_interval",
     "config_hash",
     "directory_lock",
     "generation_params",
@@ -85,7 +86,7 @@ class ExperimentConfig:
     augment_append: bool = True
     pipeline: str = "direct"
     translator: str = "identity"
-    threshold: float = 0.6
+    threshold: float = DEFAULT_THRESHOLD
     max_tokens: int | None = None
     seed: int = DEFAULT_SEED
     adapter: str | None = None
@@ -155,7 +156,7 @@ class ExperimentConfig:
                 augment_append=boolean("augment_append", True),
                 pipeline=opt("pipeline", "direct"),
                 translator=opt("translator", "identity"),
-                threshold=float(opt("threshold", "0.6")),
+                threshold=float(opt("threshold", str(DEFAULT_THRESHOLD))),
                 max_tokens=int(max_tokens) if max_tokens is not None else None,
                 seed=int(opt("seed", str(DEFAULT_SEED))),
                 adapter=opt("adapter"),
@@ -225,22 +226,25 @@ def _score_triplet(score) -> dict:
     return {"precision": score.precision, "recall": score.recall, "f1": score.f1}
 
 
+def check_unit_interval(name: str, value: float) -> None:
+    """``ConfigError`` unless ``value`` lies in [0, 1] (NaN does not)."""
+    if not 0 <= value <= 1:
+        raise ConfigError(f"{name} must be within [0, 1], got {value}")
+
+
 def _validate(config: ExperimentConfig) -> None:
     if config.language not in LANGUAGES:
         raise ConfigError(f"unknown language {config.language!r}")
     if config.pipeline not in ("direct", "translate-map"):
         raise ConfigError(f"unknown pipeline {config.pipeline!r}")
-    if not 0 <= config.threshold <= 1:
-        raise ConfigError(f"threshold must be within [0, 1], got {config.threshold}")
+    check_unit_interval("threshold", config.threshold)
     if config.preset is not None:
         get_preset(config.preset)
     if not os.path.exists(config.eval_path):
         raise ConfigError(f"eval file does not exist: {config.eval_path}")
     if config.train_path is not None and not os.path.exists(config.train_path):
         raise ConfigError(f"train file does not exist: {config.train_path}")
-    for step in config.augmentations:
-        if step != "right-shift" and not step.startswith("noise"):
-            raise ConfigError(f"unknown augmentation step {step!r}")
+    _parse_augmentations(config.augmentations, None)
 
 
 def _parse_augmentations(steps, preset) -> tuple[bool, float | None]:
@@ -260,6 +264,7 @@ def _parse_augmentations(steps, preset) -> tuple[bool, float | None]:
                 noise_rate = float(step.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"bad noise rate in step {step!r}") from None
+            check_unit_interval("noise rate", noise_rate)
         else:
             raise ConfigError(f"unknown augmentation step {step!r}")
     return shift, noise_rate
@@ -384,7 +389,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     )) as backend:
         spec = config.spec or (preset.spec if preset else None)
         handle = TrainedHandle(backend=backend)
-        if spec is not None and backend.capabilities.trainable and config.train_path:
+        if spec is not None and backend.trainable and config.train_path:
             train_split = load_csv(config.train_path, "train", config.language)
             shift, noise_rate = _parse_augmentations(config.augmentations, preset)
             if shift or noise_rate is not None:

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BackendUnavailable, EmptyInput
-from .rouge import rouge_tokens
+from .rouge import rouge_tokens, score_counts
 
 __all__ = [
     "ScoredSentence",
@@ -38,22 +38,16 @@ def heading_overlap_scorer(heading: str):
     """Scorer that rates a sentence by unigram overlap with ``heading``.
 
     The score is the clipped fraction of the sentence's tokens that
-    also appear in the heading (metric tokenization), so it always lies
-    in [0, 1].  Deterministic, no model involved.
+    also appear in the heading: the unigram precision of
+    ``rouge.score_counts`` with the heading as reference, so it always
+    lies in [0, 1] and is 0 for a sentence without tokens.
+    Deterministic, no model involved.
     """
     head_counts = Counter(rouge_tokens(heading))
 
     def scorer(sentences):
-        scores = []
-        for sentence in sentences:
-            tokens = rouge_tokens(sentence)
-            if not tokens:
-                scores.append(0.0)
-                continue
-            counts = Counter(tokens)
-            hits = sum(min(c, head_counts[t]) for t, c in counts.items())
-            scores.append(hits / len(tokens))
-        return scores
+        return [score_counts(Counter(rouge_tokens(s)), head_counts).precision
+                for s in sentences]
 
     return scorer
 
@@ -61,9 +55,10 @@ def heading_overlap_scorer(heading: str):
 def score_sentences(scorer, sentences) -> list[ScoredSentence]:
     """Score every sentence, preserving order.
 
-    ``sentences`` may be a segment.SentenceList or any sequence of
-    strings.  A scorer that returns the wrong number of scores violates
-    the adapter contract and raises BackendUnavailable.
+    ``sentences`` is any iterable of strings, such as the
+    ``segment.split_sentences`` tuple.  A scorer that returns the
+    wrong number of scores violates the adapter contract and raises
+    BackendUnavailable.
     """
     texts = list(sentences)
     if not texts:

@@ -4,6 +4,10 @@ Scores are precision, recall and F1 over clipped n-gram match counts.
 Tokenization for the metric is fixed: canonical Unicode composition,
 lowercasing (a no-op for Indic scripts), punctuation replaced by
 spaces, whitespace split.  No stemming, no stopword removal.
+
+This module is the package's one text-matching rule: back-mapping,
+heading-overlap scoring and sentence labelling use ``rouge_tokens``
+and ``score_counts`` too.
 """
 
 import unicodedata
@@ -29,6 +33,7 @@ __all__ = [
     "rouge_n",
     "rouge_scores",
     "rouge_tokens",
+    "score_counts",
 ]
 
 
@@ -54,6 +59,10 @@ def ngrams(tokens, n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
+def _clipped(cand: Counter, ref: Counter) -> tuple[int, int, int]:
+    return sum((cand & ref).values()), cand.total(), ref.total()
+
+
 def overlap_stats(cand_tokens, ref_tokens, n: int):
     """(clipped overlap, candidate window count, reference window count).
 
@@ -61,12 +70,17 @@ def overlap_stats(cand_tokens, ref_tokens, n: int):
     min(candidate count, reference count); a sequence shorter than
     ``n`` has zero windows.
     """
-    cand = ngrams(cand_tokens, n)
-    ref = ngrams(ref_tokens, n)
-    return sum((cand & ref).values()), cand.total(), ref.total()
+    return _clipped(ngrams(cand_tokens, n), ngrams(ref_tokens, n))
 
 
-def _score(overlap: int, cand_total: int, ref_total: int, n: int) -> RougeScore:
+def score_counts(cand: Counter, ref: Counter, n: int = 1) -> RougeScore:
+    """Precision, recall and F1 of the clipped overlap of two counts.
+
+    ``cand`` and ``ref`` count the same kind of key: ``ngrams`` windows,
+    or plain tokens (``Counter(rouge_tokens(text))``) for unigrams.
+    ``n`` only labels the result.
+    """
+    overlap, cand_total, ref_total = _clipped(cand, ref)
     precision = overlap / cand_total if cand_total else 0.0
     recall = overlap / ref_total if ref_total else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -78,7 +92,7 @@ def rouge_scores(candidate: str, reference: str,
     """ROUGE-N of ``candidate`` against ``reference`` for every order in
     ``ns``, tokenizing each text once."""
     cand, ref = rouge_tokens(candidate), rouge_tokens(reference)
-    return {n: _score(*overlap_stats(cand, ref, n), n=n) for n in ns}
+    return {n: score_counts(ngrams(cand, n), ngrams(ref, n), n) for n in ns}
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:

@@ -7,7 +7,6 @@ Hindi additionally ends on the danda ``।``.
 
 import re
 import unicodedata
-from dataclasses import dataclass
 
 LANGUAGES = ("english", "hindi", "gujarati")
 
@@ -19,25 +18,14 @@ _TERMINATOR_RUNS = {
 }
 
 
-@dataclass(frozen=True)
-class SentenceList:
-    """Sentences in document order plus their character spans.
+class SentenceList(tuple):
+    """Sentences in document order: a tuple of strings.  ``sentences``
+    returns the tuple itself, for callers, such as the acceptance
+    tests, that read it by that name."""
 
-    ``source_spans[i]`` is the ``(start, end)`` offset pair such that
-    ``text[start:end] == sentences[i]`` in the original text.
-    """
-
-    sentences: tuple[str, ...]
-    source_spans: tuple[tuple[int, int], ...]
-
-    def __len__(self):
-        return len(self.sentences)
-
-    def __iter__(self):
-        return iter(self.sentences)
-
-    def __getitem__(self, i):
-        return self.sentences[i]
+    @property
+    def sentences(self) -> tuple[str, ...]:
+        return self
 
 
 def split_sentences(text: str, language: str = "english") -> SentenceList:
@@ -49,24 +37,13 @@ def split_sentences(text: str, language: str = "english") -> SentenceList:
     """
     if language not in _TERMINATOR_RUNS:
         raise ValueError(f"unknown language: {language!r}")
-    sentences: list[str] = []
-    spans: list[tuple[int, int]] = []
-
-    def push(lo: int, hi: int) -> None:
-        chunk = text[lo:hi]
-        stripped = chunk.strip()
-        if not stripped:
-            return
-        begin = lo + (len(chunk) - len(chunk.lstrip()))
-        sentences.append(stripped)
-        spans.append((begin, begin + len(stripped)))
-
+    chunks = []
     start = 0
     for m in _TERMINATOR_RUNS[language].finditer(text):
-        push(start, m.end())
+        chunks.append(text[start:m.end()].strip())
         start = m.end()
-    push(start, len(text))
-    return SentenceList(tuple(sentences), tuple(spans))
+    chunks.append(text[start:].strip())
+    return SentenceList(chunk for chunk in chunks if chunk)
 
 
 def tokenize_words(text: str) -> list[str]:

@@ -1,17 +1,13 @@
 import csv
 import os
-import random
 
 import pytest
 
 from indicsum.corpus import (
     ArticleRecord,
-    CleanOptions,
     DatasetSplit,
-    clean_text,
     corpus_stats,
     load_csv,
-    load_stopwords,
     save_csv,
 )
 from indicsum.errors import (
@@ -117,65 +113,6 @@ class TestLoadCsv:
         with open(out, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
         assert header == ["id", "Link", "Heading", "Article"]
-
-
-class TestCleanText:
-    def test_lowercase_and_punctuation(self):
-        opts = CleanOptions(lowercase=True, strip_punctuation=True)
-        assert clean_text("The CAT sat!!", opts) == "the cat sat"
-
-    def test_empty(self):
-        assert clean_text("", CleanOptions()) == ""
-
-    def test_all_stopwords(self):
-        opts = CleanOptions(
-            lowercase=True,
-            remove_stopwords=True,
-            stopword_list=frozenset({"the", "is", "a"}),
-        )
-        assert clean_text("the is a", opts) == ""
-
-    def test_stopword_list_required(self):
-        with pytest.raises(ValueError):
-            CleanOptions(remove_stopwords=True)
-
-    def test_idempotent_and_never_longer(self):
-        rng = random.Random(23)
-        opts = CleanOptions.aggressive("english")
-        pool = "The quick! brown, fox; jumps-over the lazy dog 42 વાક્ય".split()
-        for _ in range(200):
-            text = " ".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
-            once = clean_text(text, opts)
-            assert clean_text(once, opts) == once
-            assert len(once) <= len(text)
-
-    def test_unicode_composition_applied(self):
-        # U+0958 (qa) and U+0915 U+093C (ka + nukta) share one NFC form,
-        # so cleaned text must compare equal whichever way it arrived.
-        assert clean_text("क़", CleanOptions.matching()) == clean_text(
-            "क़", CleanOptions.matching()
-        )
-
-    def test_indic_marks_survive_default_cleaning(self):
-        text = "વરસાદ બાદ શહેરમાં પાણી ભરાયાં."
-        assert clean_text(text, CleanOptions()) == (
-            "વરસાદ બાદ શહેરમાં પાણી ભરાયાં"
-        )
-        assert clean_text("पहला वाक्य।", CleanOptions()) == "पहला वाक्य"
-
-
-class TestStopwords:
-    def test_english_list_loads(self):
-        words = load_stopwords("english")
-        assert {"the", "is", "and"} <= words
-
-    def test_hindi_gujarati_lists(self):
-        assert load_stopwords("hindi")
-        assert load_stopwords("gujarati")
-
-    def test_unknown_language(self):
-        with pytest.raises(ValueError):
-            load_stopwords("tamil")
 
 
 class TestCorpusStats:

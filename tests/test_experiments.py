@@ -265,6 +265,14 @@ class TestRunExperiment:
                                  output_dir=str(tmp_path))
             )
 
+    @pytest.mark.parametrize("step", ["noise:abc", "noise:7", "noise0.2"])
+    def test_bad_augmentation_step_rejected_without_training(self, step,
+                                                             eval_csv, tmp_path):
+        # no train split: the steps would never run, but still must parse
+        with pytest.raises(ConfigError, match="noise|augmentation"):
+            run_experiment(base_config(eval_csv, tmp_path, augmentations=(step,)))
+        assert not (tmp_path / "out").exists()
+
     def test_error_annotated_with_record_id(self, write_csv, tmp_path):
         path = write_csv(
             [["x9", "", "", "Article text here."]],
@@ -429,6 +437,14 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert "9 records" in capsys.readouterr().out
 
+    def test_augment_noise_rate_out_of_range(self, write_csv, tmp_path, capsys):
+        out = tmp_path / "aug.csv"
+        assert main(["augment", str(write_csv(ENG_ROWS)), "--lang", "english",
+                     "--noise-rate", "7", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: noise rate must be within [0, 1], got 7.0\n"
+        assert not out.exists()
+
     def test_augment_requires_an_operation(self, write_csv, tmp_path):
         src = write_csv(ENG_ROWS)
         assert main(["augment", str(src), "--lang", "english",
@@ -483,6 +499,25 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("threshold", ["-3", "7"])
+    def test_translate_map_threshold_out_of_range(self, threshold, write_csv,
+                                                  tmp_path, gujarati_records,
+                                                  capsys):
+        src = write_csv([[r.id, "", "", r.article, r.summary]
+                         for r in gujarati_records[:3]])
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--pid-file", str(pid_file)])
+        out = tmp_path / "guj.csv"
+        assert main(["translate-map", str(src), "--threshold", threshold,
+                     "--adapter", adapter, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: threshold must be within [0, 1], got {float(threshold)}\n"
+        )
+        assert not out.exists()
+        assert not pid_file.exists()
 
     def test_summarize_bad_socket(self, eval_csv, tmp_path, capsys):
         assert main(["summarize", str(eval_csv), "--lang", "english",

@@ -2,7 +2,11 @@ import random
 
 import pytest
 
-from indicsum.errors import EmptyCorpus, InvalidN
+from indicsum.augment import label_sentences
+from indicsum.corpus import ArticleRecord
+from indicsum.crosslingual import SentenceMapping, back_map
+from indicsum.errors import EmptyCorpus, InvalidN, NoAlignment
+from indicsum.extractive import heading_overlap_scorer
 from indicsum.rouge import (
     corpus_rouge,
     ngrams,
@@ -56,6 +60,16 @@ class TestTokenization:
 
     def test_nfc_equivalence(self):
         assert rouge_tokens("क़") == rouge_tokens("क़")
+        assert rouge_tokens("Cafe\u0301") == ["caf\u00e9"]  # composed, not NFD
+
+    def test_idempotent(self):
+        rng = random.Random(23)
+        pool = ("The quick! brown, fox; jumps-over the lazy dog 42 વાક્ય पहला।"
+                " \u0915\u093c \u0958").split()
+        for _ in range(200):
+            text = " ".join(rng.choice(pool) for _ in range(rng.randint(0, 12)))
+            tokens = rouge_tokens(text)
+            assert rouge_tokens(" ".join(tokens)) == tokens
 
 
 class TestNgrams:
@@ -222,3 +236,74 @@ class TestCorpusRouge:
             assert scores[n].f1 == pytest.approx(
                 sum(s.f1 for s in singles) / len(singles), abs=1e-12
             )
+
+
+# Small per-script vocabularies, so that ties and partial overlaps are
+# common.  Words carry case, commas, hyphens, matras, a nukta in both
+# its composed and decomposed forms, and native digits.
+SCRIPT_WORDS = {
+    "english": "Rain rain city the The council well-known river, 42".split(),
+    "hindi": ["बारिश", "शहर", "नदी,", "\u0958िला", "\u0915\u093cिला", "पहला",
+              "वाक्य", "परिषद"],
+    "gujarati": "વરસાદ શહેર નદી, પાણી ભરાયાં બાદ ૪૨".split(),
+}
+
+
+def random_words(rng, words, least=0):
+    return " ".join(rng.choice(words) for _ in range(rng.randint(least, 6)))
+
+
+class TestSharedMatchingRule:
+    """Heading scoring, back-mapping and sentence labelling read their
+    numbers off the same rule as ``rouge_n``, which the oracle checks."""
+
+    def test_heading_overlap_is_unigram_precision(self):
+        rng = random.Random(501)
+        for words in SCRIPT_WORDS.values():
+            for _ in range(200):
+                heading = random_words(rng, words)
+                sentence = random_words(rng, words)
+                got = heading_overlap_scorer(heading)([sentence])[0]
+                assert got == rouge_n(sentence, heading, 1).precision
+
+    def test_back_map_fuzzy_choice_is_first_f1_argmax(self):
+        rng = random.Random(502)
+        for words in SCRIPT_WORDS.values():
+            for _ in range(200):
+                translations = [random_words(rng, words, 1) + "."
+                                for _ in range(rng.randint(1, 6))]
+                mapping = SentenceMapping(entries=tuple(
+                    (i, f"source {i}.", t) for i, t in enumerate(translations)
+                ))
+                # "!" keeps the sentence off the exact-match path
+                sentence = random_words(rng, words, 1) + "!"
+                threshold = rng.choice((0.0, 0.4, 0.6, 1.0))
+                f1 = [rouge_n(sentence, t, 1).f1 for t in translations]
+                if max(f1) < threshold:
+                    with pytest.raises(NoAlignment) as info:
+                        back_map(sentence, mapping, threshold)
+                    assert info.value.best_score == max(f1)
+                else:
+                    want = f1.index(max(f1))
+                    assert back_map(sentence, mapping, threshold) == f"source {want}."
+
+    def test_label_fallback_is_first_recall_argmax(self):
+        rng = random.Random(503)
+        checked = 0
+        for language, words in SCRIPT_WORDS.items():
+            end = "।" if language == "hindi" else "."
+            for _ in range(200):
+                sentences = [random_words(rng, words, 1) + end
+                             for _ in range(rng.randint(1, 5))]
+                summary = random_words(rng, words, 1) + end
+                gold = rouge_tokens(summary)
+                if any(rouge_tokens(s) == gold for s in sentences):
+                    continue  # an exact match, not the fallback
+                record = ArticleRecord(id="r", article=" ".join(sentences),
+                                       summary=summary)
+                recall = [rouge_n(s, summary, 1).recall for s in sentences]
+                want = recall.index(max(recall))
+                labels = [s.label for s in label_sentences(record, language)]
+                assert labels == [int(i == want) for i in range(len(sentences))]
+                checked += 1
+        assert checked > 300
