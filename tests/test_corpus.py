@@ -17,6 +17,7 @@ from indicsum.errors import (
     MissingColumn,
     MissingGoldSummary,
 )
+from indicsum.rouge import rouge_tokens
 
 ROWS = [
     ["a1", "http://x/1", "Head one", "First art. Second part.", "First art."],
@@ -113,6 +114,29 @@ class TestLoadCsv:
         with open(out, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
         assert header == ["id", "Link", "Heading", "Article"]
+
+
+def clean(text):
+    """Text as every matching rule sees it: rouge_tokens, space-joined."""
+    return " ".join(rouge_tokens(text))
+
+
+class TestCleanText:
+    def test_lowercase_and_punctuation(self):
+        assert clean("The CAT sat!!") == "the cat sat"
+
+    def test_empty(self):
+        assert clean("") == ""
+
+    def test_unicode_composition_applied(self):
+        # U+0958 (qa) and U+0915 U+093C (ka + nukta) share one NFC form,
+        # so cleaned text must compare equal whichever way it arrived.
+        assert clean("\u0958") == clean("\u0915\u093c")
+
+    def test_indic_marks_survive_default_cleaning(self):
+        text = "વરસાદ બાદ શહેરમાં પાણી ભરાયાં."
+        assert clean(text) == "વરસાદ બાદ શહેરમાં પાણી ભરાયાં"
+        assert clean("पहला वाक्य।") == "पहला वाक्य"
 
 
 class TestCorpusStats:
