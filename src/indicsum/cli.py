@@ -17,8 +17,8 @@ from . import augment as augment_mod
 from . import corpus, experiments
 from .backends import TrainedHandle, fine_tune, get_preset
 from .crosslingual import DEFAULT_THRESHOLD, TranslationCache
-from .errors import IndicSumError, MissingColumn, MissingGoldSummary
-from .rouge import DEFAULT_ORDERS, corpus_rouge
+from .errors import IndicSumError, MismatchedIds, MissingColumn, MissingGoldSummary
+from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
 from .segment import LANGUAGES
 
 __all__ = ["main"]
@@ -112,18 +112,32 @@ def _load_candidates(path) -> dict:
         return {row["id"]: row["Summary"] for row in reader}
 
 
+def _name_ids(ids) -> str:
+    shown = 5
+    names = ", ".join(repr(i) for i in ids[:shown])
+    return names + (f" and {len(ids) - shown} more" if len(ids) > shown else "")
+
+
 def _cmd_evaluate(args) -> int:
     candidates = _load_candidates(args.cands)
     refs = corpus.load_csv(args.refs, args.split, args.lang)
-    pairs = []
+    ref_ids = {rec.id for rec in refs}
+    missing = [rec.id for rec in refs if rec.id not in candidates]
+    extra = [cid for cid in candidates if cid not in ref_ids]
+    problems = []
+    if missing:
+        problems.append(f"no candidate for reference ids {_name_ids(missing)}")
+    if extra:
+        problems.append(f"no reference for candidate ids {_name_ids(extra)}")
+    if problems:
+        raise MismatchedIds(f"{args.cands}: " + "; ".join(problems))
+    per_pair = []
     for rec in refs:
-        if rec.id not in candidates:
-            continue
         if rec.summary is None:
             raise MissingGoldSummary(f"reference {rec.id!r} has no Summary")
-        pairs.append((candidates[rec.id], rec.summary))
-    scores = corpus_rouge(pairs, DEFAULT_ORDERS)
-    print(f"{len(pairs)} scored pairs")
+        per_pair.append(rouge_scores(candidates[rec.id], rec.summary, DEFAULT_ORDERS))
+    scores = mean_scores(per_pair)
+    print(f"{len(per_pair)} scored pairs")
     for n in DEFAULT_ORDERS:
         s = scores[n]
         print(

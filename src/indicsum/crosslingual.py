@@ -374,18 +374,15 @@ def back_map(english_summary: str, mapping: SentenceMapping,
 
 
 def pipeline_summarize(article: str, client, handle,
-                       params: GenerationParams | None = None, *,
+                       params: GenerationParams, *,
                        threshold: float = DEFAULT_THRESHOLD,
                        cache: TranslationCache | None = None,
                        parallelism: int = 4, retry_attempts: int = 3,
                        retry_base_delay: float = 0.1) -> str:
     """Translate, summarize in English, back-map to the source language.
 
-    ``params`` defaults to the pipeline's generation preset (token cap
-    85).  The result consists solely of sentences from ``article``.
+    The result consists solely of sentences from ``article``.
     """
-    if params is None:
-        params = GenerationParams(max_tokens=85)
     english_article, mapping = build_mapping(
         article,
         client,

@@ -23,6 +23,10 @@ class EmptySplit(IndicSumError):
     """An operation needs at least one record."""
 
 
+class MismatchedIds(IndicSumError):
+    """Candidate summaries and references do not cover the same ids."""
+
+
 # --- augment --------------------------------------------------------------
 
 class MissingGoldSummary(IndicSumError):

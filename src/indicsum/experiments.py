@@ -19,7 +19,7 @@ import io
 import json
 import os
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import augment as augment_mod
@@ -211,13 +211,16 @@ class RunRecord:
     aggregate: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["records"] = list(self.records)
+        # The record is frozen and json.dumps only reads it, so the fields
+        # go in as they are: asdict would deep-copy every leaf.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
         payload = json.loads(line)
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
         payload["records"] = tuple(payload.get("records", ()))
         return cls(**payload)
 
@@ -455,10 +458,46 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             os.path.join(config.output_dir, f"summaries-{digest[:12]}.csv"),
             ((row["id"], row["summary"]) for row in record_rows),
         )
-        with open(os.path.join(config.output_dir, "runs.jsonl"), "a",
-                  encoding="utf-8") as fh:
-            fh.write(run.to_json() + "\n")
+        log = os.path.join(config.output_dir, "runs.jsonl")
+        prefix = _repair_log_tail(log)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(prefix + run.to_json() + "\n")
         return run
+
+
+def _repair_log_tail(path) -> str:
+    """Make the run log at ``path`` ready for one more line.
+
+    A process killed mid-append leaves a torn last line: cut it off, so
+    that it never becomes a middle line.  Returns the text to write
+    before the new line: a newline when the last line is whole but
+    unterminated, else nothing.
+    """
+    try:
+        fh = open(path, "rb+")
+    except FileNotFoundError:
+        return ""
+    with fh:
+        # Read back from the end until the last non-blank line is whole.
+        pos = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while pos > 0:
+            step = min(pos, 1 << 16)
+            pos -= step
+            fh.seek(pos)
+            tail = fh.read(step) + tail
+            if b"\n" in tail.rstrip():
+                break
+        body = tail.rstrip()
+        if not body:
+            return ""
+        start = body.rfind(b"\n") + 1
+        try:
+            RunRecord.from_json(body[start:].decode("utf-8"))
+        except (ValueError, TypeError):
+            fh.truncate(pos + start)
+            return ""
+        return "" if tail.endswith(b"\n") else "\n"
 
 
 def _check_consistency(run: RunRecord, path, lineno: int) -> None:
@@ -476,17 +515,25 @@ def _check_consistency(run: RunRecord, path, lineno: int) -> None:
 
 
 def load_runs(path) -> list[RunRecord]:
-    """Load a run log, checking each aggregate against its records."""
+    """Load a run log, checking each aggregate against its records.
+
+    An unreadable last line, the torn write of a killed process, is
+    skipped; an unreadable line before the last is a ``ConfigError``.
+    """
     runs = []
-    with open(path, encoding="utf-8") as fh:
+    bad = None  # (line number, error) of an unreadable line
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
+            if bad is not None:
+                raise ConfigError(f"{path}:{bad[0]}: bad run record: {bad[1]}")
             try:
-                run = RunRecord.from_json(line)
-            except (json.JSONDecodeError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad run record: {exc}") from None
+                # A torn line can end inside a UTF-8 sequence.
+                run = RunRecord.from_json(line.decode("utf-8"))
+            except (ValueError, TypeError) as exc:
+                bad = (lineno, exc)
+                continue
             _check_consistency(run, path, lineno)
             runs.append(run)
     return runs

@@ -1,6 +1,7 @@
 """ROUGE-N scoring: clipped n-gram overlap with corpus-level macro averages.
 
 Scores are precision, recall and F1 over clipped n-gram match counts.
+The clipped overlap loops over the keys both sides share, and only those.
 Tokenization for the metric is fixed: canonical Unicode composition,
 lowercasing (a no-op for Indic scripts), punctuation replaced by
 spaces, whitespace split.  No stemming, no stopword removal.
@@ -60,7 +61,14 @@ def ngrams(tokens, n: int) -> Counter:
 
 
 def _clipped(cand: Counter, ref: Counter) -> tuple[int, int, int]:
-    return sum((cand & ref).values()), cand.total(), ref.total()
+    # The overlap loops over the shared keys only: the keys-view
+    # intersection runs in C over the smaller view, so a key that one
+    # side lacks costs no Python-level step and no result Counter is built.
+    overlap = 0
+    for key in cand.keys() & ref.keys():
+        a, b = cand[key], ref[key]
+        overlap += a if a < b else b
+    return overlap, cand.total(), ref.total()
 
 
 def overlap_stats(cand_tokens, ref_tokens, n: int):

@@ -10,6 +10,7 @@ from indicsum.backends import (
     GenerationParams,
     TrainedHandle,
     baseline_handle,
+    get_preset,
 )
 from indicsum.crosslingual import (
     HttpTranslator,
@@ -363,6 +364,7 @@ class TestPipeline:
         with AdapterBackend(argv=argv, trainable=False) as backend:
             out = pipeline_summarize(
                 GUJ, TableTranslator(table), TrainedHandle(backend=backend),
+                get_preset("gujarati-translate-map").generation,
                 retry_base_delay=0,
             )
         assert out == GUJ_SENTENCES[1]

@@ -352,10 +352,62 @@ class TestRunLog:
         assert runs[0] == run
 
     def test_corrupt_line(self, tmp_path):
+        # Only a line before the last can be more than a torn append.
         log = tmp_path / "runs.jsonl"
-        log.write_text("{not json\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_runs(log)
+        good = fake_run("x", (0.5, 0.2, 0.1)).to_json()
+        for bad in ("{not json", "[1]", "7"):
+            log.write_text(bad + "\n" + good + "\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match="runs.jsonl:1: bad run record"):
+                load_runs(log)
+
+    def test_torn_last_line_skipped(self, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        good = NON_ASCII_RUN.to_json()
+        data = (good + "\n" + good[:-1]).encode("utf-8")
+        for torn in (data[:-1], data[:-len(good) // 2], data):
+            log.write_bytes(torn)
+            assert load_runs(log) == [NON_ASCII_RUN]
+        # cut inside a multibyte character of the summary
+        cut = data.index("સારાંશ".encode("utf-8"), len(good) + 1) + 1
+        log.write_bytes(data[:cut])
+        assert load_runs(log) == [NON_ASCII_RUN]
+
+    def test_unterminated_last_line_loads(self, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        good = NON_ASCII_RUN.to_json()
+        log.write_text(good + "\n" + good, encoding="utf-8")
+        assert load_runs(log) == [NON_ASCII_RUN, NON_ASCII_RUN]
+
+    @pytest.mark.parametrize("tail", ["torn", "not an object", "unterminated",
+                                      "blank lines"])
+    def test_next_run_repairs_log_tail(self, tail, eval_csv, tmp_path):
+        first = run_experiment(base_config(eval_csv, tmp_path))
+        log = tmp_path / "out" / "runs.jsonl"
+        line = first.to_json()
+        log.write_text(line + "\n" + {
+            "torn": line[:len(line) // 2],
+            "not an object": "[1]\n",
+            "unterminated": line,
+            "blank lines": line + "\n\n \n",
+        }[tail], encoding="utf-8")
+        second = run_experiment(base_config(eval_csv, tmp_path))
+        want = [first] + ([first] if tail in ("unterminated", "blank lines")
+                          else []) + [second]
+        assert load_runs(log) == want
+        assert log.read_text(encoding="utf-8").endswith(second.to_json() + "\n")
+
+    def test_to_json_bytes(self, tmp_path):
+        run = NON_ASCII_RUN
+        line = run.to_json()
+        assert line == json.dumps(
+            dataclasses.asdict(run) | {"records": list(run.records)},
+            ensure_ascii=False, sort_keys=True,
+        )
+        assert "સારાંશ" in line
+        assert RunRecord.from_json(line) == run
+        log = tmp_path / "runs.jsonl"
+        log.write_text(line + "\n", encoding="utf-8")
+        assert load_runs(log) == [run]
 
     def test_tampered_aggregate_detected(self, eval_csv, tmp_path):
         run_experiment(base_config(eval_csv, tmp_path))
@@ -381,6 +433,24 @@ def fake_run(approach, f1s):
         records=({"id": "r", "summary": "s", "scores": scores},),
         aggregate=scores,
     )
+
+
+NON_ASCII_RUN = dataclasses.replace(
+    fake_run("gujarati-translate-map", (0.5, 0.25, 0.125)),
+    language="gujarati",
+    backend={
+        "kind": "adapter", "transport": "stdio", "argv": ["python3", "a.py"],
+        "checkpoint": None,
+        "spec": {"model_id": "m", "epochs": 2, "weight_decay": 0.01},
+        "generation": {"max_tokens": 85, "seed": 13},
+    },
+    records=tuple(
+        {"id": rid, "summary": summary,
+         "scores": fake_run("", (0.5, 0.25, 0.125)).aggregate}
+        for rid, summary in (("g1", "પહેલું વાક્ય. સારાંશ અહીં છે."),
+                             ("g2", "बारिश \u0958िला \"quoted\""))
+    ),
+)
 
 
 class TestRenderReport:
@@ -460,6 +530,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ROUGE-1:" in out
         assert "ROUGE-4:" in out
+
+    @pytest.mark.parametrize("ids, problem", [
+        (("e1", "e3"), "no candidate for reference ids 'e2'"),
+        (("e1", "e2", "e3", "x9", "x8"), "no reference for candidate ids 'x9', 'x8'"),
+    ])
+    def test_evaluate_rejects_mismatched_ids(self, ids, problem, write_csv,
+                                             eval_csv, capsys):
+        cands = write_csv([[i, "Rain hit the coast."] for i in ids],
+                          header=("id", "Summary"))
+        assert main(["evaluate", str(cands), "--refs", str(eval_csv),
+                     "--lang", "english", "--split", "validation"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cands}: {problem}\n"
+        assert "ROUGE" not in captured.out
+
+    def test_evaluate_matches_corpus_rouge(self, write_csv, eval_csv, capsys):
+        cands = write_csv([[r[0], r[3]] for r in ENG_ROWS], header=("id", "Summary"))
+        assert main(["evaluate", str(cands), "--refs", str(eval_csv),
+                     "--lang", "english", "--split", "validation"]) == 0
+        want = corpus_rouge([(r[3], r[4]) for r in ENG_ROWS])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "3 scored pairs"
+        assert lines[1:] == [
+            f"ROUGE-{n}: precision {s.precision:.4f} recall {s.recall:.4f}"
+            f" f1 {s.f1:.4f}" for n, s in want.items()
+        ]
 
     def test_evaluate_missing_column(self, write_csv, eval_csv, capsys):
         bad = write_csv([["e1", "text"]], header=("id", "Article"))

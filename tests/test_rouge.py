@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from indicsum.rouge import (
     rouge_n,
     rouge_scores,
     rouge_tokens,
+    score_counts,
 )
 
 
@@ -195,6 +197,41 @@ class TestProperties:
                 before, _, _ = overlap_stats(cand, ref, n)
                 after, _, _ = overlap_stats(extended, ref, n)
                 assert after >= before
+
+
+class TestScoreCounts:
+    """``score_counts`` reads its numbers off the clipped overlap
+    ``sum((cand & ref).values())`` and the two totals."""
+
+    @staticmethod
+    def _random_counter(rng, keys):
+        return Counter({k: rng.randint(1, 4)
+                        for k in rng.sample(keys, rng.randint(0, len(keys)))})
+
+    def test_overlap_is_counter_intersection(self):
+        rng = random.Random(601)
+        tokens = [f"w{i}" for i in range(12)]
+        grams = [tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+                 for _ in range(40)]
+        seen = Counter()
+        for keys in (tokens, sorted(set(grams))):
+            for _ in range(500):
+                cand = self._random_counter(rng, keys)
+                ref = self._random_counter(rng, keys)
+                if rng.random() < 0.2:  # keys counted on one side only
+                    ref = Counter({("only", k): v for k, v in ref.items()})
+                seen["cand wider" if len(cand) > len(ref) else
+                     "ref wider" if len(ref) > len(cand) else "same"] += 1
+                overlap = sum((cand & ref).values())
+                cand_total, ref_total = cand.total(), ref.total()
+                p = overlap / cand_total if cand_total else 0.0
+                r = overlap / ref_total if ref_total else 0.0
+                got = score_counts(cand, ref, 2)
+                assert got.n == 2
+                assert got.precision == p
+                assert got.recall == r
+                assert got.f1 == (2 * p * r / (p + r) if p + r else 0.0)
+        assert min(seen["cand wider"], seen["ref wider"]) > 300
 
 
 class TestCorpusRouge:
