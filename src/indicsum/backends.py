@@ -173,12 +173,17 @@ def _preset_table() -> dict[str, Preset]:
 PRESETS = _preset_table()
 
 
-def get_preset(name: str) -> Preset:
+def get_preset(name: str, language: str | None = None) -> Preset:
+    """The named preset; ``ConfigError`` if there is none, or if it was
+    made for another language than ``language`` (when given)."""
     try:
-        return PRESETS[name]
+        preset = PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown preset {name!r}; known presets: {known}") from None
+    if language not in (None, preset.language):
+        raise ConfigError(f"preset {name!r} is for {preset.language}, not {language}")
+    return preset
 
 
 def lead_baseline(article: str, params: GenerationParams,

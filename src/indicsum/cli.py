@@ -17,7 +17,8 @@ from . import augment as augment_mod
 from . import corpus, experiments
 from .backends import TrainedHandle, fine_tune, get_preset
 from .crosslingual import DEFAULT_THRESHOLD, TranslationCache
-from .errors import IndicSumError, MismatchedIds, MissingColumn, MissingGoldSummary
+from .errors import (DuplicateId, IndicSumError, MismatchedIds, MissingColumn,
+                     MissingGoldSummary)
 from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
 from .segment import LANGUAGES
 
@@ -58,7 +59,7 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    preset = get_preset(args.preset)
+    preset = get_preset(args.preset, args.lang)
     if preset.spec is None:
         print(f"preset {args.preset!r} is a pipeline preset; nothing to train",
               file=sys.stderr)
@@ -75,7 +76,7 @@ def _cmd_train(args) -> int:
 def _cmd_summarize(args) -> int:
     """``summarize``, or ``translate-map`` when ``args.translator`` is set."""
     experiments.check_unit_interval("threshold", args.threshold)
-    preset = get_preset(args.preset) if args.preset else None
+    preset = get_preset(args.preset, args.lang) if args.preset else None
     language = args.lang or (preset.language if preset else "english")
     split = corpus.load_csv(args.csv, args.split, language)
     translator = None
@@ -109,7 +110,12 @@ def _load_candidates(path) -> dict:
         for name in ("id", "Summary"):
             if name not in fields:
                 raise MissingColumn(f"{path}: required column {name!r} is missing")
-        return {row["id"]: row["Summary"] for row in reader}
+        candidates = {}
+        for lineno, row in enumerate(reader, start=2):
+            if row["id"] in candidates:
+                raise DuplicateId(f"{path}:{lineno}: duplicate id {row['id']!r}")
+            candidates[row["id"]] = row["Summary"]
+        return candidates
 
 
 def _name_ids(ids) -> str:

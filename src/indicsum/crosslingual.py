@@ -20,10 +20,9 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from . import segment
+from . import jsonlog, segment
 from .backends import GenerationParams, summarize
 from .errors import (
-    ConfigError,
     EmptyInput,
     EmptySummary,
     NoAlignment,
@@ -163,6 +162,15 @@ class HttpTranslator:
         return translation
 
 
+def _parse_cache_line(line: bytes):
+    """``(key, translation)`` of one cache line; ``ValueError`` if unreadable."""
+    try:
+        rec = json.loads(line.decode("utf-8"))
+        return (rec["src"], rec["src_lang"], rec["tgt_lang"]), rec["dst"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"bad cache record: {exc}") from None
+
+
 class TranslationCache:
     """Append-only persistent sentence-translation cache.
 
@@ -170,39 +178,18 @@ class TranslationCache:
     Existing entries are loaded eagerly.  Each ``put`` appends its batch
     of new records with one write.  One process may write a file at a
     time (``run_experiment`` and ``translate-map --cache`` hold
-    ``experiments.directory_lock`` on the file's directory).  A
-    process killed mid-write leaves a torn last line: loading skips it,
-    and the next ``put`` cuts it off before appending.  An unreadable
-    line anywhere else is a ``ConfigError``.
+    ``experiments.directory_lock`` on the file's directory).  A torn
+    last line, left by a process killed mid-write, is handled by the
+    rule in ``jsonlog``: skipped on load, cut off by the next ``put``.
     """
 
     def __init__(self, path):
         self.path = path
         self._lock = threading.Lock()
         self._map = {}
-        self._torn_at = None    # byte offset of a torn last line
-        self._newline_first = False
-        if not os.path.exists(path):
-            return
-        bad = None  # (line number, byte offset) of an unreadable line
-        with open(path, "rb") as fh:
-            offset = 0
-            line = b"\n"  # an empty file needs no leading newline
-            for lineno, line in enumerate(fh, start=1):
-                start, offset = offset, offset + len(line)
-                if not line.strip():
-                    continue
-                if bad is not None:
-                    raise ConfigError(f"{path}:{bad[0]}: bad cache record")
-                try:
-                    rec = json.loads(line.decode("utf-8"))
-                    self._map[rec["src"], rec["src_lang"], rec["tgt_lang"]] = rec["dst"]
-                except (ValueError, KeyError, TypeError):
-                    bad = (lineno, start)
-        if bad is not None:
-            self._torn_at = bad[1]
-        elif not line.endswith(b"\n"):
-            self._newline_first = True
+        if os.path.exists(path):
+            records = jsonlog.read(path, _parse_cache_line)
+            self._map.update(value for _, value in records)
 
     def __len__(self):
         return len(self._map)
@@ -222,17 +209,9 @@ class TranslationCache:
                 self._map[key] = dst
                 record = {"src": src, "src_lang": src_lang,
                           "tgt_lang": tgt_lang, "dst": dst}
-                lines.append(json.dumps(record, ensure_ascii=False) + "\n")
-            if not lines:
-                return
-            if self._newline_first:
-                lines.insert(0, "\n")
-            with open(self.path, "a", encoding="utf-8") as fh:
-                if self._torn_at is not None:
-                    fh.truncate(self._torn_at)
-                fh.write("".join(lines))
-            self._torn_at = None
-            self._newline_first = False
+                lines.append(json.dumps(record, ensure_ascii=False))
+            if lines:
+                jsonlog.append(self.path, lines, _parse_cache_line)
 
 
 def _translate_once(client, sentence, retry_attempts, retry_base_delay, sleep):

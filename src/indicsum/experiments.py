@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import augment as augment_mod
+from . import jsonlog
 from .backends import (
     AdapterBackend,
     GenerationParams,
@@ -217,12 +218,15 @@ class RunRecord:
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "RunRecord":
-        payload = json.loads(line)
-        if not isinstance(payload, dict):
-            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
-        payload["records"] = tuple(payload.get("records", ()))
-        return cls(**payload)
+    def from_json(cls, line) -> "RunRecord":
+        """Decode one run-log line (str or UTF-8 bytes); ``ValueError``
+        unless it is a JSON object with a RunRecord's fields."""
+        try:
+            payload = json.loads(line)  # a torn line can end mid-character
+            payload["records"] = tuple(payload.get("records", ()))
+            return cls(**payload)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"bad run record: {exc}") from None
 
 
 def _score_triplet(score) -> dict:
@@ -242,7 +246,7 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"unknown pipeline {config.pipeline!r}")
     check_unit_interval("threshold", config.threshold)
     if config.preset is not None:
-        get_preset(config.preset)
+        get_preset(config.preset, config.language)
     if not os.path.exists(config.eval_path):
         raise ConfigError(f"eval file does not exist: {config.eval_path}")
     if config.train_path is not None and not os.path.exists(config.train_path):
@@ -458,84 +462,39 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             os.path.join(config.output_dir, f"summaries-{digest[:12]}.csv"),
             ((row["id"], row["summary"]) for row in record_rows),
         )
-        log = os.path.join(config.output_dir, "runs.jsonl")
-        prefix = _repair_log_tail(log)
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(prefix + run.to_json() + "\n")
+        jsonlog.append(os.path.join(config.output_dir, "runs.jsonl"),
+                       [run.to_json()], RunRecord.from_json)
         return run
 
 
-def _repair_log_tail(path) -> str:
-    """Make the run log at ``path`` ready for one more line.
-
-    A process killed mid-append leaves a torn last line: cut it off, so
-    that it never becomes a middle line.  Returns the text to write
-    before the new line: a newline when the last line is whole but
-    unterminated, else nothing.
-    """
-    try:
-        fh = open(path, "rb+")
-    except FileNotFoundError:
-        return ""
-    with fh:
-        # Read back from the end until the last non-blank line is whole.
-        pos = fh.seek(0, os.SEEK_END)
-        tail = b""
-        while pos > 0:
-            step = min(pos, 1 << 16)
-            pos -= step
-            fh.seek(pos)
-            tail = fh.read(step) + tail
-            if b"\n" in tail.rstrip():
-                break
-        body = tail.rstrip()
-        if not body:
-            return ""
-        start = body.rfind(b"\n") + 1
-        try:
-            RunRecord.from_json(body[start:].decode("utf-8"))
-        except (ValueError, TypeError):
-            fh.truncate(pos + start)
-            return ""
-        return "" if tail.endswith(b"\n") else "\n"
-
-
 def _check_consistency(run: RunRecord, path, lineno: int) -> None:
-    for n, agg in run.aggregate.items():
-        count = len(run.records)
-        if count == 0:
-            raise ConfigError(f"{path}:{lineno}: run has no records")
-        for key in ("precision", "recall", "f1"):
-            mean = sum(r["scores"][n][key] for r in run.records) / count
-            if abs(mean - agg[key]) > 1e-9:
-                raise ConfigError(
-                    f"{path}:{lineno}: aggregate {key} for n={n} is"
-                    f" {agg[key]}, per-record mean is {mean}"
-                )
+    """``ConfigError`` unless ``run`` has records and an aggregate for
+    every reported order, each the mean of its records' scores."""
+    if not run.records:
+        raise ConfigError(f"{path}:{lineno}: run has no records")
+    try:
+        for n in dict.fromkeys([*map(str, DEFAULT_ORDERS), *run.aggregate]):
+            agg = run.aggregate[n]
+            for key in ("precision", "recall", "f1"):
+                mean = sum(r["scores"][n][key] for r in run.records) / len(run.records)
+                if abs(mean - agg[key]) > 1e-9:
+                    raise ConfigError(
+                        f"{path}:{lineno}: aggregate {key} for n={n} is"
+                        f" {agg[key]}, per-record mean is {mean}"
+                    )
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}:{lineno}: malformed run record: {exc!r}") from None
 
 
 def load_runs(path) -> list[RunRecord]:
     """Load a run log, checking each aggregate against its records.
 
-    An unreadable last line, the torn write of a killed process, is
-    skipped; an unreadable line before the last is a ``ConfigError``.
-    """
+    A torn last line is skipped (``jsonlog``); any other bad line is a
+    ``ConfigError`` naming it."""
     runs = []
-    bad = None  # (line number, error) of an unreadable line
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if bad is not None:
-                raise ConfigError(f"{path}:{bad[0]}: bad run record: {bad[1]}")
-            try:
-                # A torn line can end inside a UTF-8 sequence.
-                run = RunRecord.from_json(line.decode("utf-8"))
-            except (ValueError, TypeError) as exc:
-                bad = (lineno, exc)
-                continue
-            _check_consistency(run, path, lineno)
-            runs.append(run)
+    for lineno, run in jsonlog.read(path, RunRecord.from_json):
+        _check_consistency(run, path, lineno)
+        runs.append(run)
     return runs
 
 

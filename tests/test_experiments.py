@@ -3,6 +3,7 @@ import dataclasses
 import fcntl
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -15,6 +16,7 @@ import pytest
 import indicsum
 from indicsum.backends import SummarizerSpec
 from indicsum.cli import main
+from indicsum.crosslingual import TranslationCache
 from indicsum.errors import ConfigError, EmptyReport, MissingGoldSummary, NoAlignment
 from indicsum.experiments import (
     ExperimentConfig,
@@ -254,6 +256,13 @@ class TestRunExperiment:
         run = run_experiment(config)
         assert [r["id"] for r in run.records] == ["e1", "e2", "e3"]
 
+    def test_preset_language_mismatch(self, eval_csv, tmp_path):
+        config = base_config(eval_csv, tmp_path, preset="hindi-indicbart")
+        with pytest.raises(ConfigError, match="preset 'hindi-indicbart' is for"
+                                              " hindi, not english"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_preset(self, eval_csv, tmp_path):
         with pytest.raises(ConfigError):
             run_experiment(base_config(eval_csv, tmp_path, preset="nope"))
@@ -412,11 +421,22 @@ class TestRunLog:
     def test_tampered_aggregate_detected(self, eval_csv, tmp_path):
         run_experiment(base_config(eval_csv, tmp_path))
         log = tmp_path / "out" / "runs.jsonl"
-        payload = json.loads(log.read_text(encoding="utf-8"))
-        payload["aggregate"]["1"]["f1"] += 0.25
-        log.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            load_runs(log)
+        line = log.read_text(encoding="utf-8")
+        for tamper in ("aggregate", "record not an object",
+                       "scores lack an order", "no records"):
+            payload = json.loads(line)
+            if tamper == "aggregate":
+                payload["aggregate"]["1"]["f1"] += 0.25
+            elif tamper == "record not an object":
+                payload["records"] = [1]
+            elif tamper == "scores lack an order":
+                del payload["records"][0]["scores"]["4"]
+            else:
+                payload["records"], payload["aggregate"] = [], {}
+            log.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+            # A whole line is never taken for a torn one, even as the last.
+            with pytest.raises(ConfigError, match="runs.jsonl:1: "):
+                load_runs(log)
 
 
 def fake_run(approach, f1s):
@@ -451,6 +471,91 @@ NON_ASCII_RUN = dataclasses.replace(
                              ("g2", "बारिश \u0958िला \"quoted\""))
     ),
 )
+
+
+GUJ_SOURCES = ("પહેલું વાક્ય અહીં છે.", "બીજું વાક્ય અહીં છે.", "ત્રીજું વાક્ય.")
+
+
+class CacheLog:
+    """The translation cache, as lines 0, 1 and 2 of an append-only log."""
+
+    def __init__(self, tmp_path):
+        self.path = tmp_path / "out" / "translation-cache.jsonl"
+
+    def line(self, i):
+        return json.dumps({"src": GUJ_SOURCES[i], "src_lang": "gujarati",
+                           "tgt_lang": "english", "dst": f"e{i}."},
+                          ensure_ascii=False)
+
+    def load(self):
+        cache = TranslationCache(self.path)
+        held = [i for i, src in enumerate(GUJ_SOURCES)
+                if cache.get(src, "gujarati", "english") == f"e{i}."]
+        assert len(cache) == len(held)
+        return held
+
+    def append(self):
+        TranslationCache(self.path).put([(GUJ_SOURCES[2], "e2.")],
+                                        "gujarati", "english")
+        return self.line(2)
+
+
+class RunLog:
+    """The run log, as lines 0, 1 and 2 of an append-only log; line 2 is
+    the run that ``run_experiment`` appends."""
+
+    def __init__(self, tmp_path, eval_csv):
+        self.path = tmp_path / "out" / "runs.jsonl"
+        self.config = base_config(eval_csv, tmp_path)
+
+    def line(self, i):
+        return dataclasses.replace(NON_ASCII_RUN, approach=f"a{i}").to_json()
+
+    def load(self):
+        index = {"a0": 0, "a1": 1, "lead-baseline": 2}
+        return [index[run.approach] for run in load_runs(self.path)]
+
+    def append(self):
+        return run_experiment(self.config).to_json()
+
+
+class TestLogTails:
+    """One torn-tail rule for both append-only logs: what loads, and
+    what the next append leaves, after each kind of tail."""
+
+    @pytest.mark.parametrize("kind", ["cache", "runs"])
+    @pytest.mark.parametrize("tail, loaded, kept", [
+        ("torn mid-character", [0], ""),
+        ("terminated JSON non-object", [0], ""),
+        ("unterminated whole line", [0, 1], "{1}\n"),
+        ("trailing blank lines", [0, 1], "{1}\n\n \n"),
+        ("bad middle line", None, None),
+    ])
+    def test_tail(self, kind, tail, loaded, kept, eval_csv, tmp_path):
+        log = CacheLog(tmp_path) if kind == "cache" else RunLog(tmp_path, eval_csv)
+        log.path.parent.mkdir()
+        head = (log.line(0) + "\n").encode("utf-8")
+        second = log.line(1).encode("utf-8")
+        log.path.write_bytes(head + {
+            # cut one byte into the first multibyte character
+            "torn mid-character": second[:second.index(b"\xe0") + 1],
+            "terminated JSON non-object": b"[1]\n",
+            "unterminated whole line": second,
+            "trailing blank lines": second + b"\n\n \n",
+            "bad middle line": b"{not json\n" + second + b"\n",
+        }[tail])
+        if loaded is None:
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"{log.path}:2: bad ")):
+                log.load()
+            return
+        assert log.load() == loaded
+        appended = log.append()
+        assert log.path.read_text(encoding="utf-8") == (
+            log.line(0) + "\n" + kept.format(*map(log.line, range(2)))
+            + appended + "\n"
+        )
+        assert log.load() == loaded + [2]
 
 
 class TestRenderReport:
@@ -545,6 +650,15 @@ class TestCli:
         assert captured.err == f"error: {cands}: {problem}\n"
         assert "ROUGE" not in captured.out
 
+    def test_evaluate_rejects_duplicate_id(self, write_csv, eval_csv, capsys):
+        cands = write_csv([["e1", "Rain hit the coast."], ["e1", "Schools shut."]],
+                          header=("id", "Summary"))
+        assert main(["evaluate", str(cands), "--refs", str(eval_csv),
+                     "--lang", "english", "--split", "validation"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cands}:3: duplicate id 'e1'\n"
+        assert "ROUGE" not in captured.out
+
     def test_evaluate_matches_corpus_rouge(self, write_csv, eval_csv, capsys):
         cands = write_csv([[r[0], r[3]] for r in ENG_ROWS], header=("id", "Summary"))
         assert main(["evaluate", str(cands), "--refs", str(eval_csv),
@@ -571,6 +685,23 @@ class TestCli:
         assert main(["train", "--preset", "english-t5", "--train", str(train),
                      "--adapter", argv]) == 0
         assert "ckpt-1x20" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("stage", ["train", "summarize"])
+    def test_stage_rejects_preset_language_mismatch(self, stage, eval_csv,
+                                                    tmp_path, capsys):
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--pid-file", str(pid_file)])
+        out = tmp_path / "c.csv"
+        argv = (["train", "--train", str(eval_csv)] if stage == "train"
+                else ["summarize", str(eval_csv), "--out", str(out)])
+        assert main([*argv, "--preset", "hindi-indicbart", "--lang", "english",
+                     "--adapter", adapter]) == 1
+        assert capsys.readouterr().err == (
+            "error: preset 'hindi-indicbart' is for hindi, not english\n"
+        )
+        assert not pid_file.exists()
+        assert not out.exists()
 
     def test_translate_map_cli(self, write_csv, tmp_path, gujarati_records, capsys):
         rows = [[r.id, "", "", r.article, r.summary or ""]
