@@ -193,22 +193,22 @@ def lead_baseline(article: str, params: GenerationParams,
     Whole sentences are appended in order while the cumulative word
     count stays within ``params.max_tokens``; if even the first
     sentence exceeds the budget it is truncated to ``max_tokens`` words.
+    The article is split only up to the first sentence that breaks the
+    budget.
     """
     params.validate()
     if not article.strip():
         raise EmptyInput("cannot summarize an empty article")
-    sentences = list(segment.split_sentences(article, language))
     chosen = []
     used = 0
-    for sent in sentences:
-        words = len(segment.tokenize_words(sent))
-        if used + words > params.max_tokens:
+    for sent in segment.iter_sentences(article, language):
+        words = segment.tokenize_words(sent)
+        if used + len(words) > params.max_tokens:
+            if not chosen:
+                return " ".join(words[: params.max_tokens])
             break
         chosen.append(sent)
-        used += words
-    if not chosen:
-        first = segment.tokenize_words(sentences[0])
-        return " ".join(first[: params.max_tokens])
+        used += len(words)
     return " ".join(chosen)
 
 

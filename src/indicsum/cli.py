@@ -4,7 +4,8 @@ One subcommand per pipeline stage: prepare, augment, train, summarize,
 translate-map, evaluate, report, plus ``run`` for a whole config-driven
 experiment.  ``train``, ``summarize`` and ``translate-map`` run through
 the same backend, generation and per-record helpers as ``run``.  All
-commands exit nonzero with a one-line message on toolkit errors.
+commands exit nonzero with a one-line message on toolkit errors and
+on files that cannot be read or written.
 """
 
 import argparse
@@ -17,8 +18,8 @@ from . import augment as augment_mod
 from . import corpus, experiments
 from .backends import TrainedHandle, fine_tune, get_preset
 from .crosslingual import DEFAULT_THRESHOLD, TranslationCache
-from .errors import (DuplicateId, IndicSumError, MismatchedIds, MissingColumn,
-                     MissingGoldSummary)
+from .errors import (ConfigError, DuplicateId, IndicSumError, MismatchedIds,
+                     MissingColumn, MissingGoldSummary)
 from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
 from .segment import LANGUAGES
 
@@ -77,6 +78,9 @@ def _cmd_summarize(args) -> int:
     """``summarize``, or ``translate-map`` when ``args.translator`` is set."""
     experiments.check_unit_interval("threshold", args.threshold)
     preset = get_preset(args.preset, args.lang) if args.preset else None
+    if preset is not None and preset.pipeline != "direct":
+        raise ConfigError(f"preset {args.preset!r} runs the {preset.pipeline}"
+                          " pipeline; use translate-map or run")
     language = args.lang or (preset.language if preset else "english")
     split = corpus.load_csv(args.csv, args.split, language)
     translator = None
@@ -255,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IndicSumError as exc:
+    except (IndicSumError, OSError) as exc:  # OSError: e.g. a missing input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -319,14 +319,23 @@ def back_map(english_summary: str, mapping: SentenceMapping,
         raise EmptySummary("summary is empty, nothing to back-map")
     summary_sentences = list(segment.split_sentences(english_summary, "english"))
 
+    # Normalized translation -> lowest index, filled in index order only
+    # as far as the summary sentences so far have needed.
     exact = {}
-    for index, _, translated in mapping.entries:
-        exact.setdefault(_normalize(translated), index)
+    unscanned = iter(mapping.entries)
     entry_counts = None  # tokenized on the first fuzzy match only
 
     matched = []
     for sentence in summary_sentences:
-        index = exact.get(_normalize(sentence))
+        key = _normalize(sentence)
+        index = exact.get(key)
+        if index is None:
+            for i, _, translated in unscanned:
+                normalized = _normalize(translated)
+                exact.setdefault(normalized, i)
+                if normalized == key:
+                    index = i
+                    break
         if index is None:
             if entry_counts is None:
                 entry_counts = [Counter(rouge_tokens(t))

@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 from . import augment as augment_mod
 from . import jsonlog
 from .backends import (
+    PRESETS,
     AdapterBackend,
     GenerationParams,
     LeadBaselineBackend,
@@ -85,7 +86,7 @@ class ExperimentConfig:
     spec: SummarizerSpec | None = None
     augmentations: tuple[str, ...] = ()
     augment_append: bool = True
-    pipeline: str = "direct"
+    pipeline: str | None = None  # None: the preset's pipeline, else "direct"
     translator: str = "identity"
     threshold: float = DEFAULT_THRESHOLD
     max_tokens: int | None = None
@@ -98,7 +99,17 @@ class ExperimentConfig:
         out = asdict(self)
         out["augmentations"] = list(self.augmentations)
         out["spec"] = asdict(self.spec) if self.spec else None
+        # An unset pipeline hashes as the one it resolves to, so a config
+        # that names it and one that leaves it to the preset hash alike.
+        out["pipeline"] = self.effective_pipeline()
         return out
+
+    def effective_pipeline(self) -> str:
+        """``pipeline`` when set, else the preset's, else ``direct``."""
+        if self.pipeline is not None:
+            return self.pipeline
+        preset = PRESETS.get(self.preset)
+        return preset.pipeline if preset else "direct"
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
@@ -155,7 +166,7 @@ class ExperimentConfig:
                 spec=spec,
                 augmentations=augmentations,
                 augment_append=boolean("augment_append", True),
-                pipeline=opt("pipeline", "direct"),
+                pipeline=opt("pipeline"),
                 translator=opt("translator", "identity"),
                 threshold=float(opt("threshold", str(DEFAULT_THRESHOLD))),
                 max_tokens=int(max_tokens) if max_tokens is not None else None,
@@ -242,11 +253,15 @@ def check_unit_interval(name: str, value: float) -> None:
 def _validate(config: ExperimentConfig) -> None:
     if config.language not in LANGUAGES:
         raise ConfigError(f"unknown language {config.language!r}")
-    if config.pipeline not in ("direct", "translate-map"):
-        raise ConfigError(f"unknown pipeline {config.pipeline!r}")
+    pipeline = config.effective_pipeline()
+    if pipeline not in ("direct", "translate-map"):
+        raise ConfigError(f"unknown pipeline {pipeline!r}")
     check_unit_interval("threshold", config.threshold)
     if config.preset is not None:
-        get_preset(config.preset, config.language)
+        preset = get_preset(config.preset, config.language)
+        if pipeline != preset.pipeline:
+            raise ConfigError(f"preset {config.preset!r} runs the"
+                              f" {preset.pipeline} pipeline, not {pipeline}")
     if not os.path.exists(config.eval_path):
         raise ConfigError(f"eval file does not exist: {config.eval_path}")
     if config.train_path is not None and not os.path.exists(config.train_path):
@@ -383,7 +398,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     _validate(config)
     preset = get_preset(config.preset) if config.preset else None
     generation = generation_params(preset, config.max_tokens, config.seed)
-    translate_map = config.pipeline == "translate-map"
+    translate_map = config.effective_pipeline() == "translate-map"
     approach = config.preset or (
         "translate-map+lead-baseline" if translate_map else "lead-baseline"
     )

@@ -28,8 +28,9 @@ class SentenceList(tuple):
         return self
 
 
-def split_sentences(text: str, language: str = "english") -> SentenceList:
-    """Split ``text`` into sentences on the language's terminators.
+def iter_sentences(text: str, language: str = "english"):
+    """Yield the sentences of ``text`` on the language's terminators,
+    splitting only as far as the caller reads.
 
     A run of consecutive terminators stays with its sentence ("What?!"
     is one sentence), trailing text without a terminator forms a final
@@ -37,13 +38,20 @@ def split_sentences(text: str, language: str = "english") -> SentenceList:
     """
     if language not in _TERMINATOR_RUNS:
         raise ValueError(f"unknown language: {language!r}")
-    chunks = []
     start = 0
     for m in _TERMINATOR_RUNS[language].finditer(text):
-        chunks.append(text[start:m.end()].strip())
+        chunk = text[start:m.end()].strip()
         start = m.end()
-    chunks.append(text[start:].strip())
-    return SentenceList(chunk for chunk in chunks if chunk)
+        if chunk:
+            yield chunk
+    chunk = text[start:].strip()
+    if chunk:
+        yield chunk
+
+
+def split_sentences(text: str, language: str = "english") -> SentenceList:
+    """All sentences of ``text``, as :func:`iter_sentences` yields them."""
+    return SentenceList(iter_sentences(text, language))
 
 
 def tokenize_words(text: str) -> list[str]:

@@ -22,6 +22,50 @@ _GUJARATI_WORDS = (
 ).split()
 
 
+_HINDI_WORDS = "समाचार शहर बारिश सरकार लोग खेल बाजार पानी स्कूल सड़क".split()
+
+# Terminator runs, blank segments and unterminated tails, per language.
+_EDGE_TEXTS = {
+    "english": [
+        "What?! Really. Yes",
+        ". . Storm hit the coast. . .",
+        "One long opening sentence with many words in it. Short one. Tail",
+        "  no terminator at all  ",
+        "?!",
+    ],
+    "hindi": [
+        "पहला वाक्य।। दूसरा वाक्य यहाँ?! तीसरा",
+        "। । समाचार आज। ।",
+        "बहुत लंबा पहला वाक्य जिसमें कई शब्द हैं। छोटा। अंत",
+    ],
+    "gujarati": [
+        "પહેલું વાક્ય।। બીજું વાક્ય?! ત્રીજું",
+        ". . સમાચાર આજે. .",
+        "ખૂબ લાંબું પહેલું વાક્ય જેમાં ઘણા શબ્દો છે. ટૂંકું. અંત",
+    ],
+}
+
+
+def segment_cases(language, n=60, seed=7):
+    """Edge-case texts plus ``n`` seeded random ones in ``language``:
+    mixed terminator runs, blank segments, stray whitespace and
+    trailing text without a terminator."""
+    words = {"english": _WORDS, "hindi": _HINDI_WORDS,
+             "gujarati": _GUJARATI_WORDS}[language]
+    marks = [".", "?", "!", "?!", "..", "।", "।।", ". ."]
+    rng = random.Random(seed)
+    texts = list(_EDGE_TEXTS[language])
+    for _ in range(n):
+        parts = []
+        for _ in range(rng.randint(0, 6)):
+            parts.append(" ".join(rng.choices(words, k=rng.randint(0, 9))))
+            parts.append(rng.choice(marks) + rng.choice(["", " ", "  \n"]))
+        if rng.random() < 0.5:
+            parts.append(" ".join(rng.choices(words, k=rng.randint(1, 5))))
+        texts.append("".join(parts))
+    return texts
+
+
 def _english_sentence(rng, tag=None):
     words = rng.sample(_WORDS, k=rng.randint(4, 7))
     if tag is not None:

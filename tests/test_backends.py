@@ -3,6 +3,7 @@ import subprocess
 
 import pytest
 
+from indicsum import segment
 from indicsum.backends import (
     AdapterBackend,
     GenerationParams,
@@ -19,6 +20,23 @@ from indicsum.backends import (
 from indicsum.corpus import ArticleRecord, DatasetSplit
 from indicsum.errors import BackendUnavailable, ConfigError, EmptyInput, InvalidSpec
 from indicsum.segment import split_sentences, tokenize_words
+
+from conftest import segment_cases
+
+
+def reference_lead(article, budget, language):
+    """The lead baseline over the article's full sentence list."""
+    sentences = split_sentences(article, language)
+    chosen, used = [], 0
+    for sent in sentences:
+        words = len(tokenize_words(sent))
+        if used + words > budget:
+            break
+        chosen.append(sent)
+        used += words
+    if not chosen:
+        return " ".join(tokenize_words(sentences[0])[:budget])
+    return " ".join(chosen)
 
 
 def train_split(n=3):
@@ -163,6 +181,43 @@ class TestLeadBaseline:
         article = "पहला वाक्य यहाँ। दूसरा वाक्य यहाँ। तीसरा वाक्य यहाँ।"
         out = lead_baseline(article, GenerationParams(max_tokens=3), "hindi")
         assert out == "पहला वाक्य यहाँ।"
+
+    @pytest.mark.parametrize("language", ["english", "hindi", "gujarati"])
+    def test_matches_full_split_reference(self, language):
+        checked = 0
+        for article in segment_cases(language):
+            if not article.strip():
+                continue
+            for budget in range(1, len(tokenize_words(article)) + 2):
+                got = lead_baseline(article, GenerationParams(max_tokens=budget),
+                                    language)
+                assert got == reference_lead(article, budget, language), (
+                    article, budget)
+                checked += 1
+        assert checked > 500
+
+    def test_reads_at_most_one_sentence_past_budget(self, monkeypatch):
+        pulled = []
+        iter_sentences = segment.iter_sentences
+
+        def counting(text, language):
+            for sent in iter_sentences(text, language):
+                pulled.append(sent)
+                yield sent
+
+        monkeypatch.setattr(segment, "iter_sentences", counting)
+        article = "a b c. d e. f g h i. j. k l."
+        cases = [
+            (2, "a b", ["a b c."]),               # first sentence truncated
+            (3, "a b c.", ["a b c.", "d e."]),
+            (8, "a b c. d e.", ["a b c.", "d e.", "f g h i."]),
+            (99, article, split_sentences(article)),
+        ]
+        for budget, summary, read in cases:
+            pulled.clear()
+            assert lead_baseline(article, GenerationParams(max_tokens=budget)) \
+                == summary
+            assert pulled == list(read)
 
     def test_deterministic(self):
         handle = baseline_handle("english")

@@ -324,6 +324,39 @@ class TestBackMap:
         back_map("a0 a1 a2 a3 zzz a5 a6 a7 a8 a9.", mapping)
         assert len(calls) == len(mapping) + 1
 
+    def test_entries_normalized_up_to_last_exact_match(self, monkeypatch):
+        seen = []
+        normalize = crosslingual._normalize
+
+        def counting(text):
+            seen.append(text)
+            return normalize(text)
+
+        monkeypatch.setattr(crosslingual, "_normalize", counting)
+        mapping = SentenceMapping(entries=tuple(
+            (i, f"મૂળ {i}.", f"entry number {i}.") for i in range(10)
+        ))
+        translated = [t for _, _, t in mapping.entries]
+        summary = "Entry number 3. entry   number 1. ENTRY NUMBER 3."
+        assert back_map(summary, mapping) == "મૂળ 1. મૂળ 3."
+        assert [t for t in seen if t in translated] == translated[:4]
+        seen.clear()
+        # A miss scans every entry, then takes the fuzzy path.
+        assert back_map("Entry number 1. entry number 9 extra.",
+                        mapping) == "મૂળ 1. મૂળ 9."
+        assert [t for t in seen if t in translated] == translated
+
+    def test_lazy_exact_match_keeps_lowest_index(self):
+        mapping = SentenceMapping(entries=(
+            (0, "પહેલું.", "A."),
+            (1, "બીજું.", "B."),
+            (2, "ત્રીજું.", "A."),
+            (3, "ચોથું.", "C."),
+        ))
+        assert back_map("B. A.", mapping) == "પહેલું. બીજું."
+        # The scan for C passes the second A; A still maps to entry 0.
+        assert back_map("C. A.", mapping) == "પહેલું. ચોથું."
+
     def test_empty_summary(self):
         with pytest.raises(EmptySummary):
             back_map("  ", ten_token_mapping())

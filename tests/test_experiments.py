@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import indicsum
-from indicsum.backends import SummarizerSpec
+from indicsum.backends import PRESETS, SummarizerSpec
 from indicsum.cli import main
 from indicsum.crosslingual import TranslationCache
 from indicsum.errors import ConfigError, EmptyReport, MissingGoldSummary, NoAlignment
@@ -179,7 +179,57 @@ class TestConfigHash:
             assert config_hash(changed) != baseline, name
 
 
+    # Digests as computed before a preset's pipeline became the default:
+    # a config that names its pipeline, or whose preset (or lack of one)
+    # means direct, hashes as it did.  Only a translate-map preset
+    # without a pipeline key, which used to run direct, moves.
+    @pytest.mark.parametrize("overrides,digest", [
+        ({}, "eb6aeb4ca9e8f1e18fae71547535d922a17fc2a4bd4b157bf54042d9f7d2d073"),
+        ({"pipeline": "direct"},
+         "eb6aeb4ca9e8f1e18fae71547535d922a17fc2a4bd4b157bf54042d9f7d2d073"),
+        ({"preset": "english-t5"},
+         "45ed4fd83590926002e9524b2f17d64ff4bf524d1fbf2b5bbb71934f3e4f501c"),
+        ({"pipeline": "translate-map"},
+         "a26d5dc18f9d53c7cb5611918207c789b95a9b56ee60f9a5404a9618d4a9ee22"),
+        ({"language": "gujarati", "preset": "gujarati-translate-map",
+          "pipeline": "translate-map"},
+         "6bb72aaec747ebc74a5e76d7dcd5eeee7dff1e836059a7f7dbfa31b6e62a1e3e"),
+        ({"language": "gujarati", "preset": "gujarati-translate-map"},
+         "6bb72aaec747ebc74a5e76d7dcd5eeee7dff1e836059a7f7dbfa31b6e62a1e3e"),
+    ])
+    def test_pipeline_hashes_as_resolved(self, overrides, digest):
+        config = ExperimentConfig(**{"language": "english", "eval_path": "v.csv",
+                                     "output_dir": "out", **overrides})
+        assert config_hash(config) == digest
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_runs_its_pipeline(self, name, eval_csv, tmp_path):
+        preset = PRESETS[name]
+        run = run_experiment(ExperimentConfig(
+            language=preset.language, eval_path=str(eval_csv),
+            output_dir=str(tmp_path / "out"), preset=name,
+        ))
+        assert run.approach == name
+        assert len(run.records) == len(ENG_ROWS)
+        cache = tmp_path / "out" / "translation-cache.jsonl"
+        assert cache.exists() == (preset.pipeline == "translate-map")
+
+    @pytest.mark.parametrize("language,preset,pipeline", [
+        ("english", "english-t5", "translate-map"),
+        ("gujarati", "gujarati-translate-map", "direct"),
+    ])
+    def test_pipeline_other_than_presets_rejected(self, language, preset,
+                                                  pipeline, eval_csv, tmp_path):
+        config = base_config(eval_csv, tmp_path, language=language,
+                             preset=preset, pipeline=pipeline)
+        with pytest.raises(ConfigError, match=f"preset {preset!r} runs the"
+                                              f" {PRESETS[preset].pipeline}"
+                                              f" pipeline, not {pipeline}"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
     def test_aggregate_matches_recomputation(self, eval_csv, tmp_path):
         run = run_experiment(base_config(eval_csv, tmp_path))
         refs = {row[0]: row[4] for row in ENG_ROWS}
@@ -702,6 +752,40 @@ class TestCli:
         )
         assert not pid_file.exists()
         assert not out.exists()
+
+    def test_summarize_rejects_translate_map_preset(self, eval_csv, tmp_path,
+                                                    capsys):
+        out = tmp_path / "c.csv"
+        assert main(["summarize", str(eval_csv), "--preset",
+                     "gujarati-translate-map", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: preset 'gujarati-translate-map' runs the translate-map"
+            " pipeline; use translate-map or run\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--runs", "nope.jsonl"],
+        ["prepare", "nope.csv", "--lang", "english", "--split", "validation",
+         "--out", "out.csv"],
+        ["summarize", "nope.csv", "--out", "out.csv"],
+        ["evaluate", "nope.csv", "--refs", "nope.csv", "--lang", "english"],
+        ["run", "--config", "nope.cfg"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_input_is_one_line_error(self, argv, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-m", "indicsum.cli", *argv], cwd=work,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        error = "error: [Errno 2] No such file or directory: 'nope."
+        assert done.stderr.startswith(error)
+        assert done.stderr.count("\n") == 1
+        assert list(work.iterdir()) == []
 
     def test_translate_map_cli(self, write_csv, tmp_path, gujarati_records, capsys):
         rows = [[r.id, "", "", r.article, r.summary or ""]

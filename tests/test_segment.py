@@ -3,7 +3,30 @@ import unicodedata
 
 import pytest
 
-from indicsum.segment import split_sentences, strip_punctuation, tokenize_words
+from indicsum import segment
+from indicsum.segment import (
+    iter_sentences,
+    split_sentences,
+    strip_punctuation,
+    tokenize_words,
+)
+
+from conftest import segment_cases
+
+_MARKS = {"english": ".?!", "gujarati": ".?!", "hindi": ".?!।"}
+
+
+def reference_split(text, language):
+    """Sentences by a character scan: a chunk ends after the last mark
+    of a run of terminators; chunks are stripped, blank ones dropped."""
+    marks = _MARKS[language]
+    chunks, start = [], 0
+    for i, ch in enumerate(text):
+        if ch in marks and (i + 1 == len(text) or text[i + 1] not in marks):
+            chunks.append(text[start:i + 1])
+            start = i + 1
+    chunks.append(text[start:])
+    return tuple(c.strip() for c in chunks if c.strip())
 
 
 def assert_ordered_substrings(sentences, text):
@@ -82,6 +105,36 @@ class TestSplitSentences:
             text = " ".join(rng.choice(words) for _ in range(rng.randint(0, 25)))
             for language in ("english", "hindi"):
                 assert_ordered_substrings(split_sentences(text, language), text)
+
+
+class TestIterSentences:
+    @pytest.mark.parametrize("language", ["english", "hindi", "gujarati"])
+    def test_matches_split_sentences_and_reference(self, language):
+        for text in segment_cases(language):
+            got = tuple(iter_sentences(text, language))
+            assert got == split_sentences(text, language), text
+            assert got == reference_split(text, language), text
+
+    def test_splits_only_as_far_as_read(self, monkeypatch):
+        runs = segment._TERMINATOR_RUNS["english"]
+        found = []
+
+        class CountingRuns:
+            def finditer(self, text):
+                for m in runs.finditer(text):
+                    found.append(m.group())
+                    yield m
+
+        monkeypatch.setitem(segment._TERMINATOR_RUNS, "english", CountingRuns())
+        sentences = iter_sentences("First. Second?! Third. Tail", "english")
+        assert next(sentences) == "First."
+        assert found == ["."]
+        assert list(sentences) == ["Second?!", "Third.", "Tail"]
+        assert found == [".", "?!", "."]
+
+    def test_unknown_language(self):
+        with pytest.raises(ValueError):
+            list(iter_sentences("A.", "latin"))
 
 
 class TestTokenizeWords:
