@@ -416,7 +416,6 @@ class TrainedHandle:
 
     backend: object
     checkpoint: str | None = None
-    spec: SummarizerSpec | None = None
 
 
 def baseline_handle(language: str = "english") -> TrainedHandle:
@@ -432,7 +431,7 @@ def fine_tune(backend, dataset: DatasetSplit, spec: SummarizerSpec) -> TrainedHa
     if not backend.trainable:
         raise InvalidSpec("backend is not trainable")
     checkpoint = backend.train(dataset, spec)
-    return TrainedHandle(backend=backend, checkpoint=checkpoint, spec=spec)
+    return TrainedHandle(backend=backend, checkpoint=checkpoint)
 
 
 def summarize(handle: TrainedHandle, article: str,

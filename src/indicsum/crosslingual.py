@@ -4,8 +4,8 @@ summary onto the original-language sentences.
 
 Back-mapping guarantees extractiveness: every output sentence is a
 verbatim sentence of the source article, because summary sentences are
-resolved to mapping entries (exact match first, then a clipped unigram
-F1 fallback with a configurable threshold).
+resolved to mapping entries: equal ``rouge_tokens`` first, then a
+clipped unigram F1 fallback with a configurable threshold.
 """
 
 import http.client
@@ -13,7 +13,6 @@ import json
 import os
 import threading
 import time
-import unicodedata
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -163,12 +162,16 @@ class HttpTranslator:
 
 
 def _parse_cache_line(line: bytes):
-    """``(key, translation)`` of one cache line; ``ValueError`` if unreadable."""
+    """``(key, translation)`` of one cache line; ``ValueError`` unless
+    all four fields are strings and the translation is not blank."""
     try:
         rec = json.loads(line.decode("utf-8"))
-        return (rec["src"], rec["src_lang"], rec["tgt_lang"]), rec["dst"]
+        fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"bad cache record: {exc}") from None
+    if not all(isinstance(f, str) for f in fields) or not fields[3].strip():
+        raise ValueError("bad cache record: a non-string field or a blank dst")
+    return fields[:3], fields[3]
 
 
 class TranslationCache:
@@ -298,20 +301,17 @@ def build_mapping(article: str, client, *, cache: TranslationCache | None = None
     return english_article, SentenceMapping(entries=entries)
 
 
-def _normalize(text: str) -> str:
-    return " ".join(unicodedata.normalize("NFC", text).casefold().split())
-
-
 def back_map(english_summary: str, mapping: SentenceMapping,
              threshold: float = DEFAULT_THRESHOLD) -> str:
     """Restore original-language sentences for an English summary.
 
-    Each summary sentence resolves to the mapping entry whose
-    translation matches exactly after whitespace/case normalization,
-    falling back to the entry with maximal clipped unigram F1
-    (``rouge.score_counts`` over ``rouge_tokens``) when that score
-    reaches ``threshold`` (ties go to the lowest index).  Matched
-    source sentences come out deduplicated, in article order.
+    Each summary sentence resolves to the lowest-index mapping entry
+    whose translation has the same ``rouge_tokens`` (so case, spacing
+    and punctuation do not matter), else to the entry of maximal
+    clipped unigram F1 over those tokens when it reaches ``threshold``
+    (ties go to the lowest index), else ``NoAlignment``.  Entries are
+    tokenized once each, in index order, only as far as needed.
+    Matched source sentences come out deduplicated, in article order.
     """
     if not mapping.entries:
         raise EmptyInput("mapping has no entries")
@@ -319,28 +319,25 @@ def back_map(english_summary: str, mapping: SentenceMapping,
         raise EmptySummary("summary is empty, nothing to back-map")
     summary_sentences = list(segment.split_sentences(english_summary, "english"))
 
-    # Normalized translation -> lowest index, filled in index order only
-    # as far as the summary sentences so far have needed.
-    exact = {}
-    unscanned = iter(mapping.entries)
-    entry_counts = None  # tokenized on the first fuzzy match only
+    entry_tokens = []  # token tuples of entries 0, 1, ... as far as scanned
+    exact = {}         # token tuple -> lowest index among scanned entries
+    entry_counts = None  # built on the first fuzzy match
 
     matched = []
     for sentence in summary_sentences:
-        key = _normalize(sentence)
-        index = exact.get(key)
-        if index is None:
-            for i, _, translated in unscanned:
-                normalized = _normalize(translated)
-                exact.setdefault(normalized, i)
-                if normalized == key:
-                    index = i
-                    break
+        tokens = tuple(rouge_tokens(sentence))
+        index = exact.get(tokens)
+        while index is None and len(entry_tokens) < len(mapping.entries):
+            i = len(entry_tokens)
+            key = tuple(rouge_tokens(mapping.entries[i][2]))
+            entry_tokens.append(key)
+            exact.setdefault(key, i)
+            if key == tokens:
+                index = i
         if index is None:
             if entry_counts is None:
-                entry_counts = [Counter(rouge_tokens(t))
-                                for _, _, t in mapping.entries]
-            counts = Counter(rouge_tokens(sentence))
+                entry_counts = [Counter(t) for t in entry_tokens]
+            counts = Counter(tokens)
             best_index, best_score = 0, -1.0
             for i, ref in enumerate(entry_counts):
                 score = score_counts(counts, ref).f1
@@ -364,20 +361,11 @@ def back_map(english_summary: str, mapping: SentenceMapping,
 def pipeline_summarize(article: str, client, handle,
                        params: GenerationParams, *,
                        threshold: float = DEFAULT_THRESHOLD,
-                       cache: TranslationCache | None = None,
-                       parallelism: int = 4, retry_attempts: int = 3,
-                       retry_base_delay: float = 0.1) -> str:
+                       cache: TranslationCache | None = None) -> str:
     """Translate, summarize in English, back-map to the source language.
 
     The result consists solely of sentences from ``article``.
     """
-    english_article, mapping = build_mapping(
-        article,
-        client,
-        cache=cache,
-        parallelism=parallelism,
-        retry_attempts=retry_attempts,
-        retry_base_delay=retry_base_delay,
-    )
+    english_article, mapping = build_mapping(article, client, cache=cache)
     english_summary = summarize(handle, english_article, params)
     return back_map(english_summary, mapping, threshold)

@@ -35,7 +35,7 @@ from .backends import (
     get_preset,
     summarize,
 )
-from .corpus import load_csv
+from .corpus import SPLIT_KINDS, load_csv
 from .crosslingual import (
     DEFAULT_THRESHOLD,
     HttpTranslator,
@@ -44,7 +44,13 @@ from .crosslingual import (
     TranslationCache,
     pipeline_summarize,
 )
-from .errors import ConfigError, EmptyReport, IndicSumError, MissingGoldSummary
+from .errors import (
+    ConfigError,
+    EmptyReport,
+    IndicSumError,
+    InvalidSpec,
+    MissingGoldSummary,
+)
 from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
 # Unused here, but e2ebench/tracing.py wraps these two names in this module.
 from .rouge import corpus_rouge, rouge_n  # noqa: F401
@@ -257,11 +263,16 @@ def _validate(config: ExperimentConfig) -> None:
     if pipeline not in ("direct", "translate-map"):
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     check_unit_interval("threshold", config.threshold)
-    if config.preset is not None:
-        preset = get_preset(config.preset, config.language)
-        if pipeline != preset.pipeline:
-            raise ConfigError(f"preset {config.preset!r} runs the"
-                              f" {preset.pipeline} pipeline, not {pipeline}")
+    if config.eval_kind not in SPLIT_KINDS:
+        raise ConfigError(f"unknown eval_kind {config.eval_kind!r}")
+    preset = get_preset(config.preset, config.language) if config.preset else None
+    if preset is not None and pipeline != preset.pipeline:
+        raise ConfigError(f"preset {config.preset!r} runs the"
+                          f" {preset.pipeline} pipeline, not {pipeline}")
+    try:
+        generation_params(preset, config.max_tokens, config.seed).validate()
+    except InvalidSpec as exc:
+        raise ConfigError(str(exc)) from None
     if not os.path.exists(config.eval_path):
         raise ConfigError(f"eval file does not exist: {config.eval_path}")
     if config.train_path is not None and not os.path.exists(config.train_path):

@@ -1,5 +1,7 @@
 import json
+import random
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -251,6 +253,32 @@ class TestTranslationCache:
         with pytest.raises(ConfigError, match=f"{torn}:2: bad cache record"):
             TranslationCache(torn)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dst", ""), ("dst", "   "), ("dst", 5), ("dst", None),
+        ("src", ["a"]), ("src_lang", None), ("tgt_lang", 1.5),
+    ])
+    @pytest.mark.parametrize("position", ["middle", "last"])
+    def test_whole_line_with_bad_field(self, field, value, position, tmp_path):
+        record = {"src": GUJ_SENTENCES[1], "src_lang": "gujarati",
+                  "tgt_lang": "english", "dst": "e2.", field: value}
+        bad = json.dumps(record, ensure_ascii=False) + "\n"
+        good = cache_line(GUJ_SENTENCES[0], "e1.")
+        path = tmp_path / "cache.jsonl"
+        if position == "middle":
+            path.write_text(good + bad + cache_line(GUJ_SENTENCES[2], "e3."),
+                            encoding="utf-8")
+            with pytest.raises(ConfigError, match=f"{path}:2: bad cache record"):
+                TranslationCache(path)
+            return
+        path.write_text(good + bad, encoding="utf-8")
+        cache = TranslationCache(path)
+        assert len(cache) == 1
+        cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati", "english")
+        assert path.read_text(encoding="utf-8") == good + cache_line(
+            GUJ_SENTENCES[1], "e2.")
+        assert TranslationCache(path).get(GUJ_SENTENCES[1], "gujarati",
+                                          "english") == "e2."
+
 
 def ten_token_mapping():
     entries = []
@@ -259,6 +287,79 @@ def ten_token_mapping():
         translated = " ".join(f"{prefix}{j}" for j in range(10)) + "."
         entries.append((i, source, translated))
     return SentenceMapping(entries=tuple(entries))
+
+
+_VOCAB = "rain fell hard on the coast storm market".split()
+
+
+def _render(words, rng):
+    """``words`` as an English sentence with random case, separators and
+    terminator; only the tokens are fixed."""
+    words = [w.upper() if rng.random() < 0.2 else w for w in words]
+    separators = [" ", ", ", "  ", " -- ", "; ", " \"", "\" "]
+    text = words[0] if words else ""
+    for word in words[1:]:
+        text += rng.choice(separators) + word
+    return text + rng.choice([".", "!", "?", "?!", "..."])
+
+
+def random_back_map_case(seed):
+    """A mapping with repeated, permuted and re-punctuated entries, a
+    summary of variants of them and of strangers, and a threshold."""
+    rng = random.Random(seed)
+    token_lists = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if token_lists and roll < 0.25:
+            words = list(rng.choice(token_lists))      # a repeat
+        elif token_lists and roll < 0.45:
+            words = list(rng.choice(token_lists))
+            rng.shuffle(words)                         # a permutation
+        elif roll < 0.5:
+            words = []                                 # punctuation only
+        else:
+            words = rng.choices(_VOCAB, k=rng.randint(1, 5))
+        token_lists.append(words)
+    mapping = SentenceMapping(entries=tuple(
+        (i, f"મૂળ {i}.", _render(words, rng))
+        for i, words in enumerate(token_lists)
+    ))
+    summary = []
+    for _ in range(rng.randint(1, 4)):
+        words = list(rng.choice(token_lists))
+        roll = rng.random()
+        if roll < 0.3:
+            rng.shuffle(words)
+        elif roll < 0.5 and words:
+            words[rng.randrange(len(words))] = rng.choice(_VOCAB)
+        elif roll < 0.6:
+            words = rng.choices(_VOCAB + ["zzz"], k=rng.randint(0, 5))
+        summary.append(_render(words, rng))
+    return mapping, " ".join(summary), rng.choice([0.0, 0.3, 0.6, 1.0])
+
+
+def reference_back_map(summary, mapping, threshold):
+    """Brute force: per summary sentence, the lowest index with equal
+    tokens, else the lowest index of maximal unigram F1 at or above
+    ``threshold``, else ``NoAlignment``."""
+    def f1(a, b):
+        overlap = sum((Counter(a) & Counter(b)).values())
+        p = overlap / len(a) if a else 0.0
+        r = overlap / len(b) if b else 0.0
+        return 2 * p * r / (p + r) if p + r else 0.0
+
+    entries = [rouge_tokens(t) for _, _, t in mapping.entries]
+    picked = set()
+    for sentence in split_sentences(summary, "english"):
+        tokens = rouge_tokens(sentence)
+        if tokens in entries:
+            picked.add(entries.index(tokens))
+            continue
+        scores = [f1(tokens, ref) for ref in entries]
+        if max(scores) < threshold:
+            raise NoAlignment("", sentence=sentence, best_score=max(scores))
+        picked.add(scores.index(max(scores)))
+    return " ".join(mapping.entries[i][1] for i in sorted(picked))
 
 
 class TestBackMap:
@@ -309,42 +410,103 @@ class TestBackMap:
             )
         )
         assert back_map("same translated words here.", twin) == "પહેલું મૂળ વાક્ય."
+        # equal tokens, not equal strings
+        mapping = SentenceMapping(entries=(
+            (0, "પહેલું.", "Other words."),
+            (1, "બીજું.", "The rain, fell."),
+            (2, "ત્રીજું.", "the rain fell!"),
+        ))
+        assert back_map("THE RAIN FELL.", mapping) == "બીજું."
+        assert back_map("the  rain fell?! Other words.", mapping) == (
+            "પહેલું. બીજું.")
 
-    def test_entries_tokenized_only_on_fuzzy_path(self, monkeypatch):
-        calls = []
-
-        def counting_tokens(text):
-            calls.append(text)
-            return rouge_tokens(text)
-
-        monkeypatch.setattr(crosslingual, "rouge_tokens", counting_tokens)
-        mapping = ten_token_mapping()
-        back_map(mapping.entries[2][2] + " " + mapping.entries[0][2], mapping)
-        assert calls == []
-        back_map("a0 a1 a2 a3 zzz a5 a6 a7 a8 a9.", mapping)
-        assert len(calls) == len(mapping) + 1
-
-    def test_entries_normalized_up_to_last_exact_match(self, monkeypatch):
+    @pytest.fixture
+    def tokenized(self, monkeypatch):
+        """Every text ``back_map`` passes to ``rouge_tokens``, in order."""
         seen = []
-        normalize = crosslingual._normalize
 
         def counting(text):
             seen.append(text)
-            return normalize(text)
+            return rouge_tokens(text)
 
-        monkeypatch.setattr(crosslingual, "_normalize", counting)
-        mapping = SentenceMapping(entries=tuple(
+        monkeypatch.setattr(crosslingual, "rouge_tokens", counting)
+        return seen
+
+    @staticmethod
+    def numbered_mapping():
+        return SentenceMapping(entries=tuple(
             (i, f"મૂળ {i}.", f"entry number {i}.") for i in range(10)
         ))
+
+    def test_entries_tokenized_once_up_to_last_exact_match(self, tokenized):
+        mapping = self.numbered_mapping()
         translated = [t for _, _, t in mapping.entries]
-        summary = "Entry number 3. entry   number 1. ENTRY NUMBER 3."
+        summary = "Entry number 3. entry   number 1. ENTRY, NUMBER 3!"
         assert back_map(summary, mapping) == "મૂળ 1. મૂળ 3."
-        assert [t for t in seen if t in translated] == translated[:4]
-        seen.clear()
-        # A miss scans every entry, then takes the fuzzy path.
-        assert back_map("Entry number 1. entry number 9 extra.",
-                        mapping) == "મૂળ 1. મૂળ 9."
-        assert [t for t in seen if t in translated] == translated
+        assert [t for t in tokenized if t in translated] == translated[:4]
+        # each summary sentence once, and nothing else
+        assert len(tokenized) == 4 + 3
+
+    def test_miss_tokenizes_each_entry_once(self, tokenized):
+        mapping = self.numbered_mapping()
+        translated = [t for _, _, t in mapping.entries]
+        # The second sentence misses: the scan tokenizes the rest, and
+        # the fuzzy stage counts from those same tokens; the third
+        # misses too and tokenizes no entry again.
+        summary = "Entry number 1. entry number 9 extra. extra entry number 4."
+        assert back_map(summary, mapping) == "મૂળ 1. મૂળ 4. મૂળ 9."
+        assert [t for t in tokenized if t in translated] == translated
+        assert len(tokenized) == len(translated) + 3
+
+    def test_punctuation_variant_matches_exactly(self):
+        # Same tokens in another order score F1 1.0 on the fuzzy path;
+        # the exact stage, on the same tokens, takes the right entry.
+        mapping = SentenceMapping(entries=(
+            (0, "SRC-A.", "rain fell hard."),
+            (1, "SRC-B.", "hard fell rain."),
+        ))
+        assert back_map("Hard, fell, rain!", mapping) == "SRC-B."
+        assert back_map("\"Rain\" -- fell; hard?", mapping) == "SRC-A."
+
+    def test_equal_only_under_casefold_is_not_exact(self):
+        mapping = SentenceMapping(entries=(
+            (0, "પહેલું.", "strasse closed today."),
+            (1, "બીજું.", "Straße closed today."),
+        ))
+        assert back_map("straße closed today.", mapping) == "બીજું."
+
+    def test_sentence_without_tokens(self):
+        mapping = SentenceMapping(entries=(
+            (0, "પહેલું.", "rain fell."),
+            (1, "બીજું.", "-- ..."),
+            (2, "ત્રીજું.", "!"),
+        ))
+        # it matches the first entry without tokens exactly
+        assert back_map("Rain fell. ?!", mapping) == "પહેલું. બીજું."
+        words_only = SentenceMapping(entries=mapping.entries[:1])
+        # else every entry scores F1 0 on the fuzzy path
+        with pytest.raises(NoAlignment) as info:
+            back_map("Rain fell. ?!", words_only)
+        assert info.value.sentence == "?!"
+        assert info.value.best_score == 0.0
+        assert back_map("?!", words_only, threshold=0.0) == "પહેલું."
+
+    def test_matches_brute_force_reference(self):
+        outcomes = Counter()
+        for seed in range(300):
+            mapping, summary, threshold = random_back_map_case(seed)
+            try:
+                expected = reference_back_map(summary, mapping, threshold)
+            except NoAlignment as exc:
+                outcomes["no alignment"] += 1
+                with pytest.raises(NoAlignment) as info:
+                    back_map(summary, mapping, threshold)
+                assert (info.value.sentence, info.value.best_score) == (
+                    exc.sentence, exc.best_score), seed
+            else:
+                outcomes["mapped"] += 1
+                assert back_map(summary, mapping, threshold) == expected, seed
+        assert min(outcomes.values()) > 30, outcomes
 
     def test_lazy_exact_match_keeps_lowest_index(self):
         mapping = SentenceMapping(entries=(
@@ -398,7 +560,6 @@ class TestPipeline:
             out = pipeline_summarize(
                 GUJ, TableTranslator(table), TrainedHandle(backend=backend),
                 get_preset("gujarati-translate-map").generation,
-                retry_base_delay=0,
             )
         assert out == GUJ_SENTENCES[1]
 

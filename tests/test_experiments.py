@@ -332,6 +332,22 @@ class TestRunExperiment:
             run_experiment(base_config(eval_csv, tmp_path, augmentations=(step,)))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_tokens": 0}, "max_tokens must be >= 1, got 0"),
+        ({"eval_kind": "bogus"}, "unknown eval_kind 'bogus'"),
+    ])
+    def test_bad_setting_rejected_before_training(self, setting, message,
+                                                  write_csv, eval_csv, tmp_path):
+        # The adapter does not exist: reaching it would raise
+        # BackendUnavailable instead of the config error.
+        train = write_csv([["t1", "", "", "Train body one.", "Train body one."]])
+        config = base_config(eval_csv, tmp_path, preset="english-pegasus",
+                             train_path=str(train), adapter="/nonexistent/adapter",
+                             **setting)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
     def test_error_annotated_with_record_id(self, write_csv, tmp_path):
         path = write_csv(
             [["x9", "", "", "Article text here."]],
