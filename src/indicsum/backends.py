@@ -3,10 +3,11 @@ hyperparameter presets used by the experiments, a deterministic
 lead-sentence baseline, and the out-of-process adapter transport.
 
 Neural models never run inside this package.  A backend is either the
-built-in lead baseline or an adapter: a separate process (spawned over
-stdio or reached over a local socket) speaking newline-delimited JSON.
-Each request is one line ``{"op", "payload", "id"}``; each response is
-one line ``{"id", "result"}`` or ``{"id", "error"}``.  Supported ops:
+built-in lead baseline or an adapter: a separate process (spawned with
+one end of a socket pair as its stdin and stdout, or reached over a
+local socket) speaking newline-delimited JSON.  Each request is one
+line ``{"op", "payload", "id"}``; each response is one line
+``{"id", "result"}`` or ``{"id", "error"}``.  Supported ops:
 
 * ``train``    payload {records: [{id, article, summary}], spec: {...}}
                result {checkpoint}
@@ -234,19 +235,24 @@ class LeadBaselineBackend:
 
 
 class AdapterBackend:
-    """Out-of-process summarizer reached over stdio or a local socket.
+    """Out-of-process summarizer reached over one stream socket.
 
     Exactly one of ``argv`` (command line of a subprocess; a string is
     split with shell quoting rules) and ``address`` ((host, port) of a
-    listening adapter) must be given.  The transport starts lazily on
-    the first request and is reused; requests are serialized through a
-    lock, matching the adapters' single-threaded protocol loop.  With
+    listening adapter) must be given.  A spawned adapter gets one end of
+    a socket pair as its stdin and stdout; the parent closes that end
+    after the spawn, so the adapter's exit reads as end of stream.  The
+    transport starts lazily on the first request and is reused;
+    requests are serialized through a lock, matching the adapters'
+    single-threaded protocol loop.  ``generate`` and ``score`` fail
+    after ``timeout`` seconds without an answer; ``train`` waits until
+    the adapter answers or its end of the connection closes.  With
     ``trainable=False`` ``fine_tune`` refuses the backend and
     ``run_experiment`` skips training.
     """
 
     def __init__(self, argv=None, address=None, *, trainable: bool = True,
-                 timeout: float = 30.0, name: str = "adapter"):
+                 timeout: float = 30.0):
         if (argv is None) == (address is None):
             raise ValueError("pass exactly one of argv or address")
         if isinstance(argv, str):
@@ -260,45 +266,35 @@ class AdapterBackend:
         self._writer = None
         self._lock = threading.Lock()
         self._next_id = 0
-        self.name = name
         self.trainable = trainable
 
     # -- transport ---------------------------------------------------
 
     def _connect(self) -> None:
-        if self._reader is not None:
+        if self._sock is not None:
             return
         try:
             if self._argv is not None:
-                self._proc = subprocess.Popen(
-                    self._argv,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    encoding="utf-8",
-                )
-                self._reader = self._proc.stdout
-                self._writer = self._proc.stdin
+                self._sock, child_end = socket.socketpair()
+                with child_end:
+                    self._proc = subprocess.Popen(
+                        self._argv, stdin=child_end, stdout=child_end
+                    )
             else:
                 self._sock = socket.create_connection(
                     self._address, timeout=self._timeout
                 )
-                self._reader = self._sock.makefile("r", encoding="utf-8")
-                self._writer = self._sock.makefile("w", encoding="utf-8")
         except OSError as exc:
             self.close()
             raise BackendUnavailable(f"cannot reach adapter: {exc}") from exc
+        self._reader = self._sock.makefile("r", encoding="utf-8")
+        self._writer = self._sock.makefile("w", encoding="utf-8")
 
     def close(self) -> None:
-        for stream in (self._writer, self._reader):
+        for stream in (self._writer, self._reader, self._sock):
             try:
                 if stream is not None:
                     stream.close()
-            except OSError:
-                pass
-        if self._sock is not None:
-            try:
-                self._sock.close()
             except OSError:
                 pass
         if self._proc is not None:
@@ -326,6 +322,8 @@ class AdapterBackend:
                 ensure_ascii=False,
             )
             try:
+                # No deadline on train: a real fine-tune runs for hours.
+                self._sock.settimeout(None if op == "train" else self._timeout)
                 self._writer.write(line + "\n")
                 self._writer.flush()
                 raw = self._reader.readline()
@@ -402,7 +400,7 @@ class AdapterBackend:
             if self._argv is not None
             else {"transport": "socket", "address": list(self._address)}
         )
-        return {"kind": "adapter", "name": self.name, **transport}
+        return {"kind": "adapter", "name": "adapter", **transport}
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 One subcommand per pipeline stage: prepare, augment, train, summarize,
 translate-map, evaluate, report, plus ``run`` for a whole config-driven
 experiment.  ``train``, ``summarize`` and ``translate-map`` run through
-the same backend, generation and per-record helpers as ``run``.  All
-commands exit nonzero with a one-line message on toolkit errors and
-on files that cannot be read or written.
+the same backend, training, generation and per-record helpers as
+``run``.  All commands exit nonzero with a one-line message on toolkit
+errors and on files that cannot be read or written.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from contextlib import closing, nullcontext
 
 from . import augment as augment_mod
 from . import corpus, experiments
-from .backends import TrainedHandle, fine_tune, get_preset
+from .backends import TrainedHandle, get_preset
 from .crosslingual import DEFAULT_THRESHOLD, TranslationCache
 from .errors import (ConfigError, DuplicateId, IndicSumError, MismatchedIds,
                      MissingColumn, MissingGoldSummary)
@@ -66,10 +66,10 @@ def _cmd_train(args) -> int:
               file=sys.stderr)
         return 2
     language = args.lang or preset.language
-    split = corpus.load_csv(args.train, "train", language)
     with closing(experiments.open_backend(args.adapter, args.socket,
                                           language)) as backend:
-        handle = fine_tune(backend, split, preset.spec)
+        handle = experiments.train_on_file(backend, preset.spec, args.train,
+                                           language, preset)
     print(f"checkpoint: {handle.checkpoint}")
     return 0
 

@@ -8,8 +8,8 @@ through the translate/back-map pipeline.  Running one produces a
 RunRecord: per-record summaries with their ROUGE scores plus corpus
 aggregates, appended as one JSON line to ``runs.jsonl`` in the output
 directory.  An flock on the output directory serializes experiments.
-The CLI stages share ``run_experiment``'s backend, generation and
-per-record helpers.
+The CLI stages share ``run_experiment``'s backend, training,
+generation and per-record helpers.
 """
 
 import csv
@@ -69,6 +69,7 @@ __all__ = [
     "render_report",
     "run_experiment",
     "summarize_split",
+    "train_on_file",
     "write_summaries",
 ]
 
@@ -336,6 +337,22 @@ def open_backend(adapter: str | None, socket: str | None, language: str):
     return LeadBaselineBackend(language)
 
 
+def train_on_file(backend, spec, train_path, language: str, preset=None,
+                  augmentations=(), *, seed: int = DEFAULT_SEED,
+                  append: bool = True) -> TrainedHandle:
+    """Fine-tune ``backend`` on the train CSV at ``train_path``, augmented
+    by the steps in ``augmentations`` (the preset's step when none are
+    given).  ``run_experiment`` and the CLI's ``train`` both train here."""
+    train_split = load_csv(train_path, "train", language)
+    shift, noise_rate = _parse_augmentations(augmentations, preset)
+    if shift or noise_rate is not None:
+        train_split = augment_mod.augment_split(
+            train_split, shift=shift, noise_rate=noise_rate, seed=seed,
+            append=append,
+        )
+    return fine_tune(backend, train_split, spec)
+
+
 def generation_params(preset, max_tokens: int | None,
                       seed: int = DEFAULT_SEED) -> GenerationParams:
     """The preset's generation settings (or the defaults), with
@@ -414,6 +431,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         "translate-map+lead-baseline" if translate_map else "lead-baseline"
     )
 
+    # The translator is built before the backend starts, so a bad
+    # translator setting fails before anything trains.
+    translator = None
+    if translate_map:
+        translator = make_translator(config.translator, config.language)
+
     digest = config_hash(config)
     os.makedirs(config.output_dir, exist_ok=True)
     with directory_lock(config.output_dir), closing(open_backend(
@@ -423,17 +446,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         spec = config.spec or (preset.spec if preset else None)
         handle = TrainedHandle(backend=backend)
         if spec is not None and backend.trainable and config.train_path:
-            train_split = load_csv(config.train_path, "train", config.language)
-            shift, noise_rate = _parse_augmentations(config.augmentations, preset)
-            if shift or noise_rate is not None:
-                train_split = augment_mod.augment_split(
-                    train_split,
-                    shift=shift,
-                    noise_rate=noise_rate,
-                    seed=config.seed,
-                    append=config.augment_append,
-                )
-            handle = fine_tune(backend, train_split, spec)
+            handle = train_on_file(
+                backend, spec, config.train_path, config.language, preset,
+                config.augmentations, seed=config.seed,
+                append=config.augment_append,
+            )
 
         eval_split = load_csv(config.eval_path, config.eval_kind, config.language)
         for rec in eval_split:
@@ -443,10 +460,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                     " evaluation needs references"
                 )
 
-        translator = None
         cache = None
         if translate_map:
-            translator = make_translator(config.translator, config.language)
             cache = TranslationCache(
                 os.path.join(config.output_dir, "translation-cache.jsonl")
             )

@@ -11,7 +11,8 @@ predict every response:
 
 Failure modes for transport tests: --fail-op returns an error response
 for one op, --malformed writes a non-JSON line, --crash-after exits
-hard after N requests.  --pid-file records the process id on start, so
+hard after N requests, --delay-op with --delay sleeps that many seconds
+before answering one op.  --pid-file records the process id on start, so
 a test can check that the process has exited.
 """
 
@@ -20,6 +21,7 @@ import json
 import os
 import socket
 import sys
+import time
 
 
 def handle(request, opts):
@@ -63,6 +65,8 @@ def serve(reader, writer, opts):
             writer.write("this is not a json response\n")
             writer.flush()
             continue
+        if opts.delay_op == request.get("op"):
+            time.sleep(opts.delay)
         response = {"id": request.get("id")}
         response.update(handle(request, opts))
         writer.write(json.dumps(response, ensure_ascii=False) + "\n")
@@ -76,6 +80,8 @@ def main():
     parser.add_argument("--fail-op")
     parser.add_argument("--crash-after", type=int)
     parser.add_argument("--malformed", action="store_true")
+    parser.add_argument("--delay-op")
+    parser.add_argument("--delay", type=float, default=0.0)
     parser.add_argument("--fixed-summary")
     parser.add_argument("--pid-file")
     opts = parser.parse_args()

@@ -1,5 +1,9 @@
+import os
 import random
+import signal
 import subprocess
+import threading
+import time
 
 import pytest
 
@@ -333,3 +337,96 @@ class TestAdapterSocket:
         backend = AdapterBackend(address=("127.0.0.1", 1), timeout=0.5)
         with pytest.raises(BackendUnavailable):
             backend.generate("text", GenerationParams())
+
+
+def call_within(seconds, call, kill):
+    """Run ``call()`` in a thread; return ``(outcome, elapsed)``, where
+    ``outcome`` holds what it returned or raised.  A call still running
+    after ``seconds`` fails the test, after ``kill()`` has ended the
+    adapter so that the thread returns."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    start = time.monotonic()
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        kill()
+        thread.join(10)
+        pytest.fail(f"adapter call still waiting after {seconds} s")
+    return outcome, time.monotonic() - start
+
+
+class TestAdapterDeadlines:
+    """Over both transports: ``generate`` and ``score`` give up after
+    ``timeout``, ``train`` waits as long as the adapter lives, and an
+    adapter that dies ends any wait."""
+
+    @pytest.fixture(params=["stdio", "socket"])
+    def open_adapter(self, request, stub_argv, tmp_path):
+        """Builder of ``(backend, kill)`` over a stub started with
+        ``flags``; ``kill()`` ends the stub process."""
+        servers = []
+
+        def build(*flags, timeout):
+            if request.param == "stdio":
+                pid_file = tmp_path / "stub.pid"
+                argv = stub_argv(*flags, "--pid-file", str(pid_file))
+
+                def kill():
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+                return AdapterBackend(argv=argv, timeout=timeout), kill
+            proc = subprocess.Popen(stub_argv(*flags, "--port", "0"),
+                                    stdout=subprocess.PIPE, text=True)
+            servers.append(proc)
+            address = ("127.0.0.1", int(proc.stdout.readline()))
+            return AdapterBackend(address=address, timeout=timeout), proc.kill
+
+        yield build
+        for proc in servers:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+    @pytest.mark.parametrize("op, call", [
+        ("generate", lambda b: b.generate("a b c", GenerationParams())),
+        ("score", lambda b: b.score(["a.", "b."])),
+    ], ids=["generate", "score"])
+    def test_stalled_request_times_out(self, open_adapter, op, call):
+        backend, kill = open_adapter("--delay-op", op, "--delay", "60",
+                                     timeout=0.5)
+        with backend:
+            outcome, elapsed = call_within(10, lambda: call(backend), kill)
+        assert isinstance(outcome.get("error"), BackendUnavailable)
+        assert "timed out" in str(outcome["error"])
+        assert elapsed < 5
+
+    def test_train_longer_than_timeout(self, open_adapter):
+        backend, kill = open_adapter("--delay-op", "train", "--delay", "1.5",
+                                     timeout=0.5)
+        with backend:
+            outcome, _ = call_within(10, lambda: fine_tune(
+                backend, train_split(3), SummarizerSpec(model_id="m", epochs=1),
+            ), kill)
+            assert outcome.get("result") is not None, outcome.get("error")
+            assert outcome["result"].checkpoint == "ckpt-3x1"
+            # The deadline is back for the next generate.
+            assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
+
+    def test_crash_ends_an_unbounded_wait(self, open_adapter):
+        backend, kill = open_adapter("--crash-after", "1", timeout=60)
+        with backend:
+            assert backend.generate("a b c", GenerationParams())
+            # train has no deadline: only the closed connection ends it.
+            outcome, elapsed = call_within(10, lambda: backend.train(
+                train_split(2), SummarizerSpec(model_id="m", epochs=1),
+            ), kill)
+        assert isinstance(outcome.get("error"), BackendUnavailable)
+        assert elapsed < 5

@@ -17,7 +17,8 @@ import indicsum
 from indicsum.backends import PRESETS, SummarizerSpec
 from indicsum.cli import main
 from indicsum.crosslingual import TranslationCache
-from indicsum.errors import ConfigError, EmptyReport, MissingGoldSummary, NoAlignment
+from indicsum.errors import (ConfigError, EmptyReport, MissingGoldSummary,
+                             NoAlignment, TranslationFailure)
 from indicsum.experiments import (
     ExperimentConfig,
     RunRecord,
@@ -346,6 +347,34 @@ class TestRunExperiment:
                              **setting)
         with pytest.raises(ConfigError, match=message):
             run_experiment(config)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("translator, error, message", [
+        ("table:/nonexistent.tsv", ConfigError, "translator table does not exist"),
+        ("bogus", ConfigError, "unknown translator 'bogus'"),
+        ("live:http://127.0.0.1:9/translate", TranslationFailure,
+         "TRANSLATE_API_KEY is not set"),
+    ], ids=["missing-table", "unknown", "live-without-key"])
+    def test_bad_translator_rejected_before_training(
+        self, translator, error, message, write_csv, tmp_path,
+        gujarati_records, monkeypatch,
+    ):
+        # A stub that fails the train op: reaching it would raise
+        # BackendUnavailable instead of the translator error.
+        monkeypatch.delenv("TRANSLATE_API_KEY", raising=False)
+        rows = [[r.id, "", "", r.article, r.summary] for r in gujarati_records[:2]]
+        pid_file = tmp_path / "stub.pid"
+        config = base_config(
+            write_csv(rows), tmp_path, language="gujarati",
+            pipeline="translate-map", translator=translator,
+            spec=SummarizerSpec(model_id="m", epochs=1),
+            train_path=str(write_csv(rows)),
+            adapter=shlex.join([sys.executable, str(STUB_PATH), "--fail-op",
+                                "train", "--pid-file", str(pid_file)]),
+        )
+        with pytest.raises(error, match=message):
+            run_experiment(config)
+        assert not pid_file.exists()
         assert not (tmp_path / "out").exists()
 
     def test_error_annotated_with_record_id(self, write_csv, tmp_path):
@@ -751,6 +780,21 @@ class TestCli:
         assert main(["train", "--preset", "english-t5", "--train", str(train),
                      "--adapter", argv]) == 0
         assert "ckpt-1x20" in capsys.readouterr().out
+
+    def test_train_matches_run_experiment(self, write_csv, tmp_path, capsys):
+        # hindi-indicbart augments with noise: one original and one noisy
+        # copy reach the adapter from both the CLI and a run.
+        train = write_csv([["t1", "", "", "पहला वाक्य यहाँ है। दूसरा वाक्य यहाँ है।",
+                            "पहला वाक्य यहाँ है।"]])
+        adapter = shlex.join([sys.executable, str(STUB_PATH)])
+        run = run_experiment(base_config(
+            train, tmp_path, language="hindi", eval_kind="train",
+            preset="hindi-indicbart", train_path=str(train), adapter=adapter,
+        ))
+        assert run.backend["checkpoint"] == "ckpt-2x2"
+        assert main(["train", "--preset", "hindi-indicbart", "--train",
+                     str(train), "--adapter", adapter]) == 0
+        assert capsys.readouterr().out == "checkpoint: ckpt-2x2\n"
 
     @pytest.mark.parametrize("stage", ["train", "summarize"])
     def test_stage_rejects_preset_language_mismatch(self, stage, eval_csv,
