@@ -324,7 +324,9 @@ class AdapterBackend:
             try:
                 # No deadline on train: a real fine-tune runs for hours.
                 self._sock.settimeout(None if op == "train" else self._timeout)
-                self._writer.write(line + "\n")
+                # Two writes: ``line + "\n"`` would copy a train payload.
+                self._writer.write(line)
+                self._writer.write("\n")
                 self._writer.flush()
                 raw = self._reader.readline()
             except (OSError, ValueError) as exc:

@@ -309,9 +309,11 @@ def back_map(english_summary: str, mapping: SentenceMapping,
     whose translation has the same ``rouge_tokens`` (so case, spacing
     and punctuation do not matter), else to the entry of maximal
     clipped unigram F1 over those tokens when it reaches ``threshold``
-    (ties go to the lowest index), else ``NoAlignment``.  Entries are
-    tokenized once each, in index order, only as far as needed.
-    Matched source sentences come out deduplicated, in article order.
+    (ties go to the lowest index), else to the lowest-index entry whose
+    tokens begin with the sentence's, when it has any (a sentence the
+    generator cut short), else ``NoAlignment``.  Entries are tokenized
+    once each, in index order, only as far as needed.  Matched source
+    sentences come out deduplicated, in article order.
     """
     if not mapping.entries:
         raise EmptyInput("mapping has no entries")
@@ -344,6 +346,10 @@ def back_map(english_summary: str, mapping: SentenceMapping,
                 if score > best_score:
                     best_index, best_score = i, score
             if best_score < threshold:
+                best_index = next((i for i, key in enumerate(entry_tokens)
+                                   if tokens and key[:len(tokens)] == tokens),
+                                  None)
+            if best_index is None:
                 raise NoAlignment(
                     f"no mapping entry reaches threshold {threshold} for"
                     f" summary sentence {sentence!r}"

@@ -8,8 +8,8 @@ through the translate/back-map pipeline.  Running one produces a
 RunRecord: per-record summaries with their ROUGE scores plus corpus
 aggregates, appended as one JSON line to ``runs.jsonl`` in the output
 directory.  An flock on the output directory serializes experiments.
-The CLI stages share ``run_experiment``'s backend, training,
-generation and per-record helpers.
+The CLI stages share ``run_experiment``'s backend and training
+helpers and its stage sequence over a split, ``summarize_split``.
 """
 
 import csv
@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import augment as augment_mod
-from . import jsonlog
+from . import crosslingual, jsonlog
 from .backends import (
     PRESETS,
     AdapterBackend,
@@ -42,7 +42,6 @@ from .crosslingual import (
     IdentityTranslator,
     TableTranslator,
     TranslationCache,
-    pipeline_summarize,
 )
 from .errors import (
     ConfigError,
@@ -52,7 +51,8 @@ from .errors import (
     MissingGoldSummary,
 )
 from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
-# Unused here, but e2ebench/tracing.py wraps these two names in this module.
+# Unused here, but e2ebench/tracing.py wraps these names in this module.
+from .crosslingual import pipeline_summarize  # noqa: F401
 from .rouge import corpus_rouge, rouge_n  # noqa: F401
 from .segment import LANGUAGES
 
@@ -363,29 +363,40 @@ def generation_params(preset, max_tokens: int | None,
     return replace(generation, seed=seed)
 
 
+def _with_record_id(rec, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with ``rec``'s id prepended to a toolkit
+    error (the same object, so ``NoAlignment.sentence`` and such survive)."""
+    try:
+        return fn(*args, **kwargs)
+    except IndicSumError as exc:
+        exc.args = (f"record {rec.id!r}: {exc}", *exc.args[1:])
+        raise
+
+
 def summarize_split(split, handle, generation, *, translator=None,
                     cache=None, threshold: float = DEFAULT_THRESHOLD):
-    """Yield ``(record, summary)`` for every record of ``split``, in order.
+    """``(record, summary)`` for every record of ``split``, in order.
 
-    With a ``translator`` each summary goes through the translate/back-map
-    pipeline, else straight through ``handle``.  Toolkit errors are
-    re-raised with the record id prepended.
+    Each stage runs over the whole split before the next: translate
+    (with a ``translator``, one cache ``put`` per article), generate
+    through ``handle``, back-map (with a translator), so a translation
+    error comes before any generation.  Toolkit errors name the record.
     """
-    for rec in split:
-        try:
-            if translator is None:
-                summary = summarize(handle, rec.article, generation)
-            else:
-                summary = pipeline_summarize(
-                    rec.article, translator, handle, generation,
-                    threshold=threshold, cache=cache,
-                )
-        except IndicSumError as exc:
-            # Re-raise the same object so fields such as
-            # NoAlignment.sentence survive the added record id.
-            exc.args = (f"record {rec.id!r}: {exc}", *exc.args[1:])
-            raise
-        yield rec, summary
+    records = list(split)
+    texts = [rec.article for rec in records]
+    if translator is not None:
+        # Only the mappings are kept; each English article is rebuilt below.
+        mappings = [_with_record_id(rec, crosslingual.build_mapping, text,
+                                    translator, cache=cache)[1]
+                    for rec, text in zip(records, texts)]
+        texts = (" ".join(entry[2] for entry in m) for m in mappings)
+    summaries = [_with_record_id(rec, summarize, handle, text, generation)
+                 for rec, text in zip(records, texts)]
+    if translator is not None:
+        summaries = [_with_record_id(rec, crosslingual.back_map, summary, m,
+                                     threshold)
+                     for rec, summary, m in zip(records, summaries, mappings)]
+    return list(zip(records, summaries))
 
 
 def write_summaries(path, rows) -> None:
@@ -431,11 +442,19 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         "translate-map+lead-baseline" if translate_map else "lead-baseline"
     )
 
-    # The translator is built before the backend starts, so a bad
-    # translator setting fails before anything trains.
+    # The translator and the eval split come before the backend starts,
+    # so a bad translator setting or an unscorable split fails before
+    # anything trains.
     translator = None
     if translate_map:
         translator = make_translator(config.translator, config.language)
+    eval_split = load_csv(config.eval_path, config.eval_kind, config.language)
+    for rec in eval_split:
+        if rec.summary is None:
+            raise MissingGoldSummary(
+                f"record {rec.id!r}: no gold summary;"
+                " evaluation needs references"
+            )
 
     digest = config_hash(config)
     os.makedirs(config.output_dir, exist_ok=True)
@@ -451,14 +470,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 config.augmentations, seed=config.seed,
                 append=config.augment_append,
             )
-
-        eval_split = load_csv(config.eval_path, config.eval_kind, config.language)
-        for rec in eval_split:
-            if rec.summary is None:
-                raise MissingGoldSummary(
-                    f"record {rec.id!r}: no gold summary;"
-                    " evaluation needs references"
-                )
 
         cache = None
         if translate_map:

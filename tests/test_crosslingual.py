@@ -31,7 +31,7 @@ from indicsum.errors import (
     NoAlignment,
     TranslationFailure,
 )
-from indicsum.rouge import rouge_tokens
+from indicsum.rouge import rouge_n, rouge_tokens
 from indicsum.segment import split_sentences
 
 GUJ = "પહેલું વાક્ય અહીં છે. બીજું વાક્ય અહીં છે. ત્રીજું વાક્ય અહીં છે."
@@ -305,7 +305,8 @@ def _render(words, rng):
 
 def random_back_map_case(seed):
     """A mapping with repeated, permuted and re-punctuated entries, a
-    summary of variants of them and of strangers, and a threshold."""
+    summary of variants of them (cut short among them) and of
+    strangers, and a threshold."""
     rng = random.Random(seed)
     token_lists = []
     for _ in range(rng.randint(1, 8)):
@@ -334,14 +335,20 @@ def random_back_map_case(seed):
             words[rng.randrange(len(words))] = rng.choice(_VOCAB)
         elif roll < 0.6:
             words = rng.choices(_VOCAB + ["zzz"], k=rng.randint(0, 5))
+        elif roll < 0.8 and words:
+            words = words[:rng.randrange(len(words))]  # cut short
         summary.append(_render(words, rng))
     return mapping, " ".join(summary), rng.choice([0.0, 0.3, 0.6, 1.0])
 
 
-def reference_back_map(summary, mapping, threshold):
+def reference_back_map(summary, mapping, threshold, rules=None):
     """Brute force: per summary sentence, the lowest index with equal
     tokens, else the lowest index of maximal unigram F1 at or above
-    ``threshold``, else ``NoAlignment``."""
+    ``threshold``, else the lowest index whose tokens begin with the
+    sentence's (when it has any), else ``NoAlignment``.  ``rules``, a
+    Counter, counts the rule each sentence resolved by."""
+    rules = Counter() if rules is None else rules
+
     def f1(a, b):
         overlap = sum((Counter(a) & Counter(b)).values())
         p = overlap / len(a) if a else 0.0
@@ -353,12 +360,20 @@ def reference_back_map(summary, mapping, threshold):
     for sentence in split_sentences(summary, "english"):
         tokens = rouge_tokens(sentence)
         if tokens in entries:
+            rules["exact"] += 1
             picked.add(entries.index(tokens))
             continue
         scores = [f1(tokens, ref) for ref in entries]
-        if max(scores) < threshold:
+        if max(scores) >= threshold:
+            rules["fuzzy"] += 1
+            picked.add(scores.index(max(scores)))
+            continue
+        begun = [i for i, ref in enumerate(entries)
+                 if tokens and ref[:len(tokens)] == tokens]
+        if not begun:
             raise NoAlignment("", sentence=sentence, best_score=max(scores))
-        picked.add(scores.index(max(scores)))
+        rules["prefix"] += 1
+        picked.add(begun[0])
     return " ".join(mapping.entries[i][1] for i in sorted(picked))
 
 
@@ -492,11 +507,12 @@ class TestBackMap:
         assert back_map("?!", words_only, threshold=0.0) == "પહેલું."
 
     def test_matches_brute_force_reference(self):
-        outcomes = Counter()
+        outcomes, rules = Counter(), Counter()
         for seed in range(300):
             mapping, summary, threshold = random_back_map_case(seed)
             try:
-                expected = reference_back_map(summary, mapping, threshold)
+                expected = reference_back_map(summary, mapping, threshold,
+                                              rules)
             except NoAlignment as exc:
                 outcomes["no alignment"] += 1
                 with pytest.raises(NoAlignment) as info:
@@ -507,6 +523,7 @@ class TestBackMap:
                 outcomes["mapped"] += 1
                 assert back_map(summary, mapping, threshold) == expected, seed
         assert min(outcomes.values()) > 30, outcomes
+        assert min(rules.values()) > 15, rules
 
     def test_lazy_exact_match_keeps_lowest_index(self):
         mapping = SentenceMapping(entries=(
@@ -572,6 +589,24 @@ class TestPipeline:
             article_sentences = set(split_sentences(rec.article, "gujarati"))
             for sentence in split_sentences(out, "gujarati"):
                 assert sentence in article_sentences
+
+    def test_first_sentence_cut_short_maps_back(self):
+        # 199 words on lines split only by newlines, then three sentences:
+        # the first sentence has no terminator before GUJ's first one.
+        # The lead cuts it to 85 words, whose unigram F1 against it is
+        # under the threshold; they begin it, so the whole of it comes back.
+        words = random.Random(5).choices(
+            "સમાચાર શહેર વરસાદ સરકાર લોકો રમત બજાર પાણી શાળા રસ્તો".split(),
+            k=199)
+        lines = [" ".join(words[i:i + 10]) for i in range(0, 199, 10)]
+        article = "\n".join(lines) + "\n" + GUJ
+        first = split_sentences(article, "gujarati")[0]
+        cut = " ".join(first.split()[:85])
+        assert rouge_n(cut, first, 1).f1 < 0.6
+        out = pipeline_summarize(article, IdentityTranslator(),
+                                 baseline_handle("english"),
+                                 GenerationParams(max_tokens=85))
+        assert out == first
 
 
 class _Translate(BaseHTTPRequestHandler):

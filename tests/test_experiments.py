@@ -29,6 +29,7 @@ from indicsum.experiments import (
     run_experiment,
 )
 from indicsum.rouge import corpus_rouge, rouge_n
+from indicsum.segment import split_sentences
 
 from conftest import STUB_PATH
 
@@ -377,6 +378,53 @@ class TestRunExperiment:
         assert not pid_file.exists()
         assert not (tmp_path / "out").exists()
 
+    def test_unscorable_eval_split_rejected_before_training(self, write_csv,
+                                                            tmp_path):
+        train = write_csv([["t1", "", "", "पहला वाक्य यहाँ है। दूसरा वाक्य।",
+                            "पहला वाक्य यहाँ है।"]])
+        no_gold = write_csv([["x9", "", "", "कोई वाक्य यहाँ है।"]],
+                            header=("id", "Link", "Heading", "Article"))
+        pid_file = tmp_path / "stub.pid"
+        config = base_config(
+            no_gold, tmp_path, language="hindi", preset="hindi-indicbart",
+            train_path=str(train),
+            adapter=shlex.join([sys.executable, str(STUB_PATH),
+                                "--pid-file", str(pid_file)]),
+        )
+        with pytest.raises(MissingGoldSummary, match="'x9'"):
+            run_experiment(config)
+        assert not pid_file.exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_translation_errors_come_before_generation(self, write_csv,
+                                                       tmp_path,
+                                                       gujarati_records):
+        # Every record's translation runs before any generate call, so a
+        # sentence of the last record with no table entry is the error,
+        # not the adapter failing the first record's generate.
+        records = gujarati_records[:3]
+        earlier = {s for r in records[:-1]
+                   for s in split_sentences(r.article, "gujarati")}
+        last = records[-1]
+        missing = next(s for s in split_sentences(last.article, "gujarati")
+                       if s not in earlier)
+        table = tmp_path / "table.tsv"
+        table.write_text("".join(
+            f"{s}\t{s}\n" for r in records
+            for s in split_sentences(r.article, "gujarati") if s != missing
+        ), encoding="utf-8")
+        config = base_config(
+            write_csv([[r.id, "", "", r.article, r.summary] for r in records]),
+            tmp_path, language="gujarati", pipeline="translate-map",
+            translator=f"table:{table}",
+            adapter=shlex.join([sys.executable, str(STUB_PATH),
+                                "--fail-op", "generate"]),
+        )
+        with pytest.raises(TranslationFailure) as info:
+            run_experiment(config)
+        assert str(info.value).startswith(f"record {last.id!r}: ")
+        assert missing in str(info.value)
+
     def test_error_annotated_with_record_id(self, write_csv, tmp_path):
         path = write_csv(
             [["x9", "", "", "Article text here."]],
@@ -390,10 +438,11 @@ class TestRunExperiment:
                                               gujarati_records):
         rec = gujarati_records[0]
         path = write_csv([[rec.id, "", "", rec.article, rec.summary]])
-        # Two words cut the first sentence short, and no fragment reaches
-        # a threshold of 1.0.
+        # A summary sharing no word with the article maps to no sentence.
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--fixed-summary", "Unrelated words here."])
         config = base_config(path, tmp_path, language="gujarati",
-                             pipeline="translate-map", threshold=1.0, max_tokens=2)
+                             pipeline="translate-map", adapter=adapter)
         with pytest.raises(NoAlignment) as info:
             run_experiment(config)
         assert str(info.value).startswith(f"record {rec.id!r}: ")
