@@ -1,11 +1,10 @@
 """Multilingual news-article summarization experiment toolkit.
 
 Covers the full experiment loop for English, Hindi and Gujarati news
-corpora: CSV ingestion, dataset augmentation, pluggable abstractive
-backends with a deterministic lead baseline, an extractive
-sentence-selection summarizer, a translate/summarize/back-map
-cross-lingual pipeline, exact ROUGE-1/2/4 scoring and a config-driven
-experiment runner.
+corpora: CSV ingestion, dataset augmentation, out-of-process model
+adapters with a deterministic lead baseline, a translate/summarize/
+back-map cross-lingual pipeline, exact ROUGE-1/2/4 scoring and a
+config-driven experiment runner.
 """
 
 from .backends import (
@@ -23,7 +22,7 @@ from .corpus import ArticleRecord, DatasetSplit, load_csv
 from .crosslingual import back_map, build_mapping, pipeline_summarize
 from .errors import IndicSumError
 from .experiments import ExperimentConfig, RunRecord, render_report, run_experiment
-from .extractive import score_sentences, select_summary
+from .extractive import select_summary
 from .rouge import RougeScore, corpus_rouge, rouge_n
 from .segment import split_sentences, tokenize_words
 
@@ -53,7 +52,6 @@ __all__ = [
     "render_report",
     "rouge_n",
     "run_experiment",
-    "score_sentences",
     "select_summary",
     "split_sentences",
     "summarize",

@@ -13,8 +13,9 @@ line ``{"op", "payload", "id"}``; each response is one line
                result {checkpoint}
 * ``generate`` payload {article, checkpoint, max_tokens, seed}
                result {summary}
-* ``score``    payload {sentences: [...], checkpoint}
-               result {scores: [...]}
+
+An adapter that serves an extractive model selects its sentences
+inside ``generate``.
 
 Any transport failure, malformed response or adapter-reported error
 surfaces as BackendUnavailable.
@@ -43,7 +44,6 @@ __all__ = [
     "fine_tune",
     "get_preset",
     "lead_baseline",
-    "scorer_from_handle",
     "summarize",
 ]
 
@@ -244,8 +244,8 @@ class AdapterBackend:
     after the spawn, so the adapter's exit reads as end of stream.  The
     transport starts lazily on the first request and is reused;
     requests are serialized through a lock, matching the adapters'
-    single-threaded protocol loop.  ``generate`` and ``score`` fail
-    after ``timeout`` seconds without an answer; ``train`` waits until
+    single-threaded protocol loop.  ``generate`` fails after
+    ``timeout`` seconds without an answer; ``train`` waits until
     the adapter answers or its end of the connection closes.  With
     ``trainable=False`` ``fine_tune`` refuses the backend and
     ``run_experiment`` skips training.
@@ -387,15 +387,6 @@ class AdapterBackend:
             raise BackendUnavailable(f"generate returned no summary: {result!r}")
         return summary
 
-    def score(self, sentences: list[str], checkpoint: str | None = None) -> list[float]:
-        result = self._request(
-            "score", {"sentences": list(sentences), "checkpoint": checkpoint}
-        )
-        scores = result.get("scores")
-        if not isinstance(scores, list) or len(scores) != len(sentences):
-            raise BackendUnavailable(f"score returned a bad vector: {result!r}")
-        return [float(s) for s in scores]
-
     def describe(self) -> dict:
         transport = (
             {"transport": "stdio", "argv": self._argv}
@@ -442,15 +433,3 @@ def summarize(handle: TrainedHandle, article: str,
         raise EmptyInput("cannot summarize an empty article")
     return handle.backend.generate(article, params, handle.checkpoint)
 
-
-def scorer_from_handle(handle: TrainedHandle):
-    """Adapt a trained sentence classifier into a plain score function.
-
-    The returned callable maps a list of sentences to a list of floats
-    through the adapter's ``score`` op, suitable for
-    extractive.score_sentences.
-    """
-    def scorer(sentences):
-        return handle.backend.score(list(sentences), handle.checkpoint)
-
-    return scorer

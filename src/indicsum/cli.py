@@ -81,12 +81,13 @@ def _cmd_summarize(args) -> int:
     if preset is not None and preset.pipeline != "direct":
         raise ConfigError(f"preset {args.preset!r} runs the {preset.pipeline}"
                           " pipeline; use translate-map or run")
+    generation = experiments.generation_params(preset, args.max_tokens)
+    generation.validate()
     language = args.lang or (preset.language if preset else "english")
     split = corpus.load_csv(args.csv, args.split, language)
     translator = None
     if args.translator:
         translator = experiments.make_translator(args.translator, language)
-    generation = experiments.generation_params(preset, args.max_tokens)
     lock = nullcontext()
     if args.cache:
         # The lock run_experiment holds over its cache: one writer per file.

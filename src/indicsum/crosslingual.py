@@ -11,6 +11,7 @@ clipped unigram F1 fallback with a configurable threshold.
 import http.client
 import json
 import os
+import sys
 import threading
 import time
 import urllib.error
@@ -163,7 +164,9 @@ class HttpTranslator:
 
 def _parse_cache_line(line: bytes):
     """``(key, translation)`` of one cache line; ``ValueError`` unless
-    all four fields are strings and the translation is not blank."""
+    all four fields are strings and the translation is not blank.  The
+    key's language names are interned, so a loaded cache holds one
+    string per language, not two per line."""
     try:
         rec = json.loads(line.decode("utf-8"))
         fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
@@ -171,7 +174,8 @@ def _parse_cache_line(line: bytes):
         raise ValueError(f"bad cache record: {exc}") from None
     if not all(isinstance(f, str) for f in fields) or not fields[3].strip():
         raise ValueError("bad cache record: a non-string field or a blank dst")
-    return fields[:3], fields[3]
+    src, src_lang, tgt_lang, dst = fields
+    return (src, sys.intern(src_lang), sys.intern(tgt_lang)), dst
 
 
 class TranslationCache:

@@ -27,14 +27,8 @@ class MismatchedIds(IndicSumError):
     """Candidate summaries and references do not cover the same ids."""
 
 
-# --- augment --------------------------------------------------------------
-
 class MissingGoldSummary(IndicSumError):
     """A record that must carry a gold summary does not."""
-
-
-class DegenerateClassDistribution(IndicSumError):
-    """Label balancing needs at least one example of each class."""
 
 
 # --- backends / extractive ------------------------------------------------
@@ -48,7 +42,7 @@ class InvalidSpec(IndicSumError):
 
 
 class EmptyInput(IndicSumError):
-    """A summarizer or scorer was given nothing to work on."""
+    """A summarizer or sentence selector was given nothing to work on."""
 
 
 # --- crosslingual ---------------------------------------------------------

@@ -1,22 +1,16 @@
-"""Extractive summarization by sentence scoring and selection.
+"""Extractive summary selection over already-scored sentences.
 
-This module is model-free: a scorer is any callable mapping a list of
-sentence strings to an equal-length list of scores in [0, 1].  The
-trained sentence classifier plugs in through
-backends.scorer_from_handle; a deterministic heading-overlap scorer is
-provided for tests and offline runs.
+Scoring sentences is a model's job and happens inside an adapter's
+``generate`` op; this module holds only the model-free selection rules
+that turn ``ScoredSentence`` values into a summary.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BackendUnavailable, EmptyInput
-from .rouge import rouge_tokens, score_counts
+from .errors import EmptyInput
 
 __all__ = [
     "ScoredSentence",
-    "heading_overlap_scorer",
-    "score_sentences",
     "select_summary",
 ]
 
@@ -32,46 +26,6 @@ class ScoredSentence:
             raise ValueError(f"score must be within [0, 1], got {self.score!r}")
         if self.position < 0:
             raise ValueError("position must be nonnegative")
-
-
-def heading_overlap_scorer(heading: str):
-    """Scorer that rates a sentence by unigram overlap with ``heading``.
-
-    The score is the clipped fraction of the sentence's tokens that
-    also appear in the heading: the unigram precision of
-    ``rouge.score_counts`` with the heading as reference, so it always
-    lies in [0, 1] and is 0 for a sentence without tokens.
-    Deterministic, no model involved.
-    """
-    head_counts = Counter(rouge_tokens(heading))
-
-    def scorer(sentences):
-        return [score_counts(Counter(rouge_tokens(s)), head_counts).precision
-                for s in sentences]
-
-    return scorer
-
-
-def score_sentences(scorer, sentences) -> list[ScoredSentence]:
-    """Score every sentence, preserving order.
-
-    ``sentences`` is any iterable of strings, such as the
-    ``segment.split_sentences`` tuple.  A scorer that returns the
-    wrong number of scores violates the adapter contract and raises
-    BackendUnavailable.
-    """
-    texts = list(sentences)
-    if not texts:
-        raise EmptyInput("no sentences to score")
-    scores = list(scorer(texts))
-    if len(scores) != len(texts):
-        raise BackendUnavailable(
-            f"scorer returned {len(scores)} scores for {len(texts)} sentences"
-        )
-    return [
-        ScoredSentence(sentence=s, score=float(v), position=p)
-        for p, (s, v) in enumerate(zip(texts, scores))
-    ]
 
 
 def select_summary(scored, k: int = 2, min_chars: int = 25) -> str:

@@ -6,9 +6,8 @@ Tokenization for the metric is fixed: canonical Unicode composition,
 lowercasing (a no-op for Indic scripts), punctuation replaced by
 spaces, whitespace split.  No stemming, no stopword removal.
 
-This module is the package's one text-matching rule: back-mapping,
-heading-overlap scoring and sentence labelling use ``rouge_tokens``
-and ``score_counts`` too.
+This module is the package's one text-matching rule: back-mapping
+uses ``rouge_tokens`` and ``score_counts`` too.
 """
 
 import unicodedata

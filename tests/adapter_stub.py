@@ -7,7 +7,6 @@ predict every response:
 * train    -> checkpoint "ckpt-<records>x<epochs>"
 * generate -> first max_tokens whitespace words of the article, or the
               --fixed-summary text when given
-* score    -> (i + 1) / (n + 1) for sentence i of n
 
 Failure modes for transport tests: --fail-op returns an error response
 for one op, --malformed writes a non-JSON line, --crash-after exits
@@ -44,11 +43,6 @@ def handle(request, opts):
             return {"result": {"summary": opts.fixed_summary}}
         words = article.split()[: int(payload.get("max_tokens", 75))]
         return {"result": {"summary": " ".join(words)}}
-    if op == "score":
-        sentences = payload.get("sentences") or []
-        n = len(sentences)
-        scores = [(i + 1) / (n + 1) for i in range(n)]
-        return {"result": {"scores": scores}}
     return {"error": f"unknown op {op!r}"}
 
 

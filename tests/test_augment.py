@@ -4,16 +4,12 @@ from pathlib import Path
 import pytest
 
 from indicsum.augment import (
-    LabeledSentence,
     add_noise,
     augment_split,
-    balance_labels,
     drop_tokens,
-    label_sentences,
     right_shift,
 )
 from indicsum.corpus import ArticleRecord, DatasetSplit
-from indicsum.errors import DegenerateClassDistribution, MissingGoldSummary
 from indicsum.segment import split_sentences
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "noise_rate01_seed42.txt"
@@ -114,112 +110,6 @@ class TestAddNoise:
             drop_tokens("a b", 1.5, 1)
         with pytest.raises(ValueError):
             drop_tokens("a b", -0.1, 1)
-
-
-class TestLabelSentences:
-    def test_exact_match_middle_sentence(self):
-        rec = record(
-            "Opening statement here. The key sentence. Closing remark.",
-            summary="The key sentence.",
-        )
-        labels = [s.label for s in label_sentences(rec)]
-        assert labels == [0, 1, 0]
-
-    def test_exact_match_ignores_case_and_punctuation(self):
-        rec = record(
-            "Opening statement here. THE KEY SENTENCE!! Closing remark.",
-            summary="the key sentence.",
-        )
-        labels = [s.label for s in label_sentences(rec)]
-        assert labels == [0, 1, 0]
-
-    def test_recall_fallback(self):
-        rec = record(
-            "the dog ran. the cat sat down.",
-            summary="the cat sat",
-        )
-        labels = [s.label for s in label_sentences(rec)]
-        assert labels == [0, 1]
-
-    def test_fallback_ties_go_to_earliest(self):
-        rec = record(
-            "apple pear plum. apple pear plum again.",
-            summary="grape melon apple",
-        )
-        labels = [s.label for s in label_sentences(rec)]
-        assert labels == [1, 0]
-
-    def test_missing_summary(self):
-        rec = ArticleRecord(id="r1", article="Some text.", summary=None)
-        with pytest.raises(MissingGoldSummary):
-            label_sentences(rec)
-
-    def test_positions_and_ids(self):
-        rec = record("One here. Two here. Three here.", summary="Two here.")
-        out = label_sentences(rec)
-        assert [s.position for s in out] == [0, 1, 2]
-        assert all(s.record_id == "r1" for s in out)
-
-    def test_at_least_one_positive_always(self):
-        rng = random.Random(41)
-        words = "market river storm city council report".split()
-        for _ in range(100):
-            sentences = [
-                " ".join(rng.choice(words) for _ in range(rng.randint(2, 5))) + "."
-                for _ in range(rng.randint(1, 5))
-            ]
-            rec = record(" ".join(sentences), summary="totally unrelated words.")
-            labels = [s.label for s in label_sentences(rec)]
-            assert sum(labels) >= 1
-
-    def test_exactly_one_positive_without_exact_match(self):
-        rec = record(
-            "storm hit the coast. markets closed early. schools stayed open.",
-            summary="the storm closed markets",
-        )
-        assert sum(s.label for s in label_sentences(rec)) == 1
-
-
-class TestBalanceLabels:
-    @staticmethod
-    def make(labels):
-        return [
-            LabeledSentence(sentence=f"s{i}", label=lab, record_id="r", position=i)
-            for i, lab in enumerate(labels)
-        ]
-
-    def test_upsample_positives(self):
-        out = balance_labels(self.make([1, 1, 0, 0, 0, 0, 0, 0]), seed=13)
-        assert sum(s.label for s in out) == 6
-        assert sum(1 - s.label for s in out) == 6
-
-    def test_already_balanced_unchanged(self):
-        start = self.make([1, 0, 1, 0])
-        assert balance_labels(start, seed=13) == start
-
-    def test_no_positives(self):
-        with pytest.raises(DegenerateClassDistribution):
-            balance_labels(self.make([0, 0, 0]), seed=13)
-
-    def test_no_negatives(self):
-        with pytest.raises(DegenerateClassDistribution):
-            balance_labels(self.make([1, 1]), seed=13)
-
-    def test_originals_retained_and_duplicates_from_minority(self):
-        start = self.make([1, 0, 0, 0])
-        out = balance_labels(start, seed=99)
-        assert out[: len(start)] == start
-        assert all(s.label == 1 for s in out[len(start):])
-        assert all(s in start for s in out[len(start):])
-
-    def test_minority_negatives_upsampled(self):
-        out = balance_labels(self.make([1, 1, 1, 0]), seed=5)
-        assert sum(s.label for s in out) == 3
-        assert sum(1 - s.label for s in out) == 3
-
-    def test_seeded_determinism(self):
-        start = self.make([1, 0, 0, 0, 0])
-        assert balance_labels(start, seed=7) == balance_labels(start, seed=7)
 
 
 class TestAugmentSplit:

@@ -18,7 +18,6 @@ from indicsum.backends import (
     fine_tune,
     get_preset,
     lead_baseline,
-    scorer_from_handle,
     summarize,
 )
 from indicsum.corpus import ArticleRecord, DatasetSplit
@@ -272,14 +271,6 @@ class TestAdapterStdio:
                                           GenerationParams(max_tokens=2))
             assert handle_out == "alpha beta"
 
-    def test_score_vector(self, stub_argv):
-        with AdapterBackend(argv=stub_argv()) as backend:
-            handle = fine_tune(backend, train_split(),
-                               get_preset("extractive-bert").spec)
-            scorer = scorer_from_handle(handle)
-            scores = scorer(["s one.", "s two.", "s three."])
-            assert scores == pytest.approx([0.25, 0.5, 0.75])
-
     def test_adapter_error_response(self, stub_argv):
         with AdapterBackend(argv=stub_argv("--fail-op", "generate")) as backend:
             with pytest.raises(BackendUnavailable):
@@ -364,9 +355,9 @@ def call_within(seconds, call, kill):
 
 
 class TestAdapterDeadlines:
-    """Over both transports: ``generate`` and ``score`` give up after
-    ``timeout``, ``train`` waits as long as the adapter lives, and an
-    adapter that dies ends any wait."""
+    """Over both transports: ``generate`` gives up after ``timeout``,
+    ``train`` waits as long as the adapter lives, and an adapter that
+    dies ends any wait."""
 
     @pytest.fixture(params=["stdio", "socket"])
     def open_adapter(self, request, stub_argv, tmp_path):
@@ -395,15 +386,13 @@ class TestAdapterDeadlines:
             proc.wait(timeout=10)
             proc.stdout.close()
 
-    @pytest.mark.parametrize("op, call", [
-        ("generate", lambda b: b.generate("a b c", GenerationParams())),
-        ("score", lambda b: b.score(["a.", "b."])),
-    ], ids=["generate", "score"])
-    def test_stalled_request_times_out(self, open_adapter, op, call):
+    @pytest.mark.parametrize("op", ["generate"])
+    def test_stalled_request_times_out(self, open_adapter, op):
         backend, kill = open_adapter("--delay-op", op, "--delay", "60",
                                      timeout=0.5)
         with backend:
-            outcome, elapsed = call_within(10, lambda: call(backend), kill)
+            outcome, elapsed = call_within(10, lambda: backend.generate(
+                "a b c", GenerationParams()), kill)
         assert isinstance(outcome.get("error"), BackendUnavailable)
         assert "timed out" in str(outcome["error"])
         assert elapsed < 5

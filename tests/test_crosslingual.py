@@ -247,6 +247,15 @@ class TestTranslationCache:
         cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati", "english")
         assert len(TranslationCache(path)) == 2
 
+    def test_loaded_language_names_are_shared(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("".join(cache_line(s, s) for s in GUJ_SENTENCES),
+                        encoding="utf-8")
+        keys = list(TranslationCache(path)._map)
+        assert len(keys) == 3
+        assert len({id(src_lang) for _, src_lang, _ in keys}) == 1
+        assert len({id(tgt_lang) for _, _, tgt_lang in keys}) == 1
+
     def test_bad_middle_line(self, torn):
         with open(torn, "a", encoding="utf-8") as fh:
             fh.write("\n" + cache_line(GUJ_SENTENCES[2], "e3."))

@@ -939,6 +939,26 @@ class TestCli:
         assert not out.exists()
         assert not pid_file.exists()
 
+    @pytest.mark.parametrize("stage", ["summarize", "translate-map"])
+    def test_stage_rejects_zero_budget_up_front(self, stage, write_csv,
+                                                tmp_path, gujarati_records,
+                                                capsys):
+        src = write_csv([[r.id, "", "", r.article, r.summary]
+                         for r in gujarati_records[:3]])
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--pid-file", str(pid_file)])
+        cache = tmp_path / "cache" / "tc.jsonl"
+        out = tmp_path / "c.csv"
+        assert main([stage, str(src), "--lang", "gujarati", "--max-tokens", "0",
+                     "--adapter", adapter, "--out", str(out),
+                     *(["--cache", str(cache)] if stage == "translate-map"
+                       else [])]) == 1
+        assert capsys.readouterr().err == "error: max_tokens must be >= 1, got 0\n"
+        assert not out.exists()
+        assert not cache.parent.exists()
+        assert not pid_file.exists()
+
     def test_summarize_bad_socket(self, eval_csv, tmp_path, capsys):
         assert main(["summarize", str(eval_csv), "--lang", "english",
                      "--socket", "host:bad",

@@ -2,14 +2,8 @@ import random
 
 import pytest
 
-from indicsum.errors import BackendUnavailable, EmptyInput
-from indicsum.extractive import (
-    ScoredSentence,
-    heading_overlap_scorer,
-    score_sentences,
-    select_summary,
-)
-from indicsum.segment import split_sentences
+from indicsum.errors import EmptyInput
+from indicsum.extractive import ScoredSentence, select_summary
 
 LONG = [
     "The reservoir level rose sharply after the rain.",       # 0
@@ -28,47 +22,10 @@ def scored(scores, sentences=None):
     ]
 
 
-class TestScoreSentences:
-    def test_heading_overlap_hand_computed(self):
-        scorer = heading_overlap_scorer("rain in the hills")
-        got = score_sentences(
-            scorer,
-            [
-                "Heavy rain fell in the hills today for hours.",
-                "Cricket resumed.",
-                "The rain in the hills will continue tomorrow evening.",
-            ],
-        )
-        # 4 of 9 tokens overlap; 0 of 2; 4 of 9 ("the" clipped to one hit)
-        assert [s.score for s in got] == pytest.approx([4 / 9, 0.0, 4 / 9])
-        assert [s.position for s in got] == [0, 1, 2]
-
-    def test_accepts_sentence_list(self):
-        got = score_sentences(
-            heading_overlap_scorer("dam gates"),
-            split_sentences(" ".join(LONG), "english"),
-        )
-        assert len(got) == 3
-
-    def test_single_sentence(self):
-        got = score_sentences(lambda xs: [0.5], ["only one."])
-        assert len(got) == 1
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            score_sentences(lambda xs: [], [])
-
-    def test_wrong_length_scorer(self):
-        with pytest.raises(BackendUnavailable):
-            score_sentences(lambda xs: [0.1], ["a.", "b."])
-
+class TestScoredSentence:
     def test_out_of_range_score(self):
         with pytest.raises(ValueError):
-            score_sentences(lambda xs: [1.5], ["a."])
-
-    def test_order_preserved(self):
-        got = score_sentences(lambda xs: [0.9, 0.1, 0.5], list("abc"))
-        assert [s.sentence for s in got] == ["a", "b", "c"]
+            ScoredSentence(sentence="a.", score=1.5, position=0)
 
 
 class TestSelectSummary:
