@@ -246,13 +246,12 @@ class AdapterBackend:
     requests are serialized through a lock, matching the adapters'
     single-threaded protocol loop.  ``generate`` fails after
     ``timeout`` seconds without an answer; ``train`` waits until
-    the adapter answers or its end of the connection closes.  With
-    ``trainable=False`` ``fine_tune`` refuses the backend and
-    ``run_experiment`` skips training.
+    the adapter answers or its end of the connection closes.
     """
 
-    def __init__(self, argv=None, address=None, *, trainable: bool = True,
-                 timeout: float = 30.0):
+    trainable = True
+
+    def __init__(self, argv=None, address=None, *, timeout: float = 30.0):
         if (argv is None) == (address is None):
             raise ValueError("pass exactly one of argv or address")
         if isinstance(argv, str):
@@ -266,7 +265,6 @@ class AdapterBackend:
         self._writer = None
         self._lock = threading.Lock()
         self._next_id = 0
-        self.trainable = trainable
 
     # -- transport ---------------------------------------------------
 

@@ -109,7 +109,7 @@ def _cmd_summarize(args) -> int:
 
 
 def _load_candidates(path) -> dict:
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with corpus.open_utf8(path, "utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         for name in ("id", "Summary"):

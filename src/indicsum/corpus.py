@@ -7,10 +7,12 @@ Summary``; validation and test files carry ``id,Link,Heading,Article``.
 
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import segment
 from .errors import (
+    BadEncoding,
     DuplicateId,
     EmptyArticle,
     EmptySplit,
@@ -52,20 +54,32 @@ class DatasetSplit:
         return iter(self.records)
 
 
+@contextmanager
+def open_utf8(path, encoding: str = "utf-8", newline=None):
+    """``open(path)`` for reading UTF-8 text; a byte that is not UTF-8
+    raises ``BadEncoding`` naming ``path``."""
+    with open(path, encoding=encoding, newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise BadEncoding(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, kind: str, language: str) -> DatasetSplit:
     """Load one dataset split from ``path``.
 
     Raises MissingColumn when ``id``/``Article`` (or ``Summary`` for a
     train file) is absent from the header, DuplicateId on repeated ids,
     EmptyArticle on a blank Article cell and MissingGoldSummary on a
-    train row with a blank Summary cell.  Row order is preserved.
+    train row with a blank Summary cell, and BadEncoding on a file that
+    is not UTF-8.  Row order is preserved.
     """
     if kind not in SPLIT_KINDS:
         raise ValueError(f"unknown split kind: {kind!r}")
     if language not in LANGUAGES:
         raise ValueError(f"unknown language: {language!r}")
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open_utf8(path, "utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

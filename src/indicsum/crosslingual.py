@@ -12,7 +12,6 @@ import http.client
 import json
 import os
 import sys
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -22,7 +21,9 @@ from dataclasses import dataclass
 
 from . import jsonlog, segment
 from .backends import GenerationParams, summarize
+from .corpus import open_utf8
 from .errors import (
+    ConfigError,
     EmptyInput,
     EmptySummary,
     NoAlignment,
@@ -42,6 +43,10 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.6
+PARALLELISM = 4         # threads per remote client's batch of sentences
+RETRY_ATTEMPTS = 3      # tries per sentence for a remote client,
+RETRY_BASE_DELAY = 0.1  # sleeping this * 2**k s after failure k
+HTTP_TIMEOUT = 30.0     # seconds per HttpTranslator request
 
 
 @dataclass(frozen=True)
@@ -66,19 +71,22 @@ class SentenceMapping:
     def __iter__(self):
         return iter(self.entries)
 
+    @property
+    def english_article(self) -> str:
+        """The translations, joined by single spaces."""
+        return " ".join(entry[2] for entry in self.entries)
+
 
 class IdentityTranslator:
     """Returns the input unchanged; the offline default for tests."""
 
-    local = True  # in memory: build_mapping calls it inline, on one thread
+    local = True  # in memory: build_mapping calls it once, inline
+    target_lang = "english"
 
-    def __init__(self, source_lang: str = "gujarati",
-                 target_lang: str = "english"):
+    def __init__(self, source_lang: str = "gujarati"):
         self.source_lang = source_lang
-        self.target_lang = target_lang
 
-    def translate(self, sentence: str, source_lang: str,
-                  target_lang: str) -> str:
+    def translate(self, sentence: str) -> str:
         return sentence
 
 
@@ -86,30 +94,27 @@ class TableTranslator:
     """Fixed-table translator backed by a two-column UTF-8 TSV."""
 
     local = True
+    target_lang = "english"
 
-    def __init__(self, table: dict, source_lang: str = "gujarati",
-                 target_lang: str = "english"):
+    def __init__(self, table: dict, source_lang: str = "gujarati"):
         self.table = dict(table)
         self.source_lang = source_lang
-        self.target_lang = target_lang
 
     @classmethod
-    def from_tsv(cls, path, source_lang: str = "gujarati",
-                 target_lang: str = "english") -> "TableTranslator":
+    def from_tsv(cls, path, source_lang: str = "gujarati") -> "TableTranslator":
         table = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line.strip() or line.startswith("#"):
                     continue
                 if "\t" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected two TAB columns")
+                    raise ConfigError(f"{path}:{lineno}: expected two TAB columns")
                 src, dst = line.split("\t", 1)
                 table[src.strip()] = dst.strip()
-        return cls(table, source_lang, target_lang)
+        return cls(table, source_lang)
 
-    def translate(self, sentence: str, source_lang: str,
-                  target_lang: str) -> str:
+    def translate(self, sentence: str) -> str:
         try:
             return self.table[sentence.strip()]
         except KeyError:
@@ -126,8 +131,9 @@ class HttpTranslator:
     {"text", "source", "target"} to {"translation"}.
     """
 
-    def __init__(self, endpoint: str, source_lang: str = "gujarati",
-                 target_lang: str = "english", timeout: float = 30.0):
+    target_lang = "english"
+
+    def __init__(self, endpoint: str, source_lang: str = "gujarati"):
         key = os.environ.get("TRANSLATE_API_KEY")
         if not key:
             raise TranslationFailure(
@@ -135,19 +141,16 @@ class HttpTranslator:
             )
         self.endpoint = endpoint
         self.source_lang = source_lang
-        self.target_lang = target_lang
-        self.timeout = timeout
         self._headers = {"Authorization": f"Bearer {key}",
                          "Content-Type": "application/json"}
 
-    def translate(self, sentence: str, source_lang: str,
-                  target_lang: str) -> str:
-        data = json.dumps({"text": sentence, "source": source_lang,
-                           "target": target_lang}).encode("utf-8")
+    def translate(self, sentence: str) -> str:
+        data = json.dumps({"text": sentence, "source": self.source_lang,
+                           "target": self.target_lang}).encode("utf-8")
         request = urllib.request.Request(self.endpoint, data=data,
                                          headers=self._headers)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT) as response:
                 body = json.load(response)
         except urllib.error.HTTPError as exc:
             exc.close()  # a 4xx/5xx error still holds the open response
@@ -185,14 +188,14 @@ class TranslationCache:
     Existing entries are loaded eagerly.  Each ``put`` appends its batch
     of new records with one write.  One process may write a file at a
     time (``run_experiment`` and ``translate-map --cache`` hold
-    ``experiments.directory_lock`` on the file's directory).  A torn
-    last line, left by a process killed mid-write, is handled by the
-    rule in ``jsonlog``: skipped on load, cut off by the next ``put``.
+    ``experiments.directory_lock`` on the file's directory), on one
+    thread.  A torn last line, left by a process killed mid-write, is
+    handled by the rule in ``jsonlog``: skipped on load, cut off by the
+    next ``put``.
     """
 
     def __init__(self, path):
         self.path = path
-        self._lock = threading.Lock()
         self._map = {}
         if os.path.exists(path):
             records = jsonlog.read(path, _parse_cache_line)
@@ -202,56 +205,54 @@ class TranslationCache:
         return len(self._map)
 
     def get(self, src: str, src_lang: str, tgt_lang: str) -> str | None:
-        with self._lock:
-            return self._map.get((src, src_lang, tgt_lang))
+        return self._map.get((src, src_lang, tgt_lang))
 
     def put(self, pairs, src_lang: str, tgt_lang: str) -> None:
         """Record ``(src, dst)`` pairs, appending the new ones in order."""
-        with self._lock:
-            lines = []
-            for src, dst in pairs:
-                key = (src, src_lang, tgt_lang)
-                if key in self._map:
-                    continue
-                self._map[key] = dst
-                record = {"src": src, "src_lang": src_lang,
-                          "tgt_lang": tgt_lang, "dst": dst}
-                lines.append(json.dumps(record, ensure_ascii=False))
-            if lines:
-                jsonlog.append(self.path, lines, _parse_cache_line)
+        lines = []
+        for src, dst in pairs:
+            key = (src, src_lang, tgt_lang)
+            if key in self._map:
+                continue
+            self._map[key] = dst
+            record = {"src": src, "src_lang": src_lang,
+                      "tgt_lang": tgt_lang, "dst": dst}
+            lines.append(json.dumps(record, ensure_ascii=False))
+        if lines:
+            jsonlog.append(self.path, lines, _parse_cache_line)
 
 
-def _translate_once(client, sentence, retry_attempts, retry_base_delay, sleep):
-    """Call the client with bounded retry and exponential backoff.
+def _translate_once(client, sentence):
+    """``client.translate(sentence)``; ``TranslationFailure`` if blank."""
+    translated = client.translate(sentence)
+    if not isinstance(translated, str) or not translated.strip():
+        raise TranslationFailure(
+            f"client returned an empty translation for {sentence!r}"
+        )
+    return translated
+
+
+def _translate_retrying(client, sentence, sleep):
+    """``_translate_once`` with bounded retry and exponential backoff.
 
     Only transport errors (``OSError``, which covers ``URLError``,
     ``ConnectionError`` and ``TimeoutError``) and ``TranslationFailure``
     are retried; any other exception is a bug and propagates at once.
     """
-    src, tgt = client.source_lang, client.target_lang
-    last_exc = None
-    for attempt in range(retry_attempts):
+    for attempt in range(RETRY_ATTEMPTS):
         try:
-            translated = client.translate(sentence, src, tgt)
-            if not isinstance(translated, str) or not translated.strip():
-                raise TranslationFailure(
-                    f"client returned an empty translation for {sentence!r}"
-                )
-            return translated
+            return _translate_once(client, sentence)
         except (OSError, TranslationFailure) as exc:
-            last_exc = exc
-            if attempt + 1 < retry_attempts:
-                sleep(retry_base_delay * (2 ** attempt))
-    raise TranslationFailure(
-        f"translation failed after {retry_attempts} attempts for"
-        f" {sentence!r}: {last_exc}"
-    ) from last_exc
+            if attempt + 1 == RETRY_ATTEMPTS:
+                raise TranslationFailure(
+                    f"translation failed after {RETRY_ATTEMPTS} attempts for"
+                    f" {sentence!r}: {exc}"
+                ) from exc
+            sleep(RETRY_BASE_DELAY * (2 ** attempt))
 
 
 def build_mapping(article: str, client, *, cache: TranslationCache | None = None,
-                  parallelism: int = 4, retry_attempts: int = 3,
-                  retry_base_delay: float = 0.1,
-                  sleep=time.sleep) -> tuple[str, SentenceMapping]:
+                  sleep=time.sleep) -> SentenceMapping:
     """Translate ``article`` sentence by sentence, keeping the mapping.
 
     The source language (taken from the client) selects sentence
@@ -259,8 +260,9 @@ def build_mapping(article: str, client, *, cache: TranslationCache | None = None
     call; the persistent cache, when given, short-circuits repeat work
     across calls, and new translations go to it in one ``put``.  A
     client that declares ``local = True`` (an in-memory translator) is
-    called inline on this thread; any other client translates distinct
-    sentences concurrently on up to ``parallelism`` threads.
+    called once per sentence on this thread, and its error propagates;
+    any other client translates distinct sentences concurrently on up
+    to ``PARALLELISM`` threads, with ``_translate_retrying``.
     """
     language = client.source_lang
     if language not in segment.LANGUAGES:
@@ -283,33 +285,30 @@ def build_mapping(article: str, client, *, cache: TranslationCache | None = None
             pending.append(sentence)
 
     if pending:
-        def translate(sentence):
-            return _translate_once(client, sentence, retry_attempts,
-                                   retry_base_delay, sleep)
-
         if getattr(client, "local", False):
-            translated = [translate(s) for s in pending]
+            translated = [_translate_once(client, s) for s in pending]
         else:
-            workers = max(1, min(parallelism, len(pending)))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                translated = list(pool.map(translate, pending))
+            with ThreadPoolExecutor(min(PARALLELISM, len(pending))) as pool:
+                translated = list(pool.map(
+                    lambda s: _translate_retrying(client, s, sleep), pending))
         new = list(zip(pending, translated))
         memo.update(new)
         if cache is not None:
             cache.put(new, src, tgt)
 
-    entries = tuple(
+    return SentenceMapping(entries=tuple(
         (i, sentence, memo[sentence]) for i, sentence in enumerate(sentences)
-    )
-    english_article = " ".join(memo[s] for s in sentences)
-    return english_article, SentenceMapping(entries=entries)
+    ))
 
 
 def back_map(english_summary: str, mapping: SentenceMapping,
              threshold: float = DEFAULT_THRESHOLD) -> str:
     """Restore original-language sentences for an English summary.
 
-    Each summary sentence resolves to the lowest-index mapping entry
+    The summary splits into sentences on every language's terminators,
+    so a sentence that runs over several danda-ended entries (as Hindi
+    text under ``IdentityTranslator`` does) splits into them.  Each
+    summary sentence resolves to the lowest-index mapping entry
     whose translation has the same ``rouge_tokens`` (so case, spacing
     and punctuation do not matter), else to the entry of maximal
     clipped unigram F1 over those tokens when it reaches ``threshold``
@@ -323,7 +322,8 @@ def back_map(english_summary: str, mapping: SentenceMapping,
         raise EmptyInput("mapping has no entries")
     if not english_summary.strip():
         raise EmptySummary("summary is empty, nothing to back-map")
-    summary_sentences = list(segment.split_sentences(english_summary, "english"))
+    # Hindi's terminators are every language's.
+    summary_sentences = list(segment.split_sentences(english_summary, "hindi"))
 
     entry_tokens = []  # token tuples of entries 0, 1, ... as far as scanned
     exact = {}         # token tuple -> lowest index among scanned entries
@@ -376,6 +376,6 @@ def pipeline_summarize(article: str, client, handle,
 
     The result consists solely of sentences from ``article``.
     """
-    english_article, mapping = build_mapping(article, client, cache=cache)
-    english_summary = summarize(handle, english_article, params)
+    mapping = build_mapping(article, client, cache=cache)
+    english_summary = summarize(handle, mapping.english_article, params)
     return back_map(english_summary, mapping, threshold)

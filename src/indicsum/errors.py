@@ -31,6 +31,10 @@ class MissingGoldSummary(IndicSumError):
     """A record that must carry a gold summary does not."""
 
 
+class BadEncoding(IndicSumError):
+    """An input file is not UTF-8 text."""
+
+
 # --- backends / extractive ------------------------------------------------
 
 class BackendUnavailable(IndicSumError):

@@ -35,7 +35,7 @@ from .backends import (
     get_preset,
     summarize,
 )
-from .corpus import SPLIT_KINDS, load_csv
+from .corpus import SPLIT_KINDS, load_csv, open_utf8
 from .crosslingual import (
     DEFAULT_THRESHOLD,
     HttpTranslator,
@@ -196,7 +196,7 @@ def parse_config_file(path) -> dict:
     override earlier ones.
     """
     mapping = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -385,11 +385,11 @@ def summarize_split(split, handle, generation, *, translator=None,
     records = list(split)
     texts = [rec.article for rec in records]
     if translator is not None:
-        # Only the mappings are kept; each English article is rebuilt below.
+        # Only the mappings are kept; each English article is joined below.
         mappings = [_with_record_id(rec, crosslingual.build_mapping, text,
-                                    translator, cache=cache)[1]
+                                    translator, cache=cache)
                     for rec, text in zip(records, texts)]
-        texts = (" ".join(entry[2] for entry in m) for m in mappings)
+        texts = (m.english_article for m in mappings)
     summaries = [_with_record_id(rec, summarize, handle, text, generation)
                  for rec, text in zip(records, texts)]
     if translator is not None:

@@ -266,7 +266,7 @@ class TestAdapterStdio:
             assert out == "one two three"
 
     def test_generate_without_training(self, stub_argv):
-        with AdapterBackend(argv=stub_argv(), trainable=False) as backend:
+        with AdapterBackend(argv=stub_argv()) as backend:
             handle_out = backend.generate("alpha beta gamma delta",
                                           GenerationParams(max_tokens=2))
             assert handle_out == "alpha beta"

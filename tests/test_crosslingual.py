@@ -47,7 +47,7 @@ class CountingIdentity(IdentityTranslator):
         super().__init__(**kw)
         self.calls = []
 
-    def translate(self, sentence, source_lang, target_lang):
+    def translate(self, sentence):
         self.calls.append(sentence)
         return sentence
 
@@ -60,7 +60,7 @@ class FailingClient:
         self.fail_times = fail_times
         self.calls = 0
 
-    def translate(self, sentence, source_lang, target_lang):
+    def translate(self, sentence):
         self.calls += 1
         if self.calls <= self.fail_times:
             raise ConnectionError("boom")
@@ -69,8 +69,8 @@ class FailingClient:
 
 class TestBuildMapping:
     def test_identity_three_sentences(self):
-        english, mapping = build_mapping(GUJ, IdentityTranslator())
-        assert english == " ".join(GUJ_SENTENCES)
+        mapping = build_mapping(GUJ, IdentityTranslator())
+        assert mapping.english_article == " ".join(GUJ_SENTENCES)
         assert list(mapping) == [
             (i, s, s) for i, s in enumerate(GUJ_SENTENCES)
         ]
@@ -81,31 +81,44 @@ class TestBuildMapping:
             GUJ_SENTENCES[1]: "e2.",
             GUJ_SENTENCES[2]: "e3.",
         }
-        english, mapping = build_mapping(
-            GUJ, TableTranslator(table), retry_base_delay=0
-        )
-        assert english == "e1. e2. e3."
+        mapping = build_mapping(GUJ, TableTranslator(table))
+        assert mapping.english_article == "e1. e2. e3."
         assert mapping.entries[1] == (1, GUJ_SENTENCES[1], "e2.")
 
     def test_always_failing_client(self):
         client = FailingClient()
-        with pytest.raises(TranslationFailure):
-            build_mapping(GUJ, client, retry_base_delay=0)
+        delays = []
+        with pytest.raises(TranslationFailure, match="after 3 attempts"):
+            build_mapping("એક વાક્ય છે.", client, sleep=delays.append)
+        assert client.calls == crosslingual.RETRY_ATTEMPTS == 3
+        assert delays == [0.1, 0.2]
 
     def test_retry_with_backoff_then_success(self):
         delays = []
         client = FailingClient(fail_times=2)
-        english, _ = build_mapping(
-            "એક વાક્ય છે.", client,
-            retry_base_delay=0.5, sleep=delays.append,
-        )
-        assert english == "en(એક વાક્ય છે.)"
+        mapping = build_mapping("એક વાક્ય છે.", client, sleep=delays.append)
+        assert mapping.english_article == "en(એક વાક્ય છે.)"
         assert client.calls == 3
-        assert delays == [0.5, 1.0]
+        base = crosslingual.RETRY_BASE_DELAY
+        assert delays == [base * 1, base * 2]
+
+    def test_table_miss_is_one_call_without_sleep(self):
+        calls, delays = [], []
+
+        class Counting(TableTranslator):
+            def translate(self, sentence):
+                calls.append(sentence)
+                return super().translate(sentence)
+
+        with pytest.raises(TranslationFailure,
+                           match="^no table entry for sentence: 'એક વાક્ય છે.'$"):
+            build_mapping("એક વાક્ય છે.", Counting({}), sleep=delays.append)
+        assert calls == ["એક વાક્ય છે."]
+        assert delays == []
 
     def test_programming_error_not_retried(self):
         class Buggy(FailingClient):
-            def translate(self, sentence, source_lang, target_lang):
+            def translate(self, sentence):
                 self.calls += 1
                 raise TypeError("bug")
 
@@ -119,29 +132,45 @@ class TestBuildMapping:
     def test_client_called_once_per_distinct_sentence(self):
         client = CountingIdentity()
         repeated = "એક સરખું વાક્ય. બીજું વાક્ય. એક સરખું વાક્ય."
-        _, mapping = build_mapping(repeated, client)
+        mapping = build_mapping(repeated, client)
         assert len(mapping) == 3
         assert sorted(client.calls) == sorted(set(client.calls))
 
     def test_parallel_translation_preserves_order(self):
+        # The first call returns only after the fourth has, so the pool's
+        # results finish out of order.
         sentences = [f"વાક્ય ક્રમ {i} છે." for i in range(30)]
-        client = CountingIdentity()
-        english, mapping = build_mapping(
-            " ".join(sentences), client, parallelism=8
-        )
+        fourth_done = threading.Event()
+        finished = []
+
+        class Remote:
+            source_lang = "gujarati"
+            target_lang = "english"
+
+            def translate(self, sentence):
+                if sentence == sentences[0]:
+                    assert fourth_done.wait(5)
+                finished.append(sentence)
+                if sentence == sentences[3]:
+                    fourth_done.set()
+                return f"en({sentence})"
+
+        mapping = build_mapping(" ".join(sentences), Remote())
+        assert finished.index(sentences[3]) < finished.index(sentences[0])
+        assert sorted(finished) == sorted(sentences)
         assert [e[1] for e in mapping] == sentences
-        assert english == " ".join(sentences)
+        assert mapping.english_article == " ".join(f"en({s})" for s in sentences)
 
     def test_local_translator_runs_on_calling_thread(self):
         threads = set()
 
         class Recording(IdentityTranslator):
-            def translate(self, sentence, source_lang, target_lang):
+            def translate(self, sentence):
                 threads.add(threading.get_ident())
                 return sentence
 
         sentences = [f"વાક્ય ક્રમ {i} છે." for i in range(30)]
-        build_mapping(" ".join(sentences), Recording(), parallelism=8)
+        build_mapping(" ".join(sentences), Recording())
         assert threads == {threading.get_ident()}
 
     def test_other_clients_translate_concurrently(self):
@@ -153,13 +182,12 @@ class TestBuildMapping:
             source_lang = "gujarati"
             target_lang = "english"
 
-            def translate(self, sentence, source_lang, target_lang):
+            def translate(self, sentence):
                 barrier.wait()
                 return sentence
 
-        english, _ = build_mapping(" ".join(GUJ_SENTENCES[:2]), Remote(),
-                                   parallelism=2)
-        assert english == " ".join(GUJ_SENTENCES[:2])
+        mapping = build_mapping(" ".join(GUJ_SENTENCES[:2]), Remote())
+        assert mapping.english_article == " ".join(GUJ_SENTENCES[:2])
 
     def test_empty_article(self):
         with pytest.raises(EmptyInput):
@@ -171,11 +199,13 @@ class TestBuildMapping:
 
     def test_empty_translation_rejected(self):
         class Empty(IdentityTranslator):
-            def translate(self, sentence, a, b):
+            def translate(self, sentence):
                 return "  "
 
-        with pytest.raises(TranslationFailure):
-            build_mapping("એક વાક્ય.", Empty(), retry_base_delay=0)
+        delays = []
+        with pytest.raises(TranslationFailure, match="empty translation"):
+            build_mapping("એક વાક્ય.", Empty(), sleep=delays.append)
+        assert delays == []
 
     def test_cache_roundtrip_and_short_circuit(self, tmp_path):
         cache_path = tmp_path / "cache.jsonl"
@@ -193,8 +223,8 @@ class TestBuildMapping:
 
         # a fresh cache instance serves a client that would otherwise fail
         reloaded = TranslationCache(cache_path)
-        english, _ = build_mapping(GUJ, FailingClient(), cache=reloaded)
-        assert english == " ".join(GUJ_SENTENCES)
+        mapping = build_mapping(GUJ, FailingClient(), cache=reloaded)
+        assert mapping.english_article == " ".join(GUJ_SENTENCES)
 
     def test_cold_mapping_appends_in_one_put(self, tmp_path, monkeypatch):
         batches = []
@@ -582,7 +612,7 @@ class TestPipeline:
             GUJ_SENTENCES[2]: "third english sentence here.",
         }
         argv = stub_argv("--fixed-summary", "second english sentence here.")
-        with AdapterBackend(argv=argv, trainable=False) as backend:
+        with AdapterBackend(argv=argv) as backend:
             out = pipeline_summarize(
                 GUJ, TableTranslator(table), TrainedHandle(backend=backend),
                 get_preset("gujarati-translate-map").generation,
@@ -685,8 +715,8 @@ class TestHttpTranslator:
         monkeypatch.setenv("TRANSLATE_API_KEY", "sekrit")
         _Translate.seen_auth.clear()
         client = HttpTranslator(endpoint, source_lang="english")
-        english, mapping = build_mapping("small test. another one.", client)
-        assert english == "SMALL TEST. ANOTHER ONE."
+        mapping = build_mapping("small test. another one.", client)
+        assert mapping.english_article == "SMALL TEST. ANOTHER ONE."
         assert set(_Translate.seen_auth) == {"Bearer sekrit"}
 
     def test_server_error_raises_translation_failure(self, failing_endpoint,
@@ -714,15 +744,15 @@ class TestTableTranslatorFile:
             encoding="utf-8",
         )
         client = TableTranslator.from_tsv(tsv)
-        assert client.translate("એક વાક્ય.", "gujarati", "english") == "one sentence."
+        assert client.translate("એક વાક્ય.") == "one sentence."
 
     def test_missing_entry(self):
         client = TableTranslator({})
         with pytest.raises(TranslationFailure):
-            client.translate("unknown.", "gujarati", "english")
+            client.translate("unknown.")
 
     def test_bad_tsv_line(self, tmp_path):
         tsv = tmp_path / "bad.tsv"
-        tsv.write_text("no tab here\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        tsv.write_text("# comment\nno tab here\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"bad\.tsv:2: expected two TAB"):
             TableTranslator.from_tsv(tsv)

@@ -896,6 +896,52 @@ class TestCli:
         assert done.stderr.count("\n") == 1
         assert list(work.iterdir()) == []
 
+    _CSV = "id,Link,Heading,Article,Summary\ng1,,,એક વાક્ય છે.,એક.\n".encode()
+
+    @pytest.mark.parametrize("files,argv,error", [
+        ({"bad.tsv": b"no tab here\n"},
+         ["translate-map", "data.csv", "--translator", "table:bad.tsv",
+          "--out", "out.csv"],
+         "error: bad.tsv:1: expected two TAB columns"),
+        ({"bad.tsv": b"no tab here\n",
+          "exp.cfg": b"language = gujarati\neval = data.csv\noutput_dir = out\n"
+                     b"pipeline = translate-map\ntranslator = table:bad.tsv\n"},
+         ["run", "--config", "exp.cfg"],
+         "error: bad.tsv:1: expected two TAB columns"),
+        ({"data.csv": _CSV.replace("એક.".encode(), b"\xff")},
+         ["prepare", "data.csv", "--lang", "gujarati", "--split", "validation"],
+         "error: data.csv: not UTF-8 text (invalid start byte)"),
+        ({"bad.tsv": "એક વાક્ય છે.\t".encode() + b"one\xe0.\n"},
+         ["translate-map", "data.csv", "--translator", "table:bad.tsv",
+          "--out", "out.csv"],
+         "error: bad.tsv: not UTF-8 text ("),
+        ({"exp.cfg": b"language = gujarati\n# caf\xe9\neval = data.csv\n"},
+         ["run", "--config", "exp.cfg"],
+         "error: exp.cfg: not UTF-8 text ("),
+        ({"cands.csv": b"id,Summary\ng1,\xff\n"},
+         ["evaluate", "cands.csv", "--refs", "data.csv", "--lang", "gujarati"],
+         "error: cands.csv: not UTF-8 text (invalid start byte)"),
+    ], ids=["translate-map-table-no-tab", "run-table-no-tab", "prepare-not-utf8",
+            "translate-map-table-not-utf8", "run-config-not-utf8",
+            "evaluate-cands-not-utf8"])
+    def test_unreadable_input_is_one_line_error(self, files, argv, error,
+                                                 tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        files = {"data.csv": self._CSV, **files}
+        for name, data in files.items():
+            (work / name).write_bytes(data)
+        done = subprocess.run(
+            [sys.executable, "-m", "indicsum.cli", *argv], cwd=work,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(error)
+        assert done.stderr.count("\n") == 1
+        assert sorted(p.name for p in work.iterdir()) == sorted(files)
+
     def test_translate_map_cli(self, write_csv, tmp_path, gujarati_records, capsys):
         rows = [[r.id, "", "", r.article, r.summary or ""]
                 for r in gujarati_records[:5]]

@@ -1,11 +1,15 @@
-"""Every exported name exists, so a deletion cannot leave a stale export."""
+"""Every exported name exists, so a deletion cannot leave a stale export,
+and every name the benchmark's tracer patches exists too."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import indicsum
+from indicsum import rouge
 
 MODULES = ["indicsum"] + [
     f"indicsum.{info.name}" for info in pkgutil.iter_modules(indicsum.__path__)
@@ -17,3 +21,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_traced_names_exist():
+    """The benchmark's tracer patches each ``(owner, attr)`` in its
+    ``TRACED`` table, and its runner records ``rouge.KERNEL_BACKEND``;
+    a deletion that removes one breaks the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "e2ebench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("e2ebench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    assert [(owner.__name__, attr) for owner, attr, _ in tracing.TRACED
+            if attr not in owner.__dict__] == []
+    assert hasattr(rouge, "KERNEL_BACKEND")

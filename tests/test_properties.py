@@ -1,5 +1,6 @@
-"""Property tests over random English, Hindi and Gujarati texts, and
-exhaustive torn-tail checks of the append-only logs.
+"""Property tests over random English, Hindi and Gujarati texts and
+random config files, and exhaustive torn-tail checks of the append-only
+logs.
 
 Texts are runs of words split into lines by newlines only, into
 sentences by each language's terminators, or not at all.  Examples are
@@ -7,20 +8,26 @@ derandomized, so every run checks the same cases.
 """
 
 import json
+import os
 import re
+import tempfile
+import unicodedata
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indicsum import jsonlog
-from indicsum.backends import GenerationParams, baseline_handle, lead_baseline
+from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
+                               baseline_handle, lead_baseline)
+from indicsum.corpus import SPLIT_KINDS
 from indicsum.crosslingual import (IdentityTranslator, TranslationCache,
                                    pipeline_summarize)
-from indicsum.errors import NoAlignment
-from indicsum.experiments import RunRecord, load_runs
-from indicsum.rouge import rouge_tokens
-from indicsum.segment import iter_sentences, split_sentences, tokenize_words
+from indicsum.experiments import (ExperimentConfig, RunRecord, config_hash,
+                                  load_runs, parse_config_file)
+from indicsum.rouge import DEFAULT_ORDERS, rouge_scores, rouge_tokens
+from indicsum.segment import (LANGUAGES, iter_sentences, split_sentences,
+                              tokenize_words)
 
 from conftest import _GUJARATI_WORDS, _HINDI_WORDS, _WORDS
 
@@ -33,12 +40,11 @@ derandomized = settings(derandomize=True, deadline=None, max_examples=200)
 
 
 @st.composite
-def texts(draw, language, terminators=None):
+def texts(draw, language):
     """Runs of words, each ended by a terminator, by a newline only or by
     nothing; any run may be long enough to outlast a summary budget."""
     words = st.sampled_from(_VOCAB[language])
-    terminators = terminators or _TERMINATORS[language]
-    ends = st.sampled_from([*terminators, "\n", "\n\n", " ", ""])
+    ends = st.sampled_from([*_TERMINATORS[language], "\n", "\n\n", " ", ""])
     runs = draw(st.lists(st.tuples(st.lists(words, min_size=1, max_size=40),
                                    ends), min_size=1, max_size=8))
     return "".join(" ".join(run) + end + draw(st.sampled_from(["", " ", "\n"]))
@@ -55,15 +61,10 @@ def identity_translate_map(article, language, max_tokens):
     )
 
 
-# Under IdentityTranslator the English side is the source text, split by
-# English rules.  A danda ends a Hindi sentence and not an English one,
-# so a lead sentence can span several mapping entries, which back_map
-# cannot resolve; test_danda_runs_back_map pins that.  Here every
-# language ends its sentences on the terminators English shares.
 @derandomized
 @given(st.data(), languages, st.integers(min_value=1, max_value=120))
 def test_translate_map_is_extractive(data, language, max_tokens):
-    article = data.draw(texts(language, _TERMINATORS["english"]))
+    article = data.draw(texts(language))
     summary = identity_translate_map(article, language, max_tokens)
     article_sentences = set(split_sentences(article, language))
     for sentence in split_sentences(summary, language):
@@ -84,9 +85,6 @@ def test_identity_translate_map_equals_direct(data, language, max_tokens):
     assert identity_translate_map(article, language, max_tokens) == direct
 
 
-@pytest.mark.xfail(raises=NoAlignment, strict=True,
-                   reason="a lead sentence spanning several Hindi"
-                          " sentences matches no single mapping entry")
 def test_danda_runs_back_map():
     article = "समाचार शहर। बारिश सरकार। लोग खेल। बाजार पानी."
     assert identity_translate_map(article, "hindi", 50) == article
@@ -99,6 +97,129 @@ def test_segmentation_loses_nothing(data, language):
     sentences = list(iter_sentences(text, language))
     assert all(sentence.strip() for sentence in sentences)
     assert re.sub(r"\s", "", "".join(sentences)) == re.sub(r"\s", "", text)
+
+
+# Words in three scripts, with case, vowel signs, nukta and virama, and
+# composed and decomposed forms ("\u0958" decomposes under NFC).
+_ROUGE_WORDS = ("the", "The", "CAT", "caf\u00e9", "cafe\u0301", "42", "x2",
+                "समाचार", "बारिश", "हिंदी", "\u0958िला", "क\u093cिला",
+                "સમાચાર", "વરસાદ", "ભરાયાં")
+_ROUGE_SEPARATORS = (" ", "\n", ", ", ". ", "।", "॥ ", "?!", "-", "_", "'",
+                     "\"", "(", "…", "\u200c")
+
+
+@st.composite
+def rouge_texts(draw):
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_ROUGE_WORDS),
+                                    st.sampled_from(_ROUGE_SEPARATORS)),
+                          max_size=25))
+    return "".join(word + sep for word, sep in pairs)
+
+
+def oracle_tokens(text):
+    """Letters, marks and digits form words; every other character parts them."""
+    text = unicodedata.normalize("NFC", text).lower()
+    return "".join(c if unicodedata.category(c)[0] in "LMN" else " "
+                   for c in text).split()
+
+
+def oracle_scores(cand, ref, n):
+    """Brute-force clipped n-gram precision, recall and F1."""
+    cand = [tuple(cand[i:i + n]) for i in range(len(cand) - n + 1)]
+    ref = [tuple(ref[i:i + n]) for i in range(len(ref) - n + 1)]
+    overlap = sum(min(cand.count(g), ref.count(g)) for g in set(cand))
+    p = overlap / len(cand) if cand else 0.0
+    r = overlap / len(ref) if ref else 0.0
+    return p, r, 2 * p * r / (p + r) if p + r else 0.0
+
+
+@derandomized
+@given(rouge_texts(), rouge_texts())
+def test_rouge_matches_oracle_and_swaps(candidate, reference):
+    got = rouge_scores(candidate, reference)
+    swapped = rouge_scores(reference, candidate)
+    cand, ref = oracle_tokens(candidate), oracle_tokens(reference)
+    for n in DEFAULT_ORDERS:
+        score = got[n]
+        assert (score.precision, score.recall, score.f1) == pytest.approx(
+            oracle_scores(cand, ref, n), abs=1e-12)
+        assert (swapped[n].precision, swapped[n].recall, swapped[n].f1) == (
+            score.recall, score.precision, score.f1)
+
+
+_NAMES = st.text(alphabet="abxyz019/._-", min_size=1, max_size=12)
+
+
+@st.composite
+def config_files(draw):
+    """``(raw, kwargs)``: a valid config-file mapping of strings, and the
+    ``ExperimentConfig`` keywords that describe the same experiment."""
+    preset = draw(st.sampled_from([None, *sorted(PRESETS)]))
+    language = (PRESETS[preset].language if preset
+                else draw(st.sampled_from(LANGUAGES)))
+    raw = {"language": language}
+    kwargs = {"language": language}
+
+    def maybe(key, field, values, text=str, required=False):
+        if required or draw(st.booleans()):
+            value = draw(values)
+            raw[key], kwargs[field] = text(value), value
+
+    maybe("eval", "eval_path", _NAMES, required=True)
+    maybe("output_dir", "output_dir", _NAMES, required=True)
+    maybe("eval_kind", "eval_kind", st.sampled_from(SPLIT_KINDS))
+    maybe("train", "train_path", _NAMES)
+    if preset:
+        maybe("preset", "preset", st.just(preset), required=True)
+        maybe("pipeline", "pipeline", st.just(PRESETS[preset].pipeline))
+    else:
+        maybe("pipeline", "pipeline", st.sampled_from(["direct", "translate-map"]))
+    maybe("augment", "augmentations",
+          st.lists(st.sampled_from(["right-shift", "noise", "noise:0.25"]),
+                   min_size=1, max_size=3).map(tuple), text=" , ".join)
+    if draw(st.booleans()):
+        word, value = draw(st.sampled_from(
+            [("yes", True), ("No", False), ("1", True), ("FALSE", False)]))
+        raw["augment_append"], kwargs["augment_append"] = word, value
+    maybe("translator", "translator", st.sampled_from(
+        ["identity", "table:gu-en.tsv", "live:http://127.0.0.1:9/t"]))
+    maybe("threshold", "threshold", st.floats(min_value=0.0, max_value=1.0))
+    maybe("max_tokens", "max_tokens", st.integers(1, 400))
+    maybe("seed", "seed", st.integers(0, 2 ** 31))
+    maybe("adapter", "adapter", st.just("python3 adapter.py --fast"))
+    maybe("socket", "socket", st.just("127.0.0.1:9000"))
+    if not preset and draw(st.booleans()):
+        spec = draw(st.builds(
+            SummarizerSpec, model_id=_NAMES, epochs=st.integers(1, 9),
+            weight_decay=st.floats(0.0, 1.0),
+            learning_rate=st.floats(1e-6, 1.0),
+            batch_size=st.integers(1, 64), max_input_tokens=st.integers(1, 4096)))
+        for name, value in vars(spec).items():
+            raw[name] = str(value)
+        kwargs["spec"] = spec
+    return raw, kwargs
+
+
+@derandomized
+@given(config_files(), st.data())
+def test_config_hash_survives_the_file(config, data):
+    raw, kwargs = config
+    expected = config_hash(ExperimentConfig(**kwargs))
+    assert config_hash(ExperimentConfig.from_mapping(raw)) == expected
+
+    pad = st.sampled_from(["", " ", "\t", "  "])
+    lines = []
+    for key in data.draw(st.permutations(sorted(raw))):
+        lines.append(data.draw(st.sampled_from(["", "  ", "# a = b"])))
+        lines.append(f"{data.draw(pad)}{key}{data.draw(pad)}={data.draw(pad)}"
+                     f"{raw[key]}{data.draw(pad)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        parsed = parse_config_file(path)
+    assert parsed == raw
+    assert config_hash(ExperimentConfig.from_mapping(parsed)) == expected
 
 
 GUJ_SOURCES = ("પહેલું વાક્ય અહીં છે.", "બીજું વાક્ય અહીં છે.",
