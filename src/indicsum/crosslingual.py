@@ -51,9 +51,11 @@ HTTP_TIMEOUT = 30.0     # seconds per HttpTranslator request
 
 @dataclass(frozen=True)
 class SentenceMapping:
-    """Ordered pairs (index, source sentence, translated sentence)."""
+    """Ordered pairs (index, source sentence, translated sentence) of an
+    article in ``language``."""
 
     entries: tuple[tuple[int, str, str], ...]
+    language: str = "english"
 
     def __post_init__(self):
         for pos, entry in enumerate(self.entries):
@@ -298,32 +300,33 @@ def build_mapping(article: str, client, *, cache: TranslationCache | None = None
 
     return SentenceMapping(entries=tuple(
         (i, sentence, memo[sentence]) for i, sentence in enumerate(sentences)
-    ))
+    ), language=language)
 
 
 def back_map(english_summary: str, mapping: SentenceMapping,
              threshold: float = DEFAULT_THRESHOLD) -> str:
     """Restore original-language sentences for an English summary.
 
-    The summary splits into sentences on every language's terminators,
-    so a sentence that runs over several danda-ended entries (as Hindi
-    text under ``IdentityTranslator`` does) splits into them.  Each
-    summary sentence resolves to the lowest-index mapping entry
-    whose translation has the same ``rouge_tokens`` (so case, spacing
-    and punctuation do not matter), else to the entry of maximal
-    clipped unigram F1 over those tokens when it reaches ``threshold``
-    (ties go to the lowest index), else to the lowest-index entry whose
-    tokens begin with the sentence's, when it has any (a sentence the
-    generator cut short), else ``NoAlignment``.  Entries are tokenized
-    once each, in index order, only as far as needed.  Matched source
-    sentences come out deduplicated, in article order.
+    The summary splits into sentences on the terminators of the
+    mapping's language, the ones its entries were split on, so a
+    sentence that runs over several danda-ended Hindi entries (as under
+    ``IdentityTranslator``) splits into them.  Each summary sentence
+    resolves to the lowest-index mapping entry whose translation has
+    the same ``rouge_tokens`` (so case, spacing and punctuation do not
+    matter), else to the entry of maximal clipped unigram F1 over those
+    tokens when it reaches ``threshold`` (ties go to the lowest index),
+    else to the lowest-index entry whose tokens begin with the
+    sentence's, when it has any (a sentence the generator cut short),
+    else ``NoAlignment``.  Entries are tokenized once each, in index
+    order, only as far as needed.  Matched source sentences come out
+    deduplicated, in article order.
     """
     if not mapping.entries:
         raise EmptyInput("mapping has no entries")
     if not english_summary.strip():
         raise EmptySummary("summary is empty, nothing to back-map")
-    # Hindi's terminators are every language's.
-    summary_sentences = list(segment.split_sentences(english_summary, "hindi"))
+    summary_sentences = list(segment.split_sentences(english_summary,
+                                                     mapping.language))
 
     entry_tokens = []  # token tuples of entries 0, 1, ... as far as scanned
     exact = {}         # token tuple -> lowest index among scanned entries

@@ -605,6 +605,14 @@ class TestPipeline:
         )
         assert out == "એકમાત્ર વાક્ય છે."
 
+    def test_danda_inside_a_gujarati_sentence(self):
+        # The danda ends Hindi sentences only: this is one Gujarati sentence.
+        article = "પહેલું વાક્ય। બીજું."
+        out = pipeline_summarize(article, IdentityTranslator(),
+                                 baseline_handle("english"),
+                                 GenerationParams(max_tokens=50))
+        assert out == article
+
     def test_table_translator_with_fixed_output_backend(self, stub_argv):
         table = {
             GUJ_SENTENCES[0]: "first english sentence here.",

@@ -31,7 +31,9 @@ from indicsum.segment import (LANGUAGES, iter_sentences, split_sentences,
 
 from conftest import _GUJARATI_WORDS, _HINDI_WORDS, _WORDS
 
-_VOCAB = {"english": _WORDS, "hindi": _HINDI_WORDS, "gujarati": _GUJARATI_WORDS}
+# The danda ends Hindi sentences only, so Gujarati words may carry it.
+_VOCAB = {"english": _WORDS, "hindi": _HINDI_WORDS,
+          "gujarati": _GUJARATI_WORDS + [w + "।" for w in _GUJARATI_WORDS[:3]]}
 _TERMINATORS = {"english": [".", "?", "!", "?!", "..."],
                 "hindi": [".", "?", "!", "।", "।।"],
                 "gujarati": [".", "?", "!", "?!", "..."]}
