@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     EmptyInput,
     EmptySummary,
+    IndicSumError,
     NoAlignment,
     TranslationFailure,
 )
@@ -39,11 +40,12 @@ __all__ = [
     "TranslationCache",
     "back_map",
     "build_mapping",
+    "build_mappings",
     "pipeline_summarize",
 ]
 
 DEFAULT_THRESHOLD = 0.6
-PARALLELISM = 4         # threads per remote client's batch of sentences
+PARALLELISM = 4         # threads translating a split for a remote client
 RETRY_ATTEMPTS = 3      # tries per sentence for a remote client,
 RETRY_BASE_DELAY = 0.1  # sleeping this * 2**k s after failure k
 HTTP_TIMEOUT = 30.0     # seconds per HttpTranslator request
@@ -82,7 +84,7 @@ class SentenceMapping:
 class IdentityTranslator:
     """Returns the input unchanged; the offline default for tests."""
 
-    local = True  # in memory: build_mapping calls it once, inline
+    local = True  # in memory: build_mappings calls it once, inline
     target_lang = "english"
 
     def __init__(self, source_lang: str = "gujarati"):
@@ -167,6 +169,9 @@ class HttpTranslator:
         return translation
 
 
+_quote = json.encoder.encode_basestring  # a JSON string, non-ASCII kept
+
+
 def _parse_cache_line(line: bytes):
     """``(key, translation)`` of one cache line; ``ValueError`` unless
     all four fields are strings and the translation is not blank.  The
@@ -187,13 +192,14 @@ class TranslationCache:
     """Append-only persistent sentence-translation cache.
 
     One JSON record per line: {"src", "src_lang", "tgt_lang", "dst"}.
-    Existing entries are loaded eagerly.  Each ``put`` appends its batch
-    of new records with one write.  One process may write a file at a
-    time (``run_experiment`` and ``translate-map --cache`` hold
-    ``experiments.directory_lock`` on the file's directory), on one
-    thread.  A torn last line, left by a process killed mid-write, is
-    handled by the rule in ``jsonlog``: skipped on load, cut off by the
-    next ``put``.
+    Existing entries are loaded eagerly.  Each ``put`` streams its new
+    records to the end of the file through ``jsonlog.append``.  One
+    process may write a file at a time (``run_experiment`` and
+    ``translate-map --cache`` hold ``experiments.directory_lock`` on the
+    file's directory), on one thread.  A process killed mid-``put``
+    leaves the records it had written whole and at most one torn last
+    line, handled by the rule in ``jsonlog``: skipped on load, cut off
+    by the next ``put``.
     """
 
     def __init__(self, path):
@@ -210,18 +216,25 @@ class TranslationCache:
         return self._map.get((src, src_lang, tgt_lang))
 
     def put(self, pairs, src_lang: str, tgt_lang: str) -> None:
-        """Record ``(src, dst)`` pairs, appending the new ones in order."""
-        lines = []
-        for src, dst in pairs:
-            key = (src, src_lang, tgt_lang)
-            if key in self._map:
-                continue
-            self._map[key] = dst
-            record = {"src": src, "src_lang": src_lang,
-                      "tgt_lang": tgt_lang, "dst": dst}
-            lines.append(json.dumps(record, ensure_ascii=False))
-        if lines:
-            jsonlog.append(self.path, lines, _parse_cache_line)
+        """Record ``(src, dst)`` pairs, appending the new ones in order.
+
+        ``pairs`` may be a lazy iterator; each line is written as its
+        pair arrives.  A line is ``json.dumps(record, ensure_ascii=False)``
+        byte for byte, built from the encoder's own string quoting."""
+        # The field order and separators of json.dumps, with the
+        # language fields quoted once per put.
+        middle = (f', "src_lang": {_quote(src_lang)},'
+                  f' "tgt_lang": {_quote(tgt_lang)}, "dst": ')
+
+        def lines():
+            for src, dst in pairs:
+                key = (src, src_lang, tgt_lang)
+                if key in self._map:
+                    continue
+                self._map[key] = dst
+                yield '{"src": ' + _quote(src) + middle + _quote(dst) + "}"
+
+        jsonlog.append(self.path, lines(), _parse_cache_line)
 
 
 def _translate_once(client, sentence):
@@ -237,70 +250,110 @@ def _translate_once(client, sentence):
 def _translate_retrying(client, sentence, sleep):
     """``_translate_once`` with bounded retry and exponential backoff.
 
-    Only transport errors (``OSError``, which covers ``URLError``,
-    ``ConnectionError`` and ``TimeoutError``) and ``TranslationFailure``
-    are retried; any other exception is a bug and propagates at once.
+    Transport errors (``OSError``, which covers ``URLError``,
+    ``ConnectionError`` and ``TimeoutError``), HTTP 5xx and 429 and
+    ``TranslationFailure`` are retried.  Any other HTTP status is a
+    refusal (a 401 for a wrong key, a 400), which the same request
+    would get again, so it fails at once; any other exception is a bug
+    and propagates at once.
     """
     for attempt in range(RETRY_ATTEMPTS):
         try:
             return _translate_once(client, sentence)
-        except (OSError, TranslationFailure) as exc:
-            if attempt + 1 == RETRY_ATTEMPTS:
+        except urllib.error.HTTPError as exc:
+            if exc.code < 500 and exc.code != 429:
                 raise TranslationFailure(
-                    f"translation failed after {RETRY_ATTEMPTS} attempts for"
-                    f" {sentence!r}: {exc}"
-                ) from exc
-            sleep(RETRY_BASE_DELAY * (2 ** attempt))
+                    f"endpoint refused {sentence!r}: {exc}") from exc
+            failure = exc
+        except (OSError, TranslationFailure) as exc:
+            failure = exc
+        if attempt + 1 == RETRY_ATTEMPTS:
+            raise TranslationFailure(
+                f"translation failed after {RETRY_ATTEMPTS} attempts for"
+                f" {sentence!r}: {failure}"
+            ) from failure
+        sleep(RETRY_BASE_DELAY * (2 ** attempt))
 
 
-def build_mapping(article: str, client, *, cache: TranslationCache | None = None,
-                  sleep=time.sleep) -> SentenceMapping:
-    """Translate ``article`` sentence by sentence, keeping the mapping.
+def build_mappings(articles, client, *, cache: TranslationCache | None = None,
+                   sleep=time.sleep) -> list[SentenceMapping]:
+    """Translate each of ``articles`` sentence by sentence, keeping the
+    mappings, in one pass over the split.
 
     The source language (taken from the client) selects sentence
-    delimiters.  Each distinct sentence is translated at most once per
-    call; the persistent cache, when given, short-circuits repeat work
-    across calls, and new translations go to it in one ``put``.  A
-    client that declares ``local = True`` (an in-memory translator) is
-    called once per sentence on this thread, and its error propagates;
-    any other client translates distinct sentences concurrently on up
-    to ``PARALLELISM`` threads, with ``_translate_retrying``.
+    delimiters.  Each distinct sentence of the split is looked up in
+    the cache, when given, once, in first-seen order, and each miss is
+    translated once.  A client that declares ``local = True`` (an
+    in-memory translator) is called on this thread, and its error
+    propagates; any other client translates on one pool of
+    ``PARALLELISM`` threads for the split, with ``_translate_retrying``.
+    New translations stream to the cache in one ``put``, in first-seen
+    order, so a failure keeps every translation made before it.  A
+    toolkit error carries ``article_index``: the position of the first
+    article it concerns.
     """
     language = client.source_lang
     if language not in segment.LANGUAGES:
         raise ValueError(f"unknown source language: {language!r}")
-    if not article.strip():
-        raise EmptyInput("cannot translate an empty article")
-    sentences = list(segment.split_sentences(article, language))
+    split = []
+    for index, article in enumerate(articles):
+        if not article.strip():
+            exc = EmptyInput("cannot translate an empty article")
+            exc.article_index = index
+            raise exc
+        split.append(list(segment.split_sentences(article, language)))
 
     src, tgt = client.source_lang, client.target_lang
     memo = {}
-    pending = []
-    for sentence in sentences:
-        if sentence in memo:
-            continue
-        hit = cache.get(sentence, src, tgt) if cache is not None else None
-        if hit is not None:
+    pending, owners = [], []  # each miss and the first article holding it
+    for index, sentences in enumerate(split):
+        for sentence in sentences:
+            if sentence in memo:
+                continue
+            hit = cache.get(sentence, src, tgt) if cache is not None else None
             memo[sentence] = hit
+            if hit is None:
+                pending.append(sentence)
+                owners.append(index)
+
+    def record(translations):
+        """``(sentence, translation)`` pairs of ``pending``, kept in
+        ``memo`` as they arrive."""
+        done = 0
+        try:
+            for sentence, translated in zip(pending, translations):
+                memo[sentence] = translated
+                yield sentence, translated
+                done += 1
+        except IndicSumError as exc:
+            exc.article_index = owners[done]
+            raise
+
+    def store(translations):
+        pairs = record(translations)
+        if cache is not None:
+            cache.put(pairs, src, tgt)
         else:
-            memo[sentence] = None
-            pending.append(sentence)
+            for _ in pairs:
+                pass
 
     if pending:
         if getattr(client, "local", False):
-            translated = [_translate_once(client, s) for s in pending]
+            store(_translate_once(client, s) for s in pending)
         else:
             with ThreadPoolExecutor(min(PARALLELISM, len(pending))) as pool:
-                translated = list(pool.map(
-                    lambda s: _translate_retrying(client, s, sleep), pending))
-        new = list(zip(pending, translated))
-        memo.update(new)
-        if cache is not None:
-            cache.put(new, src, tgt)
+                store(pool.map(lambda s: _translate_retrying(client, s, sleep),
+                               pending))
 
-    return SentenceMapping(entries=tuple(
+    return [SentenceMapping(entries=tuple(
         (i, sentence, memo[sentence]) for i, sentence in enumerate(sentences)
-    ), language=language)
+    ), language=language) for sentences in split]
+
+
+def build_mapping(article: str, client, *, cache: TranslationCache | None = None,
+                  sleep=time.sleep) -> SentenceMapping:
+    """``build_mappings`` of the one ``article``."""
+    return build_mappings([article], client, cache=cache, sleep=sleep)[0]
 
 
 def back_map(english_summary: str, mapping: SentenceMapping,

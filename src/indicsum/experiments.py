@@ -363,13 +363,18 @@ def generation_params(preset, max_tokens: int | None,
     return replace(generation, seed=seed)
 
 
+def _name_record(rec, exc):
+    """Prepend ``rec``'s id to the toolkit error ``exc``, keeping the
+    same object, so ``NoAlignment.sentence`` and such survive."""
+    exc.args = (f"record {rec.id!r}: {exc}", *exc.args[1:])
+
+
 def _with_record_id(rec, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)``, with ``rec``'s id prepended to a toolkit
-    error (the same object, so ``NoAlignment.sentence`` and such survive)."""
+    """``fn(*args, **kwargs)``, with ``rec``'s id on a toolkit error."""
     try:
         return fn(*args, **kwargs)
     except IndicSumError as exc:
-        exc.args = (f"record {rec.id!r}: {exc}", *exc.args[1:])
+        _name_record(rec, exc)
         raise
 
 
@@ -378,17 +383,22 @@ def summarize_split(split, handle, generation, *, translator=None,
     """``(record, summary)`` for every record of ``split``, in order.
 
     Each stage runs over the whole split before the next: translate
-    (with a ``translator``, one cache ``put`` per article), generate
-    through ``handle``, back-map (with a translator), so a translation
-    error comes before any generation.  Toolkit errors name the record.
+    (with a ``translator``: each distinct sentence once, one cache
+    ``put``), generate through ``handle``, back-map (with a
+    translator), so a translation error comes before any generation.
+    Toolkit errors name the record; a translation error names the
+    first record holding the sentence.
     """
     records = list(split)
     texts = [rec.article for rec in records]
     if translator is not None:
         # Only the mappings are kept; each English article is joined below.
-        mappings = [_with_record_id(rec, crosslingual.build_mapping, text,
-                                    translator, cache=cache)
-                    for rec, text in zip(records, texts)]
+        try:
+            mappings = crosslingual.build_mappings(texts, translator,
+                                                   cache=cache)
+        except IndicSumError as exc:
+            _name_record(records[exc.article_index], exc)
+            raise
         texts = (m.english_article for m in mappings)
     summaries = [_with_record_id(rec, summarize, handle, text, generation)
                  for rec, text in zip(records, texts)]

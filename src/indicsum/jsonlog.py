@@ -1,10 +1,13 @@
 """Append-only JSON-lines files: the translation cache and the run log.
 
-A writer killed mid-append leaves a torn last line: ``read`` skips it and
-the next ``append`` cuts it off.  ``parse`` turns one line (bytes) into a
-value, raising ``ValueError`` when the line is unreadable.
+A writer killed mid-append leaves whole lines followed by at most one
+torn line: ``read`` skips the torn one and the next ``append`` cuts it
+off.  ``parse`` turns one line (bytes) into a value, raising
+``ValueError`` when the line is unreadable.
 """
 
+import io
+import itertools
 import os
 
 from .errors import ConfigError
@@ -31,9 +34,16 @@ def read(path, parse):
 
 
 def append(path, lines, parse) -> None:
-    """Append ``lines`` (strings without newlines) to ``path`` in one write,
-    after cutting off an unreadable last line or ending a whole one."""
-    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    """Append ``lines`` (strings without newlines, possibly a lazy
+    iterator) to ``path``, after cutting off an unreadable last line or
+    ending a whole one.  Lines stream through a bounded buffer, so a
+    batch is never held whole; if ``lines`` raises partway, the lines
+    it gave are written whole before the error propagates.  Nothing is
+    touched when ``lines`` is empty."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
+        return
     with open(path, "ab+", buffering=0) as fh:
         # Read back from the end until the last non-blank line is whole,
         # in steps that start at about one cache line and double.
@@ -46,12 +56,16 @@ def append(path, lines, parse) -> None:
             step *= 2
         body = tail.rstrip()
         start = body.rfind(b"\n") + 1
+        newline = b""
         try:
             parse(body[start:])
         except ValueError:  # a torn line, or only blank ones
             fh.truncate(pos + start)
         else:
             if not tail.endswith(b"\n"):
-                data = b"\n" + data
-        while data:  # a regular file takes it all unless the disk is full
-            data = data[fh.write(data):]
+                newline = b"\n"
+        # Closing the buffer flushes it, also when ``lines`` raises.
+        with io.BufferedWriter(fh) as out:
+            out.write(newline)
+            for line in itertools.chain([first], lines):
+                out.write((line + "\n").encode("utf-8"))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -22,6 +23,7 @@ from indicsum.crosslingual import (
     TranslationCache,
     back_map,
     build_mapping,
+    build_mappings,
     pipeline_summarize,
 )
 from indicsum.errors import (
@@ -231,8 +233,8 @@ class TestBuildMapping:
         put = TranslationCache.put
 
         def counting_put(self, pairs, src_lang, tgt_lang):
-            batches.append(list(pairs))
-            put(self, pairs, src_lang, tgt_lang)
+            batches.append(list(pairs))  # pairs may be a one-pass iterator
+            put(self, batches[-1], src_lang, tgt_lang)
 
         monkeypatch.setattr(TranslationCache, "put", counting_put)
         cache_path = tmp_path / "cache.jsonl"
@@ -241,6 +243,133 @@ class TestBuildMapping:
         assert cache_path.read_text(encoding="utf-8") == "".join(
             cache_line(s, s) for s in GUJ_SENTENCES
         )
+
+
+# A split whose articles repeat sentences across records: five distinct
+# sentences in first-seen order S[0], S[1], S[2], S[3], S[4].
+S = [f"વાક્ય ક્રમ {i} છે." for i in range(5)]
+SPLIT = [f"{S[0]} {S[1]} {S[0]}", f"{S[2]} {S[1]}", f"{S[3]} {S[0]} {S[4]}",
+         f"{S[4]} {S[2]}"]
+
+
+class Remote:
+    """A client without ``local``: translated on the pool, with retry."""
+
+    source_lang = "gujarati"
+    target_lang = "english"
+
+    def __init__(self, table):
+        self.table = table
+        self.calls = []
+
+    def translate(self, sentence):
+        self.calls.append(sentence)
+        if sentence not in self.table:
+            raise TranslationFailure(f"no entry for {sentence!r}")
+        return self.table[sentence]
+
+
+class CountingTable(TableTranslator):
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls = []
+
+    def translate(self, sentence):
+        self.calls.append(sentence)
+        return super().translate(sentence)
+
+
+class TestBuildMappings:
+    def test_equals_build_mapping_per_article(self):
+        mappings = build_mappings(SPLIT, IdentityTranslator())
+        assert mappings == [build_mapping(a, IdentityTranslator()) for a in SPLIT]
+
+    def test_client_called_once_per_distinct_sentence(self):
+        client = CountingIdentity()
+        build_mappings(SPLIT, client)
+        assert client.calls == S
+
+    def test_cache_get_once_per_distinct_sentence(self, tmp_path, monkeypatch):
+        gets = []
+        get = TranslationCache.get
+
+        def counting_get(self, src, src_lang, tgt_lang):
+            gets.append(src)
+            return get(self, src, src_lang, tgt_lang)
+
+        monkeypatch.setattr(TranslationCache, "get", counting_get)
+        cache = TranslationCache(tmp_path / "cache.jsonl")
+        cache.put([(S[2], "e2.")], "gujarati", "english")
+        client = CountingIdentity()
+        mappings = build_mappings(SPLIT, client, cache=cache)
+        assert gets == S
+        assert client.calls == [S[0], S[1], S[3], S[4]]
+        assert mappings[3].english_article == f"{S[4]} e2."
+
+    def test_remote_client_gets_one_pool_per_split(self, monkeypatch):
+        pools = []
+
+        class CountingPool(crosslingual.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(crosslingual, "ThreadPoolExecutor", CountingPool)
+        client = Remote({s: f"en({s})" for s in S})
+        mappings = build_mappings(SPLIT, client)
+        assert len(pools) == 1
+        assert sorted(client.calls) == sorted(S)
+        assert [m.english_article for m in mappings] == [
+            " ".join(f"en({s})" for s in split_sentences(a, "gujarati"))
+            for a in SPLIT]
+
+    def test_cache_bytes_equal_article_by_article(self, tmp_path):
+        split_wide, per_article = tmp_path / "split.jsonl", tmp_path / "one.jsonl"
+        build_mappings(SPLIT, IdentityTranslator(),
+                       cache=TranslationCache(split_wide))
+        cache = TranslationCache(per_article)
+        for article in SPLIT:
+            build_mapping(article, IdentityTranslator(), cache=cache)
+        assert split_wide.read_bytes() == per_article.read_bytes()
+        assert split_wide.read_text(encoding="utf-8") == "".join(
+            cache_line(s, s) for s in S)
+
+    def test_empty_article_names_its_index(self):
+        with pytest.raises(EmptyInput) as info:
+            build_mappings([SPLIT[0], "  "], IdentityTranslator())
+        assert info.value.article_index == 1
+
+
+class TestFailureMidSplit:
+    """S[3] has no translation: it is first seen in article 2, after
+    S[0], S[1] and S[2], and article 3 holds it too."""
+
+    TABLE = {s: f"e{i}." for i, s in enumerate(S)}
+
+    @pytest.fixture(params=["local", "remote"])
+    def make_client(self, request):
+        return CountingTable if request.param == "local" else Remote
+
+    def test_failure_keeps_earlier_translations(self, make_client, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        split = SPLIT[:3] + [f"{S[3]} {S[4]}"]
+        table = {s: t for s, t in self.TABLE.items() if s != S[3]}
+        with pytest.raises(TranslationFailure, match=re.escape(repr(S[3]))) as info:
+            build_mappings(split, make_client(table),
+                           cache=TranslationCache(path), sleep=lambda _: None)
+        assert info.value.article_index == 2
+        assert path.read_text(encoding="utf-8") == "".join(
+            cache_line(s, self.TABLE[s]) for s in S[:3])
+
+        # A re-run with the fixed table translates only the rest, and
+        # the cache ends as an uninterrupted run leaves it.
+        client = make_client(self.TABLE)
+        build_mappings(split, client, cache=TranslationCache(path))
+        assert sorted(client.calls) == sorted(S[3:])
+        fresh = tmp_path / "fresh.jsonl"
+        build_mappings(split, make_client(self.TABLE),
+                       cache=TranslationCache(fresh))
+        assert path.read_bytes() == fresh.read_bytes()
 
 
 def cache_line(src, dst):
@@ -681,6 +810,16 @@ class _Fail(_Translate):
         self.end_headers()
 
 
+class _Refuse(_Translate):
+    requests = []
+
+    def do_POST(self):
+        self.requests.append(self.path)
+        self.send_response(401)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
 class _Garbled(_Translate):
     def do_POST(self):
         self.send_response(200)
@@ -714,6 +853,10 @@ class TestHttpTranslator:
     def garbled_endpoint(self):
         yield from _serve(_Garbled)
 
+    @pytest.fixture
+    def refusing_endpoint(self):
+        yield from _serve(_Refuse)
+
     def test_requires_api_key(self, monkeypatch):
         monkeypatch.delenv("TRANSLATE_API_KEY", raising=False)
         with pytest.raises(TranslationFailure):
@@ -733,6 +876,16 @@ class TestHttpTranslator:
         client = HttpTranslator(failing_endpoint, source_lang="english")
         with pytest.raises(TranslationFailure, match="HTTP Error 500"):
             build_mapping("small test.", client, sleep=lambda _: None)
+
+    def test_refusal_is_not_retried(self, refusing_endpoint, monkeypatch):
+        monkeypatch.setenv("TRANSLATE_API_KEY", "wrong")
+        _Refuse.requests.clear()
+        client = HttpTranslator(refusing_endpoint, source_lang="english")
+        delays = []
+        with pytest.raises(TranslationFailure, match="HTTP Error 401"):
+            build_mapping("small test.", client, sleep=delays.append)
+        assert len(_Refuse.requests) == 1
+        assert delays == []
 
     def test_malformed_response_raises_translation_failure(self, garbled_endpoint,
                                                            monkeypatch):

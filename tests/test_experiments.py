@@ -14,9 +14,12 @@ from pathlib import Path
 import pytest
 
 import indicsum
-from indicsum.backends import PRESETS, SummarizerSpec
+from indicsum import jsonlog
+from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
+                               baseline_handle)
 from indicsum.cli import main
-from indicsum.crosslingual import TranslationCache
+from indicsum.corpus import ArticleRecord
+from indicsum.crosslingual import TableTranslator, TranslationCache
 from indicsum.errors import (ConfigError, EmptyReport, MissingGoldSummary,
                              NoAlignment, TranslationFailure)
 from indicsum.experiments import (
@@ -27,6 +30,7 @@ from indicsum.experiments import (
     parse_config_file,
     render_report,
     run_experiment,
+    summarize_split,
 )
 from indicsum.rouge import corpus_rouge, rouge_n
 from indicsum.segment import split_sentences
@@ -425,6 +429,25 @@ class TestRunExperiment:
         assert str(info.value).startswith(f"record {last.id!r}: ")
         assert missing in str(info.value)
 
+    def test_translation_error_names_first_record_with_sentence(self,
+                                                                tmp_path):
+        # The untranslatable sentence is first seen in record g3, and
+        # g4 holds it too; every translation before it reaches the cache.
+        s = [f"વાક્ય ક્રમ {i} છે." for i in range(6)]
+        articles = [f"{s[0]} {s[1]}", f"{s[1]} {s[2]}", f"{s[3]} {s[0]} {s[4]}",
+                    f"{s[4]} {s[5]}"]
+        records = [ArticleRecord(id=f"g{i}", article=a, summary=None)
+                   for i, a in enumerate(articles, start=1)]
+        path = tmp_path / "cache.jsonl"
+        with pytest.raises(TranslationFailure) as info:
+            summarize_split(records, baseline_handle("english"),
+                            GenerationParams(max_tokens=5),
+                            translator=TableTranslator({x: x for x in s
+                                                        if x != s[4]}),
+                            cache=TranslationCache(path))
+        assert str(info.value) == f"record 'g3': no table entry for sentence: {s[4]!r}"
+        assert [src for (src, _, _) in TranslationCache(path)._map] == s[:4]
+
     def test_error_annotated_with_record_id(self, write_csv, tmp_path):
         path = write_csv(
             [["x9", "", "", "Article text here."]],
@@ -700,6 +723,23 @@ class TestLogTails:
             + appended + "\n"
         )
         assert log.load() == loaded + [2]
+
+
+def test_append_keeps_whole_lines_when_lines_raise(tmp_path):
+    """An iterator that fails after more lines than the write buffer
+    holds leaves exactly the lines it gave; the log stays usable."""
+    path = tmp_path / "log.jsonl"
+    lines = [json.dumps({"n": i, "pad": "x" * 200}) for i in range(100)]
+
+    def failing():
+        yield from lines[:60]
+        raise TranslationFailure("stopped")
+
+    with pytest.raises(TranslationFailure, match="stopped"):
+        jsonlog.append(path, failing(), json.loads)
+    assert path.read_text() == "".join(line + "\n" for line in lines[:60])
+    jsonlog.append(path, lines[60:], json.loads)
+    assert [v["n"] for _, v in jsonlog.read(path, json.loads)] == list(range(100))
 
 
 class TestRenderReport:

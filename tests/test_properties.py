@@ -22,7 +22,7 @@ from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
                                baseline_handle, lead_baseline)
 from indicsum.corpus import SPLIT_KINDS
 from indicsum.crosslingual import (IdentityTranslator, TranslationCache,
-                                   pipeline_summarize)
+                                   _parse_cache_line, pipeline_summarize)
 from indicsum.experiments import (ExperimentConfig, RunRecord, config_hash,
                                   load_runs, parse_config_file)
 from indicsum.rouge import DEFAULT_ORDERS, rouge_scores, rouge_tokens
@@ -222,6 +222,34 @@ def test_config_hash_survives_the_file(config, data):
         parsed = parse_config_file(path)
     assert parsed == raw
     assert config_hash(ExperimentConfig.from_mapping(parsed)) == expected
+
+
+# Any UTF-8 text, with extra weight on what JSON must escape or pass
+# through: quotes, backslashes, control characters, Indic marks, non-BMP
+# characters.
+cache_texts = st.text(st.one_of(
+    st.characters(codec="utf-8"),
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u2028",
+                     "\u0abe", "\u0acd", "\u093c", "\u0964", "\U0001d11e",
+                     "\U0001f600"]),
+))
+
+
+@derandomized
+@given(cache_texts, cache_texts.filter(str.strip), cache_texts, cache_texts)
+def test_cache_line_is_json_dumps(src, dst, src_lang, tgt_lang):
+    """The line ``put`` writes is ``json.dumps`` of the record and loads
+    back to the same key and translation."""
+    record = {"src": src, "src_lang": src_lang, "tgt_lang": tgt_lang,
+              "dst": dst}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        TranslationCache(path).put([(src, dst)], src_lang, tgt_lang)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    line = json.dumps(record, ensure_ascii=False).encode("utf-8")
+    assert data == line + b"\n"
+    assert _parse_cache_line(line) == ((src, src_lang, tgt_lang), dst)
 
 
 GUJ_SOURCES = ("પહેલું વાક્ય અહીં છે.", "બીજું વાક્ય અહીં છે.",
