@@ -9,6 +9,7 @@ import random
 from dataclasses import replace
 
 from . import segment
+from .backends import DEFAULT_SEED
 from .corpus import ArticleRecord, DatasetSplit
 
 __all__ = [
@@ -72,7 +73,7 @@ def augment_split(
     *,
     shift: bool = False,
     noise_rate: float | None = None,
-    seed: int = 13,
+    seed: int = DEFAULT_SEED,
     append: bool = True,
 ) -> DatasetSplit:
     """Apply right-shift and/or noise to every record of ``split``.

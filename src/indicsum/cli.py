@@ -16,7 +16,7 @@ from contextlib import closing, nullcontext
 
 from . import augment as augment_mod
 from . import corpus, experiments
-from .backends import TrainedHandle, get_preset
+from .backends import DEFAULT_SEED, PRESETS, TrainedHandle, get_preset
 from .crosslingual import DEFAULT_THRESHOLD, TranslationCache
 from .errors import (ConfigError, DuplicateId, IndicSumError, MismatchedIds,
                      MissingColumn, MissingGoldSummary)
@@ -82,7 +82,6 @@ def _cmd_summarize(args) -> int:
         raise ConfigError(f"preset {args.preset!r} runs the {preset.pipeline}"
                           " pipeline; use translate-map or run")
     generation = experiments.generation_params(preset, args.max_tokens)
-    generation.validate()
     language = args.lang or (preset.language if preset else "english")
     split = corpus.load_csv(args.csv, args.split, language)
     translator = None
@@ -198,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="train", choices=corpus.SPLIT_KINDS)
     p.add_argument("--right-shift", action="store_true")
     p.add_argument("--noise-rate", type=float)
-    p.add_argument("--seed", type=int, default=experiments.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--replace", action="store_true",
                    help="drop the originals, keep only augmented copies")
     p.add_argument("--out", required=True)
@@ -230,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translator", default="identity",
                    help="identity, table:<tsv> or live:<url>")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--max-tokens", type=int, default=85)
+    p.add_argument("--max-tokens", type=int,
+                   default=PRESETS["gujarati-translate-map"].generation.max_tokens)
     p.add_argument("--cache", help="persistent translation cache (JSONL)")
     p.add_argument("--out", required=True)
     _add_adapter_flags(p)

@@ -238,12 +238,17 @@ class TranslationCache:
 
 
 def _translate_once(client, sentence):
-    """``client.translate(sentence)``; ``TranslationFailure`` if blank."""
+    """``client.translate(sentence)``; ``TranslationFailure`` if blank or not UTF-8."""
     translated = client.translate(sentence)
     if not isinstance(translated, str) or not translated.strip():
         raise TranslationFailure(
             f"client returned an empty translation for {sentence!r}"
         )
+    try:
+        translated.encode("utf-8")  # a lone surrogate does not encode
+    except UnicodeEncodeError:
+        raise TranslationFailure(
+            f"client returned text that is not UTF-8: {translated!r}") from None
     return translated
 
 

@@ -19,12 +19,13 @@ import io
 import json
 import os
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import augment as augment_mod
 from . import crosslingual, jsonlog
 from .backends import (
+    DEFAULT_SEED,
     PRESETS,
     AdapterBackend,
     GenerationParams,
@@ -57,6 +58,7 @@ from .rouge import corpus_rouge, rouge_n  # noqa: F401
 from .segment import LANGUAGES
 
 __all__ = [
+    "CONFIG_KEYS",
     "ExperimentConfig",
     "RunRecord",
     "check_unit_interval",
@@ -74,7 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_NOISE_RATE = 0.1
-DEFAULT_SEED = 13
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
@@ -103,9 +104,7 @@ class ExperimentConfig:
 
     def to_mapping(self) -> dict:
         """All fields as JSON-safe primitives, for hashing and logs."""
-        out = asdict(self)
-        out["augmentations"] = list(self.augmentations)
-        out["spec"] = asdict(self.spec) if self.spec else None
+        out = asdict(self)  # spec too; json.dumps writes the tuple as a list
         # An unset pipeline hashes as the one it resolves to, so a config
         # that names it and one that leaves it to the preset hash alike.
         out["pipeline"] = self.effective_pipeline()
@@ -120,73 +119,80 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
-        def need(key):
-            if key not in raw or str(raw[key]).strip() == "":
-                raise ConfigError(f"config is missing required key {key!r}")
-            return str(raw[key]).strip()
-
-        def opt(key, default=None):
-            value = raw.get(key)
-            if value is None or str(value).strip() == "":
-                return default
-            return str(value).strip()
-
-        def boolean(key, default):
-            value = opt(key)
-            if value is None:
-                return default
+        """Parse ``raw``'s config-file keys (``CONFIG_KEYS``); any other
+        key is an error, and a blank value keeps its field's default."""
+        values, spec = {}, {}
+        for key, value in raw.items():
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
+            value = str(value).strip()
+            if not value:
+                continue
+            name, parse = CONFIG_KEYS[key]
+            into = spec if name in _SPEC_FIELDS else values
             try:
-                return _BOOL_WORDS[value.lower()]
-            except KeyError:
-                raise ConfigError(
-                    f"config key {key!r} must be a boolean, got {value!r}"
-                ) from None
-
-        spec = None
-        if opt("model_id"):
-            try:
-                spec = SummarizerSpec(
-                    model_id=need("model_id"),
-                    epochs=int(need("epochs")),
-                    weight_decay=float(opt("weight_decay", "0.0")),
-                    learning_rate=float(opt("learning_rate", "5e-5")),
-                    batch_size=int(opt("batch_size", "4")),
-                    max_input_tokens=int(opt("max_input_tokens", "512")),
-                )
+                into[name] = parse(value)
+            except ConfigError as exc:
+                raise ConfigError(f"config key {key!r} {exc}") from None
             except ValueError as exc:
-                raise ConfigError(f"bad inline spec value: {exc}") from None
-
-        augmentations = tuple(
-            step.strip()
-            for step in opt("augment", "").split(",")
-            if step.strip()
-        )
-        max_tokens = opt("max_tokens")
-        try:
-            return cls(
-                language=need("language"),
-                eval_path=need("eval"),
-                output_dir=need("output_dir"),
-                eval_kind=opt("eval_kind", "validation"),
-                train_path=opt("train"),
-                preset=opt("preset"),
-                spec=spec,
-                augmentations=augmentations,
-                augment_append=boolean("augment_append", True),
-                pipeline=opt("pipeline"),
-                translator=opt("translator", "identity"),
-                threshold=float(opt("threshold", str(DEFAULT_THRESHOLD))),
-                max_tokens=int(max_tokens) if max_tokens is not None else None,
-                seed=int(opt("seed", str(DEFAULT_SEED))),
-                adapter=opt("adapter"),
-                socket=opt("socket"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
+                what = "inline spec" if into is spec else "config"
+                raise ConfigError(f"bad {what} value: {exc}") from None
+        if spec:
+            if "model_id" not in spec:
+                raise ConfigError(f"config key {next(iter(spec))!r} needs model_id")
+            values["spec"] = _build(SummarizerSpec, spec)
+        return _build(cls, values)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_mapping(parse_config_file(path))
+
+
+def _boolean(word: str) -> bool:
+    try:
+        return _BOOL_WORDS[word.lower()]
+    except KeyError:
+        raise ConfigError(f"must be a boolean, got {word!r}") from None
+
+
+def _steps(value: str) -> tuple[str, ...]:
+    return tuple(step.strip() for step in value.split(",") if step.strip())
+
+
+# Each config-file key: the field it sets and the parser of its value.
+# The inline spec keys are SummarizerSpec's fields, parsed by their type.
+CONFIG_KEYS = {
+    "language": ("language", str),
+    "eval": ("eval_path", str),
+    "output_dir": ("output_dir", str),
+    "eval_kind": ("eval_kind", str),
+    "train": ("train_path", str),
+    "preset": ("preset", str),
+    **{f.name: (f.name, f.type) for f in fields(SummarizerSpec)},
+    "augment": ("augmentations", _steps),
+    "augment_append": ("augment_append", _boolean),
+    "pipeline": ("pipeline", str),
+    "translator": ("translator", str),
+    "threshold": ("threshold", float),
+    "max_tokens": ("max_tokens", int),
+    "seed": ("seed", int),
+    "adapter": ("adapter", str),
+    "socket": ("socket", str),
+}
+_SPEC_FIELDS = {f.name for f in fields(SummarizerSpec)}
+
+
+def _build(cls, values: dict):
+    """``cls(**values)``, or a ``ConfigError`` naming what is wrong."""
+    required = {f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING}
+    for key, (name, _) in CONFIG_KEYS.items():
+        if name in required and name not in values:
+            raise ConfigError(f"config is missing required key {key!r}")
+    try:
+        return cls(**values)
+    except InvalidSpec as exc:
+        raise ConfigError(f"bad inline spec value: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -257,7 +263,9 @@ def check_unit_interval(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be within [0, 1], got {value}")
 
 
-def _validate(config: ExperimentConfig) -> None:
+def _resolve(config: ExperimentConfig):
+    """Check ``config`` before anything runs, and return what it
+    resolves to: ``(preset or None, pipeline, GenerationParams)``."""
     if config.language not in LANGUAGES:
         raise ConfigError(f"unknown language {config.language!r}")
     pipeline = config.effective_pipeline()
@@ -271,7 +279,7 @@ def _validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"preset {config.preset!r} runs the"
                           f" {preset.pipeline} pipeline, not {pipeline}")
     try:
-        generation_params(preset, config.max_tokens, config.seed).validate()
+        generation = generation_params(preset, config.max_tokens, config.seed)
     except InvalidSpec as exc:
         raise ConfigError(str(exc)) from None
     if not os.path.exists(config.eval_path):
@@ -279,6 +287,7 @@ def _validate(config: ExperimentConfig) -> None:
     if config.train_path is not None and not os.path.exists(config.train_path):
         raise ConfigError(f"train file does not exist: {config.train_path}")
     _parse_augmentations(config.augmentations, None)
+    return preset, pipeline, generation
 
 
 def _parse_augmentations(steps, preset) -> tuple[bool, float | None]:
@@ -444,10 +453,8 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     Module errors raised while processing a record are re-raised with
     the record id prepended.
     """
-    _validate(config)
-    preset = get_preset(config.preset) if config.preset else None
-    generation = generation_params(preset, config.max_tokens, config.seed)
-    translate_map = config.effective_pipeline() == "translate-map"
+    preset, pipeline, generation = _resolve(config)
+    translate_map = pipeline == "translate-map"
     approach = config.preset or (
         "translate-map+lead-baseline" if translate_map else "lead-baseline"
     )

@@ -29,7 +29,6 @@ __all__ = [
     "corpus_rouge",
     "mean_scores",
     "ngrams",
-    "overlap_stats",
     "rouge_n",
     "rouge_scores",
     "rouge_tokens",
@@ -59,27 +58,6 @@ def ngrams(tokens, n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def _clipped(cand: Counter, ref: Counter) -> tuple[int, int, int]:
-    # The overlap loops over the shared keys only: the keys-view
-    # intersection runs in C over the smaller view, so a key that one
-    # side lacks costs no Python-level step and no result Counter is built.
-    overlap = 0
-    for key in cand.keys() & ref.keys():
-        a, b = cand[key], ref[key]
-        overlap += a if a < b else b
-    return overlap, cand.total(), ref.total()
-
-
-def overlap_stats(cand_tokens, ref_tokens, n: int):
-    """(clipped overlap, candidate window count, reference window count).
-
-    The clipped overlap is the sum over distinct n-grams of
-    min(candidate count, reference count); a sequence shorter than
-    ``n`` has zero windows.
-    """
-    return _clipped(ngrams(cand_tokens, n), ngrams(ref_tokens, n))
-
-
 def score_counts(cand: Counter, ref: Counter, n: int = 1) -> RougeScore:
     """Precision, recall and F1 of the clipped overlap of two counts.
 
@@ -87,7 +65,14 @@ def score_counts(cand: Counter, ref: Counter, n: int = 1) -> RougeScore:
     or plain tokens (``Counter(rouge_tokens(text))``) for unigrams.
     ``n`` only labels the result.
     """
-    overlap, cand_total, ref_total = _clipped(cand, ref)
+    # The overlap loops over the shared keys only: the keys-view
+    # intersection runs in C over the smaller view, so a key that one
+    # side lacks costs no Python-level step and no result Counter is built.
+    overlap = 0
+    for key in cand.keys() & ref.keys():
+        a, b = cand[key], ref[key]
+        overlap += a if a < b else b
+    cand_total, ref_total = cand.total(), ref.total()
     precision = overlap / cand_total if cand_total else 0.0
     recall = overlap / ref_total if ref_total else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

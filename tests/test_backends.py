@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import signal
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from indicsum import segment
+from indicsum import backends, segment
 from indicsum.backends import (
     AdapterBackend,
     GenerationParams,
@@ -56,7 +57,7 @@ def train_split(n=3):
 
 class TestSpecs:
     def test_valid_spec_passes(self):
-        SummarizerSpec(model_id="m", epochs=1).validate()
+        SummarizerSpec(model_id="m", epochs=1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -76,9 +77,13 @@ class TestSpecs:
             SummarizerSpec(**base).validate()
 
     def test_generation_params(self):
-        GenerationParams(max_tokens=1).validate()
+        GenerationParams(max_tokens=1)
         with pytest.raises(InvalidSpec):
             GenerationParams(max_tokens=0).validate()
+
+    def test_replace_checks_too(self):
+        with pytest.raises(InvalidSpec, match="max_tokens must be >= 1, got 0"):
+            dataclasses.replace(GenerationParams(), max_tokens=0)
 
 
 class TestPresets:
@@ -324,8 +329,9 @@ class TestAdapterSocket:
                             GenerationParams(max_tokens=2))
             assert out == "uno dos"
 
-    def test_unreachable_port(self):
-        backend = AdapterBackend(address=("127.0.0.1", 1), timeout=0.5)
+    def test_unreachable_port(self, monkeypatch):
+        monkeypatch.setattr(backends, "ADAPTER_TIMEOUT", 0.5)
+        backend = AdapterBackend(address=("127.0.0.1", 1))
         with pytest.raises(BackendUnavailable):
             backend.generate("text", GenerationParams())
 
@@ -355,17 +361,19 @@ def call_within(seconds, call, kill):
 
 
 class TestAdapterDeadlines:
-    """Over both transports: ``generate`` gives up after ``timeout``,
-    ``train`` waits as long as the adapter lives, and an adapter that
-    dies ends any wait."""
+    """Over both transports: ``generate`` gives up after
+    ``ADAPTER_TIMEOUT``, ``train`` waits as long as the adapter lives,
+    and an adapter that dies ends any wait."""
 
     @pytest.fixture(params=["stdio", "socket"])
-    def open_adapter(self, request, stub_argv, tmp_path):
+    def open_adapter(self, request, stub_argv, tmp_path, monkeypatch):
         """Builder of ``(backend, kill)`` over a stub started with
-        ``flags``; ``kill()`` ends the stub process."""
+        ``flags``, under an ``ADAPTER_TIMEOUT`` of ``timeout``;
+        ``kill()`` ends the stub process."""
         servers = []
 
         def build(*flags, timeout):
+            monkeypatch.setattr(backends, "ADAPTER_TIMEOUT", timeout)
             if request.param == "stdio":
                 pid_file = tmp_path / "stub.pid"
                 argv = stub_argv(*flags, "--pid-file", str(pid_file))
@@ -373,12 +381,12 @@ class TestAdapterDeadlines:
                 def kill():
                     os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
-                return AdapterBackend(argv=argv, timeout=timeout), kill
+                return AdapterBackend(argv=argv), kill
             proc = subprocess.Popen(stub_argv(*flags, "--port", "0"),
                                     stdout=subprocess.PIPE, text=True)
             servers.append(proc)
             address = ("127.0.0.1", int(proc.stdout.readline()))
-            return AdapterBackend(address=address, timeout=timeout), proc.kill
+            return AdapterBackend(address=address), proc.kill
 
         yield build
         for proc in servers:

@@ -14,15 +14,17 @@ from pathlib import Path
 import pytest
 
 import indicsum
-from indicsum import jsonlog
+from indicsum import experiments, jsonlog
 from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
                                baseline_handle)
 from indicsum.cli import main
 from indicsum.corpus import ArticleRecord
 from indicsum.crosslingual import TableTranslator, TranslationCache
-from indicsum.errors import (ConfigError, EmptyReport, MissingGoldSummary,
-                             NoAlignment, TranslationFailure)
+from indicsum.errors import (BackendUnavailable, ConfigError, EmptyReport,
+                             MissingGoldSummary, NoAlignment,
+                             TranslationFailure)
 from indicsum.experiments import (
+    CONFIG_KEYS,
     ExperimentConfig,
     RunRecord,
     config_hash,
@@ -150,6 +152,26 @@ class TestConfigParsing:
         assert config.spec == SummarizerSpec(
             model_id="my/model", epochs=2, weight_decay=0.01
         )
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"max_token": "5"}, "unknown config key 'max_token'"),
+        ({"model_id": "m"}, "config is missing required key 'epochs'"),
+    ])
+    def test_rejected_keys(self, extra, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_mapping(
+                {"language": "english", "eval": "v", "output_dir": "o",
+                 **extra}
+            )
+
+    def test_readme_lists_every_key(self):
+        """README's "Recognized keys" list, one ``- `key`:`` item per
+        key, names exactly the keys that ``from_mapping`` reads."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("Recognized keys")[1]
+        items = re.search(r"(?:^(?:- |  ).*\n)+", section, re.M).group()
+        listed = re.findall(r"^- `(\w+)`:", items, re.M)
+        assert sorted(listed) == sorted(CONFIG_KEYS)
 
 
 class TestConfigHash:
@@ -447,6 +469,42 @@ class TestRunExperiment:
                             cache=TranslationCache(path))
         assert str(info.value) == f"record 'g3': no table entry for sentence: {s[4]!r}"
         assert [src for (src, _, _) in TranslationCache(path)._map] == s[:4]
+
+    def test_surrogate_translation_names_record(self, write_csv, tmp_path,
+                                                monkeypatch):
+        # A lone surrogate cannot be written as UTF-8: it is a failure of
+        # the translation, and the cache keeps the one made before it.
+        s = [f"વાક્ય ક્રમ {i} છે." for i in range(3)]
+        path = write_csv([["g1", "", "", s[0], s[0]],
+                          ["g2", "", "", f"{s[1]} {s[2]}", s[1]]])
+        table = TableTranslator({s[0]: s[0], s[1]: "\ud800 x", s[2]: s[2]})
+        monkeypatch.setattr(experiments, "make_translator",
+                            lambda spec, language: table)
+        with pytest.raises(TranslationFailure) as info:
+            run_experiment(base_config(path, tmp_path, language="gujarati",
+                                       pipeline="translate-map"))
+        assert str(info.value) == ("record 'g2': client returned text that is"
+                                   " not UTF-8: '\\ud800 x'")
+        out = tmp_path / "out"
+        assert os.listdir(out) == ["translation-cache.jsonl"]
+        cache = TranslationCache(out / "translation-cache.jsonl")
+        assert list(cache._map) == [(s[0], "gujarati", "english")]
+
+    def test_surrogate_summary_names_record(self, eval_csv, tmp_path):
+        adapter = tmp_path / "surrogate_adapter.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    reply = {'id': json.loads(line)['id'],\n"
+            "             'result': {'summary': '\\ud800 x'}}\n"
+            "    print(json.dumps(reply), flush=True)\n", encoding="utf-8")
+        config = base_config(eval_csv, tmp_path, adapter=shlex.join(
+            [sys.executable, str(adapter)]))
+        with pytest.raises(BackendUnavailable) as info:
+            run_experiment(config)
+        assert str(info.value).startswith(
+            "record 'e1': generate returned text that is not UTF-8")
+        assert os.listdir(tmp_path / "out") == []
 
     def test_error_annotated_with_record_id(self, write_csv, tmp_path):
         path = write_csv(
@@ -1101,6 +1159,29 @@ class TestCli:
                      "--max-tokens", str(max_tokens), "--out", str(out)]) == 0
         expected = tmp_path / "out" / f"summaries-{run.config_hash[:12]}.csv"
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("adaptor = python3 my_adapter.py", "unknown config key 'adaptor'"),
+        ("epochs = 3", "config key 'epochs' needs model_id"),
+        ("model_id = m\nepochs = 0",
+         "bad inline spec value: epochs must be >= 1, got 0"),
+    ])
+    def test_run_rejects_config_before_adapter(self, line, message, write_csv,
+                                               eval_csv, tmp_path, capsys):
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--pid-file", str(pid_file)])
+        train = write_csv([["t1", "", "", "Train body one.", "Train body one."]])
+        cfg = tmp_path / "exp.cfg"
+        out_dir = tmp_path / "out"
+        cfg.write_text(
+            f"language = english\neval = {eval_csv}\ntrain = {train}\n"
+            f"output_dir = {out_dir}\nadapter = {adapter}\n{line}\n",
+            encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+        assert not pid_file.exists()
 
     def test_run_and_report(self, eval_csv, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -8,7 +8,6 @@ from indicsum.errors import EmptyCorpus, InvalidN, NoAlignment
 from indicsum.rouge import (
     corpus_rouge,
     ngrams,
-    overlap_stats,
     rouge_n,
     rouge_scores,
     rouge_tokens,
@@ -129,13 +128,6 @@ class TestOracleEquivalence:
     def _random_tokens(self, rng):
         return [rng.choice(self.ALPHABET) for _ in range(rng.randint(0, 40))]
 
-    def test_overlap_stats_matches_oracle(self):
-        rng = random.Random(1234)
-        for _ in range(300):
-            cand, ref = self._random_tokens(rng), self._random_tokens(rng)
-            for n in (1, 2, 4):
-                assert overlap_stats(cand, ref, n) == oracle_stats(cand, ref, n)
-
     def test_rouge_n_matches_oracle_f1(self):
         rng = random.Random(99)
         for _ in range(300):
@@ -190,10 +182,11 @@ class TestProperties:
             cand = [rng.choice("abc") for _ in range(rng.randint(1, 12))]
             ref = [rng.choice("abc") for _ in range(rng.randint(1, 12))]
             extended = cand + [rng.choice(ref)]
+            # With the reference fixed, recall is the overlap over a constant.
+            before = rouge_scores(" ".join(cand), " ".join(ref), (1, 2))
+            after = rouge_scores(" ".join(extended), " ".join(ref), (1, 2))
             for n in (1, 2):
-                before, _, _ = overlap_stats(cand, ref, n)
-                after, _, _ = overlap_stats(extended, ref, n)
-                assert after >= before
+                assert after[n].recall >= before[n].recall
 
 
 class TestScoreCounts:
