@@ -2,22 +2,20 @@
 
 One subcommand per pipeline stage: prepare, augment, train, summarize,
 translate-map, evaluate, report, plus ``run`` for a whole config-driven
-experiment.  ``train``, ``summarize`` and ``translate-map`` run through
-the same backend, training, generation and per-record helpers as
-``run``.  All commands exit nonzero with a one-line message on toolkit
-errors and on files that cannot be read or written.
+experiment.  ``train``, ``summarize`` and ``translate-map`` enter the
+same ``experiments.run_setup`` as ``run`` and add only ``--checkpoint``
+and ``--out``.  All commands exit nonzero with a one-line message on
+toolkit errors and on files that cannot be read or written.
 """
 
 import argparse
 import csv
-import os
 import sys
-from contextlib import closing, nullcontext
 
 from . import augment as augment_mod
 from . import corpus, experiments
 from .backends import DEFAULT_SEED, PRESETS, TrainedHandle, get_preset
-from .crosslingual import DEFAULT_THRESHOLD, TranslationCache
+from .crosslingual import DEFAULT_THRESHOLD
 from .errors import (ConfigError, DuplicateId, IndicSumError, MismatchedIds,
                      MissingColumn, MissingGoldSummary)
 from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
@@ -66,10 +64,11 @@ def _cmd_train(args) -> int:
               file=sys.stderr)
         return 2
     language = args.lang or preset.language
-    with closing(experiments.open_backend(args.adapter, args.socket,
-                                          language)) as backend:
+    augmentation = experiments.parse_augmentations((), preset)
+    with experiments.run_setup(language, args.adapter,
+                               args.socket) as (backend, _):
         handle = experiments.train_on_file(backend, preset.spec, args.train,
-                                           language, preset)
+                                           language, augmentation)
     print(f"checkpoint: {handle.checkpoint}")
     return 0
 
@@ -84,24 +83,13 @@ def _cmd_summarize(args) -> int:
     generation = experiments.generation_params(preset, args.max_tokens)
     language = args.lang or (preset.language if preset else "english")
     split = corpus.load_csv(args.csv, args.split, language)
-    translator = None
-    if args.translator:
-        translator = experiments.make_translator(args.translator, language)
-    lock = nullcontext()
-    if args.cache:
-        # The lock run_experiment holds over its cache: one writer per file.
-        cache_dir = os.path.dirname(os.path.abspath(args.cache))
-        os.makedirs(cache_dir, exist_ok=True)
-        lock = experiments.directory_lock(cache_dir)
-    with lock, closing(experiments.open_backend(
-        args.adapter, args.socket, "english" if translator else language,
-    )) as backend:
-        cache = TranslationCache(args.cache) if args.cache else None
+    with experiments.run_setup(
+        language, args.adapter, args.socket, translator=args.translator,
+        cache=args.cache,
+    ) as (backend, summarize_split):
         handle = TrainedHandle(backend=backend, checkpoint=args.checkpoint)
-        rows = [(rec.id, summary) for rec, summary in experiments.summarize_split(
-            split, handle, generation, translator=translator, cache=cache,
-            threshold=args.threshold,
-        )]
+        rows = [(rec.id, summary) for rec, summary in summarize_split(
+            split, handle, generation, threshold=args.threshold)]
     experiments.write_summaries(args.out, rows)
     print(f"{args.out}: {len(rows)} summaries")
     return 0

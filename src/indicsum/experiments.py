@@ -8,8 +8,8 @@ through the translate/back-map pipeline.  Running one produces a
 RunRecord: per-record summaries with their ROUGE scores plus corpus
 aggregates, appended as one JSON line to ``runs.jsonl`` in the output
 directory.  An flock on the output directory serializes experiments.
-The CLI stages share ``run_experiment``'s backend and training
-helpers and its stage sequence over a split, ``summarize_split``.
+Every command that opens a backend enters ``run_setup``, and
+``run_experiment`` adds only training, scoring and the run record.
 """
 
 import csv
@@ -18,9 +18,10 @@ import hashlib
 import io
 import json
 import os
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 
 from . import augment as augment_mod
 from . import crosslingual, jsonlog
@@ -66,10 +67,11 @@ __all__ = [
     "directory_lock",
     "generation_params",
     "load_runs",
-    "open_backend",
+    "parse_augmentations",
     "parse_config_file",
     "render_report",
     "run_experiment",
+    "run_setup",
     "summarize_split",
     "train_on_file",
     "write_summaries",
@@ -264,8 +266,8 @@ def check_unit_interval(name: str, value: float) -> None:
 
 
 def _resolve(config: ExperimentConfig):
-    """Check ``config`` before anything runs, and return what it
-    resolves to: ``(preset or None, pipeline, GenerationParams)``."""
+    """Check ``config`` before anything runs; return ``(preset or None,
+    pipeline, GenerationParams, (shift, noise rate))``."""
     if config.language not in LANGUAGES:
         raise ConfigError(f"unknown language {config.language!r}")
     pipeline = config.effective_pipeline()
@@ -286,12 +288,12 @@ def _resolve(config: ExperimentConfig):
         raise ConfigError(f"eval file does not exist: {config.eval_path}")
     if config.train_path is not None and not os.path.exists(config.train_path):
         raise ConfigError(f"train file does not exist: {config.train_path}")
-    _parse_augmentations(config.augmentations, None)
-    return preset, pipeline, generation
+    augmentation = parse_augmentations(config.augmentations, preset)
+    return preset, pipeline, generation, augmentation
 
 
-def _parse_augmentations(steps, preset) -> tuple[bool, float | None]:
-    """Resolve config/preset augmentation steps to (shift, noise rate)."""
+def parse_augmentations(steps, preset) -> tuple[bool, float | None]:
+    """``steps``, else the preset's step, resolved to (shift, noise rate)."""
     steps = list(steps)
     if not steps and preset is not None and preset.augment:
         steps = [preset.augment]
@@ -330,30 +332,13 @@ def make_translator(spec: str, language: str):
     raise ConfigError(f"unknown translator {spec!r}")
 
 
-def open_backend(adapter: str | None, socket: str | None, language: str):
-    """The adapter given as a command line or ``host:port``, else the
-    lead baseline for ``language``.  The caller closes it."""
-    if adapter:
-        return AdapterBackend(argv=adapter)
-    if socket:
-        host, _, port = socket.rpartition(":")
-        if not host:
-            raise ConfigError(f"socket must be host:port, got {socket!r}")
-        try:
-            return AdapterBackend(address=(host, int(port)))
-        except ValueError as exc:
-            raise ConfigError(f"bad socket address {socket!r}: {exc}") from None
-    return LeadBaselineBackend(language)
-
-
-def train_on_file(backend, spec, train_path, language: str, preset=None,
-                  augmentations=(), *, seed: int = DEFAULT_SEED,
-                  append: bool = True) -> TrainedHandle:
+def train_on_file(backend, spec, train_path, language: str, augmentation, *,
+                  seed: int = DEFAULT_SEED, append: bool = True) -> TrainedHandle:
     """Fine-tune ``backend`` on the train CSV at ``train_path``, augmented
-    by the steps in ``augmentations`` (the preset's step when none are
-    given).  ``run_experiment`` and the CLI's ``train`` both train here."""
+    by ``augmentation``, ``parse_augmentations``' (shift, noise rate).
+    ``run_experiment`` and the CLI's ``train`` both train here."""
     train_split = load_csv(train_path, "train", language)
-    shift, noise_rate = _parse_augmentations(augmentations, preset)
+    shift, noise_rate = augmentation
     if shift or noise_rate is not None:
         train_split = augment_mod.augment_split(
             train_split, shift=shift, noise_rate=noise_rate, seed=seed,
@@ -419,11 +404,23 @@ def summarize_split(split, handle, generation, *, translator=None,
 
 
 def write_summaries(path, rows) -> None:
-    """Write ``(id, summary)`` rows as an ``id,Summary`` CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "Summary"])
-        writer.writerows(rows)
+    """Write ``(id, summary)`` rows as an ``id,Summary`` CSV.  The rows
+    go to a temporary file beside ``path`` that replaces it once whole,
+    so a failed write leaves ``path`` as it was and no file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "Summary"])
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # Name the file the caller asked for, not the temporary one.
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 @contextmanager
@@ -445,6 +442,41 @@ def directory_lock(path):
         os.close(fd)
 
 
+@contextmanager
+def run_setup(language: str, adapter: str | None = None,
+              socket: str | None = None, *, translator: str | None = None,
+              directory=None, cache=None):
+    """Open what a run needs, in order: the translator from its config
+    string (None: direct pipeline), a lock on ``directory``, made if
+    missing (else on the ``cache`` file's), the backend (``adapter``, else
+    ``socket``, else the lead baseline; English under a translator) and
+    the cache.  Yields ``(backend, summarize_split)`` bound to those."""
+    if translator is not None:
+        translator = make_translator(translator, language)
+        language = "english"
+    if directory is None and cache:
+        directory = os.path.dirname(os.path.abspath(cache))
+    with ExitStack() as stack:
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            stack.enter_context(directory_lock(directory))
+        if adapter:
+            backend = AdapterBackend(argv=adapter)
+        elif socket:
+            host, _, port = socket.rpartition(":")
+            if not host:
+                raise ConfigError(f"socket must be host:port, got {socket!r}")
+            try:
+                backend = AdapterBackend(address=(host, int(port)))
+            except ValueError as exc:
+                raise ConfigError(f"bad socket address {socket!r}: {exc}") from None
+        else:
+            backend = LeadBaselineBackend(language)
+        stack.enter_context(closing(backend))
+        cache = TranslationCache(cache) if cache else None
+        yield backend, partial(summarize_split, translator=translator, cache=cache)
+
+
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run one experiment end to end and append its RunRecord.
 
@@ -453,18 +485,14 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     Module errors raised while processing a record are re-raised with
     the record id prepended.
     """
-    preset, pipeline, generation = _resolve(config)
+    preset, pipeline, generation, augmentation = _resolve(config)
     translate_map = pipeline == "translate-map"
     approach = config.preset or (
         "translate-map+lead-baseline" if translate_map else "lead-baseline"
     )
 
-    # The translator and the eval split come before the backend starts,
-    # so a bad translator setting or an unscorable split fails before
-    # anything trains.
-    translator = None
-    if translate_map:
-        translator = make_translator(config.translator, config.language)
+    # The eval split is checked before the backend starts, so an
+    # unscorable split fails before anything trains.
     eval_split = load_csv(config.eval_path, config.eval_kind, config.language)
     for rec in eval_split:
         if rec.summary is None:
@@ -474,31 +502,25 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             )
 
     digest = config_hash(config)
-    os.makedirs(config.output_dir, exist_ok=True)
-    with directory_lock(config.output_dir), closing(open_backend(
-        config.adapter, config.socket,
-        "english" if translate_map else config.language,
-    )) as backend:
+    with run_setup(
+        config.language, config.adapter, config.socket,
+        translator=config.translator if translate_map else None,
+        directory=config.output_dir,
+        cache=os.path.join(config.output_dir, "translation-cache.jsonl")
+        if translate_map else None,
+    ) as (backend, summarize_all):
         spec = config.spec or (preset.spec if preset else None)
         handle = TrainedHandle(backend=backend)
         if spec is not None and backend.trainable and config.train_path:
             handle = train_on_file(
-                backend, spec, config.train_path, config.language, preset,
-                config.augmentations, seed=config.seed,
-                append=config.augment_append,
-            )
-
-        cache = None
-        if translate_map:
-            cache = TranslationCache(
-                os.path.join(config.output_dir, "translation-cache.jsonl")
+                backend, spec, config.train_path, config.language,
+                augmentation, seed=config.seed, append=config.augment_append,
             )
 
         record_rows = []
         per_record = []
-        for rec, candidate in summarize_split(
-            eval_split, handle, generation, translator=translator,
-            cache=cache, threshold=config.threshold,
+        for rec, candidate in summarize_all(
+            eval_split, handle, generation, threshold=config.threshold,
         ):
             scores = rouge_scores(candidate, rec.summary, DEFAULT_ORDERS)
             record_rows.append({

@@ -74,12 +74,12 @@ class TestSpecs:
         base = {"model_id": "m", "epochs": 1}
         base.update(kwargs)
         with pytest.raises(InvalidSpec):
-            SummarizerSpec(**base).validate()
+            SummarizerSpec(**base)
 
     def test_generation_params(self):
         GenerationParams(max_tokens=1)
         with pytest.raises(InvalidSpec):
-            GenerationParams(max_tokens=0).validate()
+            GenerationParams(max_tokens=0)
 
     def test_replace_checks_too(self):
         with pytest.raises(InvalidSpec, match="max_tokens must be >= 1, got 0"):

@@ -800,6 +800,34 @@ def test_append_keeps_whole_lines_when_lines_raise(tmp_path):
     assert [v["n"] for _, v in jsonlog.read(path, json.loads)] == list(range(100))
 
 
+@pytest.mark.parametrize("old", [None, b"id,Summary\nx1,kept\n"],
+                         ids=["new-file", "existing-file"])
+def test_write_summaries_leaves_no_partial_csv(old, tmp_path):
+    """Rows that fail after more than the write buffer holds leave the
+    target as it was (absent or with its old bytes) and no other file."""
+    path = tmp_path / "summaries.csv"
+    if old is not None:
+        path.write_bytes(old)
+
+    def failing():
+        for i in range(200):
+            yield f"e{i}", "x" * 200
+        raise OSError("disk went away")
+
+    with pytest.raises(OSError, match="disk went away"):
+        experiments.write_summaries(path, failing())
+    assert os.listdir(tmp_path) == ([] if old is None else ["summaries.csv"])
+    if old is not None:
+        assert path.read_bytes() == old
+
+
+def test_write_summaries_error_names_target(tmp_path):
+    path = str(tmp_path / "missing" / "summaries.csv")
+    with pytest.raises(FileNotFoundError) as info:
+        experiments.write_summaries(path, [("e1", "one")])
+    assert str(info.value) == f"[Errno 2] No such file or directory: {path!r}"
+
+
 class TestRenderReport:
     def test_formatting(self):
         out = render_report([fake_run("lead-baseline", (0.5, 0.4, 0.3))])
@@ -1159,6 +1187,38 @@ class TestCli:
                      "--max-tokens", str(max_tokens), "--out", str(out)]) == 0
         expected = tmp_path / "out" / f"summaries-{run.config_hash[:12]}.csv"
         assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("stage", ["summarize", "translate-map"])
+    def test_checkpoint_reaches_adapter(self, stage, write_csv, tmp_path,
+                                        gujarati_records, capsys):
+        # The adapter answers generate only under the checkpoint it
+        # expects, echoing the article's first max_tokens words.
+        adapter = tmp_path / "checkpoint_adapter.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    request = json.loads(line)\n"
+            "    payload = request['payload']\n"
+            "    if payload.get('checkpoint') == 'ckpt-7':\n"
+            "        words = payload['article'].split()[:payload['max_tokens']]\n"
+            "        reply = {'result': {'summary': ' '.join(words)}}\n"
+            "    else:\n"
+            "        reply = {'error': 'no checkpoint ckpt-7'}\n"
+            "    print(json.dumps({'id': request['id'], **reply}), flush=True)\n",
+            encoding="utf-8")
+        src = write_csv([[r.id, "", "", r.article, r.summary]
+                         for r in gujarati_records[:3]])
+        out = tmp_path / "c.csv"
+        argv = [stage, str(src), "--lang", "gujarati", "--max-tokens", "6",
+                "--adapter", shlex.join([sys.executable, str(adapter)]),
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: record {gujarati_records[0].id!r}: adapter error:"
+            " no checkpoint ckpt-7\n")
+        assert not out.exists()
+        assert main([*argv, "--checkpoint", "ckpt-7"]) == 0
+        assert capsys.readouterr().out == f"{out}: 3 summaries\n"
 
     @pytest.mark.parametrize("line, message", [
         ("adaptor = python3 my_adapter.py", "unknown config key 'adaptor'"),
