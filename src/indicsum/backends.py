@@ -236,7 +236,8 @@ class AdapterBackend:
     """Out-of-process summarizer reached over one stream socket.
 
     Exactly one of ``argv`` (command line of a subprocess; a string is
-    split with shell quoting rules) and ``address`` ((host, port) of a
+    split with shell quoting rules, and one that does not split into at
+    least one word is a ``ConfigError``) and ``address`` ((host, port) of a
     listening adapter) must be given.  A spawned adapter gets one end of
     a socket pair as its stdin and stdout; the parent closes that end
     after the spawn, so the adapter's exit reads as end of stream.  The
@@ -253,7 +254,13 @@ class AdapterBackend:
         if (argv is None) == (address is None):
             raise ValueError("pass exactly one of argv or address")
         if isinstance(argv, str):
-            argv = shlex.split(argv)
+            try:
+                words = shlex.split(argv)
+            except ValueError as exc:
+                raise ConfigError(f"bad adapter command line {argv!r}: {exc}") from None
+            if not words:
+                raise ConfigError(f"adapter command line {argv!r} has no words")
+            argv = words
         self._argv = list(argv) if argv else None
         self._address = tuple(address) if address else None
         self._proc = None

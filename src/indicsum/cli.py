@@ -2,10 +2,10 @@
 
 One subcommand per pipeline stage: prepare, augment, train, summarize,
 translate-map, evaluate, report, plus ``run`` for a whole config-driven
-experiment.  ``train``, ``summarize`` and ``translate-map`` enter the
-same ``experiments.run_setup`` as ``run`` and add only ``--checkpoint``
-and ``--out``.  All commands exit nonzero with a one-line message on
-toolkit errors and on files that cannot be read or written.
+experiment.  ``train``, ``summarize`` and ``translate-map`` share
+``run``'s ``experiments.resolve_settings`` and ``run_setup``, adding
+only ``--checkpoint`` and ``--out``.  All commands exit nonzero with a
+one-line message on toolkit errors and on files they cannot read or write.
 """
 
 import argparse
@@ -14,10 +14,10 @@ import sys
 
 from . import augment as augment_mod
 from . import corpus, experiments
-from .backends import DEFAULT_SEED, PRESETS, TrainedHandle, get_preset
+from .backends import DEFAULT_SEED, PRESETS, TrainedHandle
 from .crosslingual import DEFAULT_THRESHOLD
-from .errors import (ConfigError, DuplicateId, IndicSumError, MismatchedIds,
-                     MissingColumn, MissingGoldSummary)
+from .errors import (DuplicateId, IndicSumError, MismatchedIds, MissingColumn,
+                     MissingGoldSummary)
 from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
 from .segment import LANGUAGES
 
@@ -58,45 +58,37 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    preset = get_preset(args.preset, args.lang)
-    if preset.spec is None:
+    settings = experiments.resolve_settings(args)
+    if settings.spec is None:
         print(f"preset {args.preset!r} is a pipeline preset; nothing to train",
               file=sys.stderr)
         return 2
-    language = args.lang or preset.language
-    augmentation = experiments.parse_augmentations((), preset)
-    with experiments.run_setup(language, args.adapter,
+    with experiments.run_setup(settings.language, args.adapter,
                                args.socket) as (backend, _):
-        handle = experiments.train_on_file(backend, preset.spec, args.train,
-                                           language, augmentation)
+        handle = experiments.train_on_file(backend, settings.spec, args.train,
+                                           settings.language, settings.augmentation)
     print(f"checkpoint: {handle.checkpoint}")
     return 0
 
 
 def _cmd_summarize(args) -> int:
     """``summarize``, or ``translate-map`` when ``args.translator`` is set."""
-    experiments.check_unit_interval("threshold", args.threshold)
-    preset = get_preset(args.preset, args.lang) if args.preset else None
-    if preset is not None and preset.pipeline != "direct":
-        raise ConfigError(f"preset {args.preset!r} runs the {preset.pipeline}"
-                          " pipeline; use translate-map or run")
-    generation = experiments.generation_params(preset, args.max_tokens)
-    language = args.lang or (preset.language if preset else "english")
-    split = corpus.load_csv(args.csv, args.split, language)
+    settings = experiments.resolve_settings(args)
+    split = corpus.load_csv(args.csv, args.split, settings.language)
     with experiments.run_setup(
-        language, args.adapter, args.socket, translator=args.translator,
-        cache=args.cache,
+        settings.language, args.adapter, args.socket,
+        translator=args.translator, cache=args.cache,
     ) as (backend, summarize_split):
         handle = TrainedHandle(backend=backend, checkpoint=args.checkpoint)
         rows = [(rec.id, summary) for rec, summary in summarize_split(
-            split, handle, generation, threshold=args.threshold)]
+            split, handle, settings.generation, threshold=args.threshold)]
     experiments.write_summaries(args.out, rows)
     print(f"{args.out}: {len(rows)} summaries")
     return 0
 
 
 def _load_candidates(path) -> dict:
-    with corpus.open_utf8(path, "utf-8-sig", newline="") as fh:
+    with corpus.open_utf8(path, newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
         for name in ("id", "Summary"):
@@ -159,10 +151,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _add_adapter_flags(parser) -> None:
+def _add_stage_options(parser) -> None:
+    """The adapter flags, and the run settings no stage sets: a stage's
+    arguments carry ``ExperimentConfig``'s names for ``resolve_settings``."""
     parser.add_argument("--adapter", help="adapter command line (stdio transport)")
     parser.add_argument("--socket", help="adapter address as host:port")
     parser.add_argument("--checkpoint", help="adapter checkpoint id to use")
+    parser.set_defaults(spec=None, seed=DEFAULT_SEED, augmentations=())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,26 +189,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fine-tune an adapter backend")
     p.add_argument("--preset", required=True)
     p.add_argument("--train", required=True, help="train split CSV")
-    p.add_argument("--lang", choices=LANGUAGES)
-    _add_adapter_flags(p)
-    p.set_defaults(func=_cmd_train)
+    p.add_argument("--lang", dest="language", choices=LANGUAGES)
+    _add_stage_options(p)
+    p.set_defaults(func=_cmd_train, pipeline=None, max_tokens=None,
+                   threshold=DEFAULT_THRESHOLD)
 
     p = sub.add_parser("summarize", help="summarize a split to a CSV")
     p.add_argument("csv")
     p.add_argument("--split", default="validation", choices=corpus.SPLIT_KINDS)
-    p.add_argument("--lang", choices=LANGUAGES)
+    p.add_argument("--lang", dest="language", choices=LANGUAGES)
     p.add_argument("--preset")
     p.add_argument("--max-tokens", type=int)
     p.add_argument("--out", required=True)
-    _add_adapter_flags(p)
-    p.set_defaults(func=_cmd_summarize, translator=None, cache=None,
-                   threshold=DEFAULT_THRESHOLD)
+    _add_stage_options(p)
+    p.set_defaults(func=_cmd_summarize, pipeline="direct", translator=None,
+                   cache=None, threshold=DEFAULT_THRESHOLD)
 
     p = sub.add_parser("translate-map",
                        help="translate, summarize in English, back-map")
     p.add_argument("csv")
     p.add_argument("--split", default="validation", choices=corpus.SPLIT_KINDS)
-    p.add_argument("--lang", default="gujarati", choices=LANGUAGES)
+    p.add_argument("--lang", dest="language", default="gujarati", choices=LANGUAGES)
     p.add_argument("--translator", default="identity",
                    help="identity, table:<tsv> or live:<url>")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
@@ -221,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=PRESETS["gujarati-translate-map"].generation.max_tokens)
     p.add_argument("--cache", help="persistent translation cache (JSONL)")
     p.add_argument("--out", required=True)
-    _add_adapter_flags(p)
-    p.set_defaults(func=_cmd_summarize, preset=None)
+    _add_stage_options(p)
+    p.set_defaults(func=_cmd_summarize, pipeline="translate-map", preset=None)
 
     p = sub.add_parser("evaluate", help="score candidate summaries")
     p.add_argument("cands", help="CSV with id,Summary columns")

@@ -55,10 +55,10 @@ class DatasetSplit:
 
 
 @contextmanager
-def open_utf8(path, encoding: str = "utf-8", newline=None):
-    """``open(path)`` for reading UTF-8 text; a byte that is not UTF-8
-    raises ``BadEncoding`` naming ``path``."""
-    with open(path, encoding=encoding, newline=newline) as fh:
+def open_utf8(path, newline=None):
+    """``open(path)`` for reading UTF-8 text, skipping a leading BOM; a
+    byte that is not UTF-8 raises ``BadEncoding`` naming ``path``."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -79,7 +79,7 @@ def load_csv(path, kind: str, language: str) -> DatasetSplit:
     if language not in LANGUAGES:
         raise ValueError(f"unknown language: {language!r}")
 
-    with open_utf8(path, "utf-8-sig", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

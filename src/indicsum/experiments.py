@@ -8,8 +8,9 @@ through the translate/back-map pipeline.  Running one produces a
 RunRecord: per-record summaries with their ROUGE scores plus corpus
 aggregates, appended as one JSON line to ``runs.jsonl`` in the output
 directory.  An flock on the output directory serializes experiments.
-Every command that opens a backend enters ``run_setup``, and
-``run_experiment`` adds only training, scoring and the run record.
+Every command that opens a backend resolves its settings through
+``resolve_settings`` and enters ``run_setup``; ``run_experiment`` adds
+only training, scoring and the run record.
 """
 
 import csv
@@ -18,8 +19,10 @@ import hashlib
 import io
 import json
 import os
+import urllib.parse
+from collections import namedtuple
 from contextlib import ExitStack, closing, contextmanager, suppress
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 
@@ -65,11 +68,10 @@ __all__ = [
     "check_unit_interval",
     "config_hash",
     "directory_lock",
-    "generation_params",
     "load_runs",
-    "parse_augmentations",
     "parse_config_file",
     "render_report",
+    "resolve_settings",
     "run_experiment",
     "run_setup",
     "summarize_split",
@@ -109,15 +111,8 @@ class ExperimentConfig:
         out = asdict(self)  # spec too; json.dumps writes the tuple as a list
         # An unset pipeline hashes as the one it resolves to, so a config
         # that names it and one that leaves it to the preset hash alike.
-        out["pipeline"] = self.effective_pipeline()
+        out["pipeline"] = effective_pipeline(self.pipeline, self.preset)
         return out
-
-    def effective_pipeline(self) -> str:
-        """``pipeline`` when set, else the preset's, else ``direct``."""
-        if self.pipeline is not None:
-            return self.pipeline
-        preset = PRESETS.get(self.preset)
-        return preset.pipeline if preset else "direct"
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ExperimentConfig":
@@ -265,41 +260,44 @@ def check_unit_interval(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be within [0, 1], got {value}")
 
 
-def _resolve(config: ExperimentConfig):
-    """Check ``config`` before anything runs; return ``(preset or None,
-    pipeline, GenerationParams, (shift, noise rate))``."""
-    if config.language not in LANGUAGES:
-        raise ConfigError(f"unknown language {config.language!r}")
-    pipeline = config.effective_pipeline()
+# What resolve_settings returns; ``augmentation`` is (shift, noise rate).
+Settings = namedtuple("Settings", "language pipeline spec generation augmentation")
+
+
+def effective_pipeline(pipeline: str | None, preset: str | None) -> str:
+    """``pipeline`` when set, else preset ``preset``'s, else ``direct``."""
+    if pipeline is None:
+        pipeline = PRESETS[preset].pipeline if preset in PRESETS else "direct"
+    return pipeline
+
+
+def resolve_settings(options) -> Settings:
+    """Check and resolve the settings ``run`` and the CLI stages share, from
+    an ``ExperimentConfig`` or a stage's arguments, named alike.  A setting
+    not given (``None`` or empty) is the preset's, else the default."""
+    preset, language = options.preset, options.language
+    found = get_preset(preset, language) if preset else None
+    if language is None:
+        language = found.language if found else "english"
+    if language not in LANGUAGES:
+        raise ConfigError(f"unknown language {language!r}")
+    pipeline = effective_pipeline(options.pipeline, preset)
     if pipeline not in ("direct", "translate-map"):
         raise ConfigError(f"unknown pipeline {pipeline!r}")
-    check_unit_interval("threshold", config.threshold)
-    if config.eval_kind not in SPLIT_KINDS:
-        raise ConfigError(f"unknown eval_kind {config.eval_kind!r}")
-    preset = get_preset(config.preset, config.language) if config.preset else None
-    if preset is not None and pipeline != preset.pipeline:
-        raise ConfigError(f"preset {config.preset!r} runs the"
-                          f" {preset.pipeline} pipeline, not {pipeline}")
+    if found is not None and pipeline != found.pipeline:
+        raise ConfigError(f"preset {preset!r} runs the"
+                          f" {found.pipeline} pipeline, not {pipeline}")
+    check_unit_interval("threshold", options.threshold)
+    max_tokens = options.max_tokens
+    if max_tokens is None:
+        max_tokens = (found.generation if found else GenerationParams()).max_tokens
     try:
-        generation = generation_params(preset, config.max_tokens, config.seed)
+        generation = GenerationParams(max_tokens, options.seed)
     except InvalidSpec as exc:
         raise ConfigError(str(exc)) from None
-    if not os.path.exists(config.eval_path):
-        raise ConfigError(f"eval file does not exist: {config.eval_path}")
-    if config.train_path is not None and not os.path.exists(config.train_path):
-        raise ConfigError(f"train file does not exist: {config.train_path}")
-    augmentation = parse_augmentations(config.augmentations, preset)
-    return preset, pipeline, generation, augmentation
-
-
-def parse_augmentations(steps, preset) -> tuple[bool, float | None]:
-    """``steps``, else the preset's step, resolved to (shift, noise rate)."""
-    steps = list(steps)
-    if not steps and preset is not None and preset.augment:
-        steps = [preset.augment]
-    shift = False
-    noise_rate = None
-    for step in steps:
+    shift, noise_rate = False, None
+    steps = options.augmentations
+    for step in steps or ([found.augment] if found and found.augment else ()):
         if step == "right-shift":
             shift = True
         elif step == "noise":
@@ -312,13 +310,27 @@ def parse_augmentations(steps, preset) -> tuple[bool, float | None]:
             check_unit_interval("noise rate", noise_rate)
         else:
             raise ConfigError(f"unknown augmentation step {step!r}")
-    return shift, noise_rate
+    spec = options.spec or (found.spec if found else None)
+    return Settings(language, pipeline, spec, generation, (shift, noise_rate))
+
+
+def _resolve(config: ExperimentConfig) -> Settings:
+    """Check ``config`` before anything runs; return its settings."""
+    settings = resolve_settings(config)
+    if config.eval_kind not in SPLIT_KINDS:
+        raise ConfigError(f"unknown eval_kind {config.eval_kind!r}")
+    if not os.path.exists(config.eval_path):
+        raise ConfigError(f"eval file does not exist: {config.eval_path}")
+    if config.train_path is not None and not os.path.exists(config.train_path):
+        raise ConfigError(f"train file does not exist: {config.train_path}")
+    return settings
 
 
 def make_translator(spec: str, language: str):
     """Build a translation client from its config string.
 
-    Accepted forms: ``identity``, ``table:<tsv path>``, ``live:<url>``.
+    Accepted forms: ``identity``, ``table:<tsv path>``, ``live:<url>``
+    with an ``http``/``https`` URL that names a host.
     """
     if spec == "identity":
         return IdentityTranslator(source_lang=language)
@@ -328,14 +340,22 @@ def make_translator(spec: str, language: str):
             raise ConfigError(f"translator table does not exist: {path}")
         return TableTranslator.from_tsv(path, source_lang=language)
     if spec.startswith("live:"):
-        return HttpTranslator(spec.split(":", 1)[1], source_lang=language)
+        url = spec.split(":", 1)[1]
+        try:
+            parts = urllib.parse.urlsplit(url)
+            valid = parts.scheme in ("http", "https") and parts.hostname
+        except ValueError:  # e.g. an unclosed IPv6 bracket
+            valid = False
+        if not valid:
+            raise ConfigError(f"live: needs an http(s) URL with a host, got {url!r}")
+        return HttpTranslator(url, source_lang=language)
     raise ConfigError(f"unknown translator {spec!r}")
 
 
 def train_on_file(backend, spec, train_path, language: str, augmentation, *,
                   seed: int = DEFAULT_SEED, append: bool = True) -> TrainedHandle:
     """Fine-tune ``backend`` on the train CSV at ``train_path``, augmented
-    by ``augmentation``, ``parse_augmentations``' (shift, noise rate).
+    by ``augmentation``, the (shift, noise rate) of ``resolve_settings``.
     ``run_experiment`` and the CLI's ``train`` both train here."""
     train_split = load_csv(train_path, "train", language)
     shift, noise_rate = augmentation
@@ -345,16 +365,6 @@ def train_on_file(backend, spec, train_path, language: str, augmentation, *,
             append=append,
         )
     return fine_tune(backend, train_split, spec)
-
-
-def generation_params(preset, max_tokens: int | None,
-                      seed: int = DEFAULT_SEED) -> GenerationParams:
-    """The preset's generation settings (or the defaults), with
-    ``max_tokens`` overriding its budget when given."""
-    generation = preset.generation if preset else GenerationParams()
-    if max_tokens is not None:
-        generation = replace(generation, max_tokens=max_tokens)
-    return replace(generation, seed=seed)
 
 
 def _name_record(rec, exc):
@@ -447,31 +457,33 @@ def run_setup(language: str, adapter: str | None = None,
               socket: str | None = None, *, translator: str | None = None,
               directory=None, cache=None):
     """Open what a run needs, in order: the translator from its config
-    string (None: direct pipeline), a lock on ``directory``, made if
-    missing (else on the ``cache`` file's), the backend (``adapter``, else
-    ``socket``, else the lead baseline; English under a translator) and
-    the cache.  Yields ``(backend, summarize_split)`` bound to those."""
+    string (None: direct pipeline), the backend (``adapter``, else
+    ``socket``, else the lead baseline; English under a translator; an
+    adapter starts on its first request), a lock on ``directory``, made
+    if missing (else on the ``cache`` file's), and the cache.  So a bad
+    setting fails before any directory is made.  Yields ``(backend,
+    summarize_split)`` bound to those."""
     if translator is not None:
         translator = make_translator(translator, language)
         language = "english"
+    if adapter is not None:
+        backend = AdapterBackend(argv=adapter)
+    elif socket is not None:
+        host, _, port = socket.rpartition(":")
+        if not host:
+            raise ConfigError(f"socket must be host:port, got {socket!r}")
+        try:
+            backend = AdapterBackend(address=(host, int(port)))
+        except ValueError as exc:
+            raise ConfigError(f"bad socket address {socket!r}: {exc}") from None
+    else:
+        backend = LeadBaselineBackend(language)
     if directory is None and cache:
         directory = os.path.dirname(os.path.abspath(cache))
     with ExitStack() as stack:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             stack.enter_context(directory_lock(directory))
-        if adapter:
-            backend = AdapterBackend(argv=adapter)
-        elif socket:
-            host, _, port = socket.rpartition(":")
-            if not host:
-                raise ConfigError(f"socket must be host:port, got {socket!r}")
-            try:
-                backend = AdapterBackend(address=(host, int(port)))
-            except ValueError as exc:
-                raise ConfigError(f"bad socket address {socket!r}: {exc}") from None
-        else:
-            backend = LeadBaselineBackend(language)
         stack.enter_context(closing(backend))
         cache = TranslationCache(cache) if cache else None
         yield backend, partial(summarize_split, translator=translator, cache=cache)
@@ -485,7 +497,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     Module errors raised while processing a record are re-raised with
     the record id prepended.
     """
-    preset, pipeline, generation, augmentation = _resolve(config)
+    language, pipeline, spec, generation, augmentation = _resolve(config)
     translate_map = pipeline == "translate-map"
     approach = config.preset or (
         "translate-map+lead-baseline" if translate_map else "lead-baseline"
@@ -493,7 +505,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     # The eval split is checked before the backend starts, so an
     # unscorable split fails before anything trains.
-    eval_split = load_csv(config.eval_path, config.eval_kind, config.language)
+    eval_split = load_csv(config.eval_path, config.eval_kind, language)
     for rec in eval_split:
         if rec.summary is None:
             raise MissingGoldSummary(
@@ -503,17 +515,16 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     digest = config_hash(config)
     with run_setup(
-        config.language, config.adapter, config.socket,
+        language, config.adapter, config.socket,
         translator=config.translator if translate_map else None,
         directory=config.output_dir,
         cache=os.path.join(config.output_dir, "translation-cache.jsonl")
         if translate_map else None,
     ) as (backend, summarize_all):
-        spec = config.spec or (preset.spec if preset else None)
         handle = TrainedHandle(backend=backend)
         if spec is not None and backend.trainable and config.train_path:
             handle = train_on_file(
-                backend, spec, config.train_path, config.language,
+                backend, spec, config.train_path, language,
                 augmentation, seed=config.seed, append=config.augment_append,
             )
 
@@ -543,7 +554,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             config_hash=digest,
             timestamp=datetime.now(timezone.utc).isoformat(),
             approach=approach,
-            language=config.language,
+            language=language,
             backend=backend_meta,
             records=tuple(record_rows),
             aggregate=aggregate,

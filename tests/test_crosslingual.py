@@ -898,14 +898,12 @@ class TestHttpTranslator:
 class TestTableTranslatorFile:
     def test_from_tsv(self, tmp_path):
         tsv = tmp_path / "table.tsv"
-        tsv.write_text(
-            "# comment line\n"
-            "એક વાક્ય.\tone sentence.\n"
-            "બે વાક્ય.\ttwo sentences.\n",
-            encoding="utf-8",
-        )
-        client = TableTranslator.from_tsv(tsv)
-        assert client.translate("એક વાક્ય.") == "one sentence."
+        entries = "એક વાક્ય.\tone sentence.\nબે વાક્ય.\ttwo sentences.\n"
+        # The second input starts with a BOM, as some editors save files.
+        for text in ("# comment line\n" + entries, "\ufeff" + entries):
+            tsv.write_text(text, encoding="utf-8")
+            client = TableTranslator.from_tsv(tsv)
+            assert client.translate("એક વાક્ય.") == "one sentence."
 
     def test_missing_entry(self):
         client = TableTranslator({})

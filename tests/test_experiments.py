@@ -85,19 +85,18 @@ def base_config(eval_csv, tmp_path, **kw):
 class TestConfigParsing:
     def test_parse_config_file(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(
-            "# a comment\n"
-            "language = english\n"
-            "\n"
-            "eval = val.csv\n"
-            "output_dir = out\n"
-            "seed = 21\n"
-            "seed = 22\n",
-            encoding="utf-8",
-        )
-        mapping = parse_config_file(cfg)
-        assert mapping["language"] == "english"
-        assert mapping["seed"] == "22"
+        body = ("language = english\n"
+                "\n"
+                "eval = val.csv\n"
+                "output_dir = out\n"
+                "seed = 21\n"
+                "seed = 22\n")
+        # The second input starts with a BOM, as some editors save files.
+        for text in ("# a comment\n" + body, "\ufeff" + body):
+            cfg.write_text(text, encoding="utf-8")
+            mapping = parse_config_file(cfg)
+            assert mapping["language"] == "english"
+            assert mapping["seed"] == "22"
 
     def test_missing_equals(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -376,19 +375,28 @@ class TestRunExperiment:
             run_experiment(config)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("translator, error, message", [
-        ("table:/nonexistent.tsv", ConfigError, "translator table does not exist"),
-        ("bogus", ConfigError, "unknown translator 'bogus'"),
-        ("live:http://127.0.0.1:9/translate", TranslationFailure,
+    @pytest.mark.parametrize("translator, key, error, message", [
+        ("table:/nonexistent.tsv", None, ConfigError,
+         "translator table does not exist"),
+        ("bogus", None, ConfigError, "unknown translator 'bogus'"),
+        ("live:http://127.0.0.1:9/translate", None, TranslationFailure,
          "TRANSLATE_API_KEY is not set"),
-    ], ids=["missing-table", "unknown", "live-without-key"])
+        ("live:notaurl", "k", ConfigError,
+         "^live: needs an http\\(s\\) URL with a host, got 'notaurl'$"),
+        ("live:", "k", ConfigError,
+         "^live: needs an http\\(s\\) URL with a host, got ''$"),
+    ], ids=["missing-table", "unknown", "live-without-key", "live-not-a-url",
+            "live-empty-url"])
     def test_bad_translator_rejected_before_training(
-        self, translator, error, message, write_csv, tmp_path,
+        self, translator, key, error, message, write_csv, tmp_path,
         gujarati_records, monkeypatch,
     ):
         # A stub that fails the train op: reaching it would raise
         # BackendUnavailable instead of the translator error.
-        monkeypatch.delenv("TRANSLATE_API_KEY", raising=False)
+        if key is None:
+            monkeypatch.delenv("TRANSLATE_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("TRANSLATE_API_KEY", key)
         rows = [[r.id, "", "", r.article, r.summary] for r in gujarati_records[:2]]
         pid_file = tmp_path / "stub.pid"
         config = base_config(
@@ -995,9 +1003,50 @@ class TestCli:
                      "gujarati-translate-map", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: preset 'gujarati-translate-map' runs the translate-map"
-            " pipeline; use translate-map or run\n"
+            " pipeline, not direct\n"
         )
         assert not out.exists()
+
+    def test_train_pipeline_preset_has_nothing_to_train(self, eval_csv,
+                                                         tmp_path, capsys):
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--pid-file", str(pid_file)])
+        assert main(["train", "--preset", "gujarati-translate-map", "--train",
+                     str(eval_csv), "--adapter", adapter]) == 2
+        assert capsys.readouterr().err == (
+            "preset 'gujarati-translate-map' is a pipeline preset;"
+            " nothing to train\n"
+        )
+        assert not pid_file.exists()
+
+    @pytest.mark.parametrize("stage", ["summarize", "translate-map"])
+    @pytest.mark.parametrize("how", ["unclosed-quote", "no-words", "empty"])
+    def test_unsplittable_adapter_is_one_line_error(self, stage, how, write_csv,
+                                                    tmp_path, gujarati_records,
+                                                    capsys):
+        # The quoted variant would start the stub if it were split.
+        pid_file = tmp_path / "stub.pid"
+        stub = shlex.join([sys.executable, str(STUB_PATH),
+                           "--pid-file", str(pid_file)])
+        if how == "unclosed-quote":
+            adapter = stub + " 'x"
+            message = f"bad adapter command line {adapter!r}: No closing quotation"
+        else:
+            adapter = " " if how == "no-words" else ""
+            message = f"adapter command line {adapter!r} has no words"
+        src = write_csv([[r.id, "", "", r.article, r.summary]
+                         for r in gujarati_records[:3]])
+        cache = tmp_path / "cache" / "tc.jsonl"
+        out = tmp_path / "c.csv"
+        assert main([stage, str(src), "--lang", "gujarati", "--adapter", adapter,
+                     "--out", str(out),
+                     *(["--cache", str(cache)] if stage == "translate-map"
+                       else [])]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert not cache.parent.exists()
+        assert not pid_file.exists()
 
     @pytest.mark.parametrize("argv", [
         ["report", "--runs", "nope.jsonl"],
@@ -1132,12 +1181,13 @@ class TestCli:
         assert not pid_file.exists()
 
     def test_summarize_bad_socket(self, eval_csv, tmp_path, capsys):
-        assert main(["summarize", str(eval_csv), "--lang", "english",
-                     "--socket", "host:bad",
-                     "--out", str(tmp_path / "c.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        for socket in ("host:bad", ""):  # an empty one is not the baseline
+            assert main(["summarize", str(eval_csv), "--lang", "english",
+                         "--socket", socket,
+                         "--out", str(tmp_path / "c.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert "Traceback" not in err
 
     def test_summarize_adapter_error_names_record(self, eval_csv, tmp_path,
                                                   capsys):
@@ -1169,22 +1219,37 @@ class TestCli:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
-    @pytest.mark.parametrize("stage", ["summarize", "translate-map"])
-    def test_stage_matches_run_experiment(self, stage, write_csv, tmp_path,
-                                          gujarati_records):
-        if stage == "summarize":
+    @pytest.mark.parametrize("stage, preset", [
+        pytest.param("summarize", None, id="summarize"),
+        pytest.param("translate-map", None, id="translate-map"),
+        *(pytest.param("summarize", name, id=f"summarize-{name}")
+          for name in ("english-pegasus", "english-brio", "english-t5",
+                       "extractive-bert")),
+    ])
+    def test_stage_matches_run_experiment(self, stage, preset, write_csv,
+                                          tmp_path, gujarati_records):
+        if preset is not None:
+            # 150-word articles, so the lead baseline stops at the
+            # preset's budget (65 or 75 words).
+            src = write_csv([[f"p{i}", "", "", " ".join(
+                f"Sentence {j} of article {i}." for j in range(30)),
+                f"Sentence 0 of article {i}."] for i in range(3)])
+            language, max_tokens, pipeline = "english", None, "direct"
+        elif stage == "summarize":
             src = write_csv(ENG_ROWS)
             language, max_tokens, pipeline = "english", 5, "direct"
         else:
             src = write_csv([[r.id, "", "", r.article, r.summary]
                              for r in gujarati_records[:10]])
             language, max_tokens, pipeline = "gujarati", 6, "translate-map"
+        budget = (["--preset", preset] if preset
+                  else ["--max-tokens", str(max_tokens)])
         run = run_experiment(base_config(src, tmp_path, language=language,
                                          max_tokens=max_tokens,
-                                         pipeline=pipeline))
+                                         pipeline=pipeline, preset=preset))
         out = tmp_path / "cli.csv"
-        assert main([stage, str(src), "--lang", language,
-                     "--max-tokens", str(max_tokens), "--out", str(out)]) == 0
+        assert main([stage, str(src), "--lang", language, *budget,
+                     "--out", str(out)]) == 0
         expected = tmp_path / "out" / f"summaries-{run.config_hash[:12]}.csv"
         assert out.read_bytes() == expected.read_bytes()
 
@@ -1225,6 +1290,8 @@ class TestCli:
         ("epochs = 3", "config key 'epochs' needs model_id"),
         ("model_id = m\nepochs = 0",
          "bad inline spec value: epochs must be >= 1, got 0"),
+        ("adapter = python3 'x",
+         "bad adapter command line \"python3 'x\": No closing quotation"),
     ])
     def test_run_rejects_config_before_adapter(self, line, message, write_csv,
                                                eval_csv, tmp_path, capsys):
