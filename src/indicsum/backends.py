@@ -17,8 +17,8 @@ line ``{"op", "payload", "id"}``; each response is one line
 An adapter that serves an extractive model selects its sentences
 inside ``generate``.
 
-Any transport failure, malformed response or adapter-reported error
-surfaces as BackendUnavailable.
+Any transport failure, malformed response, adapter-reported error or
+result field that is blank or not UTF-8 surfaces as BackendUnavailable.
 """
 
 import json
@@ -241,9 +241,12 @@ class AdapterBackend:
     listening adapter) must be given.  A spawned adapter gets one end of
     a socket pair as its stdin and stdout; the parent closes that end
     after the spawn, so the adapter's exit reads as end of stream.  The
-    transport starts lazily on the first request and is reused;
-    requests are serialized through a lock, matching the adapters'
-    single-threaded protocol loop.  ``generate`` fails after
+    transport (one text stream over the socket) starts lazily on the
+    first request and is reused; requests are serialized through a
+    lock, matching the adapters' single-threaded protocol loop.  Every
+    reply is parsed and checked in ``_request``: ``train``'s checkpoint
+    and ``generate``'s summary must be text that is not blank and
+    encodes as UTF-8.  ``generate`` fails after
     ``ADAPTER_TIMEOUT`` seconds without an answer; ``train`` waits until
     the adapter answers or its end of the connection closes.
     """
@@ -265,8 +268,7 @@ class AdapterBackend:
         self._address = tuple(address) if address else None
         self._proc = None
         self._sock = None
-        self._reader = None
-        self._writer = None
+        self._stream = None
         self._lock = threading.Lock()
         self._next_id = 0
 
@@ -289,11 +291,10 @@ class AdapterBackend:
         except OSError as exc:
             self.close()
             raise BackendUnavailable(f"cannot reach adapter: {exc}") from exc
-        self._reader = self._sock.makefile("r", encoding="utf-8")
-        self._writer = self._sock.makefile("w", encoding="utf-8")
+        self._stream = self._sock.makefile("rw", encoding="utf-8")
 
     def close(self) -> None:
-        for stream in (self._writer, self._reader, self._sock):
+        for stream in (self._stream, self._sock):
             try:
                 if stream is not None:
                     stream.close()
@@ -306,7 +307,7 @@ class AdapterBackend:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
-        self._proc = self._sock = self._reader = self._writer = None
+        self._proc = self._sock = self._stream = None
 
     def __enter__(self):
         return self
@@ -314,7 +315,9 @@ class AdapterBackend:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _request(self, op: str, payload: dict) -> dict:
+    def _request(self, op: str, payload: dict, key: str) -> str:
+        """Send one ``op`` request and return its ``result[key]``, a
+        string that is not blank and encodes as UTF-8."""
         with self._lock:
             self._connect()
             self._next_id += 1
@@ -327,10 +330,10 @@ class AdapterBackend:
                 # No deadline on train: a real fine-tune runs for hours.
                 self._sock.settimeout(None if op == "train" else ADAPTER_TIMEOUT)
                 # Two writes: ``line + "\n"`` would copy a train payload.
-                self._writer.write(line)
-                self._writer.write("\n")
-                self._writer.flush()
-                raw = self._reader.readline()
+                self._stream.write(line)
+                self._stream.write("\n")
+                self._stream.flush()
+                raw = self._stream.readline()
             except (OSError, ValueError) as exc:
                 self.close()
                 raise BackendUnavailable(f"adapter transport failed: {exc}") from exc
@@ -355,7 +358,15 @@ class AdapterBackend:
             if not isinstance(result, dict):
                 self.close()
                 raise BackendUnavailable(f"adapter sent no result: {response!r}")
-            return result
+        value = result.get(key)
+        if not isinstance(value, str) or not value.strip():
+            raise BackendUnavailable(f"{op} returned no {key}: {result!r}")
+        try:
+            value.encode("utf-8")  # a lone surrogate does not encode
+        except UnicodeEncodeError:
+            raise BackendUnavailable(
+                f"{op} returned text that is not UTF-8: {value!r}") from None
+        return value
 
     # -- operations --------------------------------------------------
 
@@ -367,32 +378,16 @@ class AdapterBackend:
             ],
             "spec": asdict(spec),
         }
-        result = self._request("train", payload)
-        checkpoint = result.get("checkpoint")
-        if not isinstance(checkpoint, str) or not checkpoint:
-            raise BackendUnavailable(f"train returned no checkpoint: {result!r}")
-        return checkpoint
+        return self._request("train", payload, "checkpoint")
 
     def generate(self, article: str, params: GenerationParams,
                  checkpoint: str | None = None) -> str:
-        result = self._request(
-            "generate",
-            {
-                "article": article,
-                "checkpoint": checkpoint,
-                "max_tokens": params.max_tokens,
-                "seed": params.seed,
-            },
-        )
-        summary = result.get("summary")
-        if not isinstance(summary, str) or not summary.strip():
-            raise BackendUnavailable(f"generate returned no summary: {result!r}")
-        try:
-            summary.encode("utf-8")  # a lone surrogate does not encode
-        except UnicodeEncodeError:
-            raise BackendUnavailable(
-                f"generate returned text that is not UTF-8: {summary!r}") from None
-        return summary
+        return self._request("generate", {
+            "article": article,
+            "checkpoint": checkpoint,
+            "max_tokens": params.max_tokens,
+            "seed": params.seed,
+        }, "summary")
 
     def describe(self) -> dict:
         transport = (

@@ -3,9 +3,10 @@
 One subcommand per pipeline stage: prepare, augment, train, summarize,
 translate-map, evaluate, report, plus ``run`` for a whole config-driven
 experiment.  ``train``, ``summarize`` and ``translate-map`` share
-``run``'s ``experiments.resolve_settings`` and ``run_setup``, adding
-only ``--checkpoint`` and ``--out``.  All commands exit nonzero with a
-one-line message on toolkit errors and on files they cannot read or write.
+``run``'s ``experiments.resolve_settings`` and ``run_setup``;
+``summarize`` and ``translate-map`` add only ``--checkpoint`` and
+``--out``.  All commands exit nonzero with a one-line message on
+toolkit errors and on files they cannot read or write.
 """
 
 import argparse
@@ -156,7 +157,6 @@ def _add_stage_options(parser) -> None:
     arguments carry ``ExperimentConfig``'s names for ``resolve_settings``."""
     parser.add_argument("--adapter", help="adapter command line (stdio transport)")
     parser.add_argument("--socket", help="adapter address as host:port")
-    parser.add_argument("--checkpoint", help="adapter checkpoint id to use")
     parser.set_defaults(spec=None, seed=DEFAULT_SEED, augmentations=())
 
 
@@ -200,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", dest="language", choices=LANGUAGES)
     p.add_argument("--preset")
     p.add_argument("--max-tokens", type=int)
+    p.add_argument("--checkpoint", help="adapter checkpoint id to use")
     p.add_argument("--out", required=True)
     _add_stage_options(p)
     p.set_defaults(func=_cmd_summarize, pipeline="direct", translator=None,
@@ -216,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-tokens", type=int,
                    default=PRESETS["gujarati-translate-map"].generation.max_tokens)
     p.add_argument("--cache", help="persistent translation cache (JSONL)")
+    p.add_argument("--checkpoint", help="adapter checkpoint id to use")
     p.add_argument("--out", required=True)
     _add_stage_options(p)
     p.set_defaults(func=_cmd_summarize, pipeline="translate-map", preset=None)

@@ -286,16 +286,19 @@ def build_mappings(articles, client, *, cache: TranslationCache | None = None,
     mappings, in one pass over the split.
 
     The source language (taken from the client) selects sentence
-    delimiters.  Each distinct sentence of the split is looked up in
-    the cache, when given, once, in first-seen order, and each miss is
+    delimiters.  One memo maps each distinct sentence of the split, in
+    first-seen order, to its translation (None while pending).  Each is
+    looked up in the cache, when given, once, and each miss is
     translated once.  A client that declares ``local = True`` (an
     in-memory translator) is called on this thread, and its error
     propagates; any other client translates on one pool of
     ``PARALLELISM`` threads for the split, with ``_translate_retrying``.
-    New translations stream to the cache in one ``put``, in first-seen
-    order, so a failure keeps every translation made before it.  A
-    toolkit error carries ``article_index``: the position of the first
-    article it concerns.
+    New translations stream into the memo and, with a cache, into its
+    one ``put``, in first-seen order, so a failure keeps every
+    translation made before it.  A toolkit error carries
+    ``article_index``: the position of the first article it concerns,
+    which for a failed translation is the first article holding the
+    first sentence left untranslated.
     """
     language = client.source_lang
     if language not in segment.LANGUAGES:
@@ -309,46 +312,31 @@ def build_mappings(articles, client, *, cache: TranslationCache | None = None,
         split.append(list(segment.split_sentences(article, language)))
 
     src, tgt = client.source_lang, client.target_lang
-    memo = {}
-    pending, owners = [], []  # each miss and the first article holding it
-    for index, sentences in enumerate(split):
-        for sentence in sentences:
-            if sentence in memo:
-                continue
-            hit = cache.get(sentence, src, tgt) if cache is not None else None
-            memo[sentence] = hit
-            if hit is None:
-                pending.append(sentence)
-                owners.append(index)
-
-    def record(translations):
-        """``(sentence, translation)`` pairs of ``pending``, kept in
-        ``memo`` as they arrive."""
-        done = 0
-        try:
-            for sentence, translated in zip(pending, translations):
-                memo[sentence] = translated
-                yield sentence, translated
-                done += 1
-        except IndicSumError as exc:
-            exc.article_index = owners[done]
-            raise
+    memo = dict.fromkeys(s for sentences in split for s in sentences)
+    if cache is not None:
+        for sentence in memo:
+            memo[sentence] = cache.get(sentence, src, tgt)
+    pending = [s for s, translated in memo.items() if translated is None]
 
     def store(translations):
-        pairs = record(translations)
-        if cache is not None:
-            cache.put(pairs, src, tgt)
-        else:
-            for _ in pairs:
-                pass
+        pairs = zip(pending, translations)
+        if cache is None:
+            memo.update(pairs)
+        else:  # update() is None: each pair enters memo, then the cache
+            cache.put((memo.update([pair]) or pair for pair in pairs), src, tgt)
 
-    if pending:
-        if getattr(client, "local", False):
+    try:
+        if pending and getattr(client, "local", False):
             store(_translate_once(client, s) for s in pending)
-        else:
+        elif pending:
             with ThreadPoolExecutor(min(PARALLELISM, len(pending))) as pool:
                 store(pool.map(lambda s: _translate_retrying(client, s, sleep),
                                pending))
+    except IndicSumError as exc:
+        first = next(s for s in pending if memo[s] is None)
+        exc.article_index = next(i for i, sentences in enumerate(split)
+                                 if first in sentences)
+        raise
 
     return [SentenceMapping(entries=tuple(
         (i, sentence, memo[sentence]) for i, sentence in enumerate(sentences)

@@ -473,9 +473,13 @@ def run_setup(language: str, adapter: str | None = None,
         if not host:
             raise ConfigError(f"socket must be host:port, got {socket!r}")
         try:
-            backend = AdapterBackend(address=(host, int(port)))
+            port = int(port)
         except ValueError as exc:
             raise ConfigError(f"bad socket address {socket!r}: {exc}") from None
+        if not 1 <= port <= 65535:
+            raise ConfigError(f"bad socket address {socket!r}:"
+                              " the port must be in 1-65535")
+        backend = AdapterBackend(address=(host, port))
     else:
         backend = LeadBaselineBackend(language)
     if directory is None and cache:

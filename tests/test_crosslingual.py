@@ -354,10 +354,12 @@ class TestFailureMidSplit:
         path = tmp_path / "cache.jsonl"
         split = SPLIT[:3] + [f"{S[3]} {S[4]}"]
         table = {s: t for s, t in self.TABLE.items() if s != S[3]}
-        with pytest.raises(TranslationFailure, match=re.escape(repr(S[3]))) as info:
-            build_mappings(split, make_client(table),
-                           cache=TranslationCache(path), sleep=lambda _: None)
-        assert info.value.article_index == 2
+        for cache in (None, TranslationCache(path)):
+            with pytest.raises(TranslationFailure,
+                               match=re.escape(repr(S[3]))) as info:
+                build_mappings(split, make_client(table), cache=cache,
+                               sleep=lambda _: None)
+            assert info.value.article_index == 2
         assert path.read_text(encoding="utf-8") == "".join(
             cache_line(s, self.TABLE[s]) for s in S[:3])
 

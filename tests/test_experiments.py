@@ -964,6 +964,50 @@ class TestCli:
                      "--adapter", argv]) == 0
         assert "ckpt-1x20" in capsys.readouterr().out
 
+    def test_train_takes_no_checkpoint(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--preset", "english-t5", "--train", "t.csv",
+                  "--checkpoint", "x"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --checkpoint x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checkpoint,message", [
+        ("\ud800", "train returned text that is not UTF-8: '\\ud800'"),
+        ("   ", "train returned no checkpoint: {'checkpoint': '   '}"),
+    ], ids=["surrogate", "blank"])
+    def test_bad_checkpoint_is_one_line_error(self, checkpoint, message,
+                                              write_csv, eval_csv, tmp_path,
+                                              capsys):
+        ops = tmp_path / "ops.txt"
+        adapter = tmp_path / "bad_checkpoint_adapter.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    request = json.loads(line)\n"
+            f"    with open({str(ops)!r}, 'a') as log:\n"
+            "        print(request['op'], file=log)\n"
+            "    reply = {'id': request['id'],\n"
+            f"             'result': {{'checkpoint': {checkpoint!r}}}}}\n"
+            "    print(json.dumps(reply), flush=True)\n", encoding="utf-8")
+        adapter = shlex.join([sys.executable, str(adapter)])
+        train = write_csv([["t1", "", "", "Body one. Body two.", "Body one."]])
+        assert main(["train", "--preset", "english-t5", "--train", str(train),
+                     "--adapter", adapter]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert ops.read_text(encoding="utf-8") == "train\n"
+
+        ops.unlink()
+        cfg = tmp_path / "exp.cfg"
+        out_dir = tmp_path / "out"
+        cfg.write_text(
+            f"language = english\neval = {eval_csv}\ntrain = {train}\n"
+            f"output_dir = {out_dir}\npreset = english-t5\n"
+            f"adapter = {adapter}\n", encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert ops.read_text(encoding="utf-8") == "train\n"
+        assert os.listdir(out_dir) == []
+
     def test_train_matches_run_experiment(self, write_csv, tmp_path, capsys):
         # hindi-indicbart augments with noise: one original and one noisy
         # copy reach the adapter from both the CLI and a run.
@@ -1181,13 +1225,18 @@ class TestCli:
         assert not pid_file.exists()
 
     def test_summarize_bad_socket(self, eval_csv, tmp_path, capsys):
-        for socket in ("host:bad", ""):  # an empty one is not the baseline
+        # An empty one is not the baseline; getaddrinfo would connect
+        # 99999 to port 34463 and fail -1 only at the first record.
+        for socket in ("host:bad", "", "127.0.0.1:99999", "127.0.0.1:-1"):
             assert main(["summarize", str(eval_csv), "--lang", "english",
                          "--socket", socket,
                          "--out", str(tmp_path / "c.csv")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error:")
             assert "Traceback" not in err
+            if socket.startswith("127.0.0.1"):
+                assert err == (f"error: bad socket address {socket!r}:"
+                               " the port must be in 1-65535\n")
 
     def test_summarize_adapter_error_names_record(self, eval_csv, tmp_path,
                                                   capsys):
