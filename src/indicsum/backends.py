@@ -241,7 +241,8 @@ class AdapterBackend:
     listening adapter) must be given.  A spawned adapter gets one end of
     a socket pair as its stdin and stdout; the parent closes that end
     after the spawn, so the adapter's exit reads as end of stream.  The
-    transport (one text stream over the socket) starts lazily on the
+    transport (one stream over the socket: requests go out as text,
+    replies are read as lines from its byte buffer) starts lazily on the
     first request and is reused; requests are serialized through a
     lock, matching the adapters' single-threaded protocol loop.  Every
     reply is parsed and checked in ``_request``: ``train``'s checkpoint
@@ -333,7 +334,9 @@ class AdapterBackend:
                 self._stream.write(line)
                 self._stream.write("\n")
                 self._stream.flush()
-                raw = self._stream.readline()
+                # From the byte buffer: a text write drops decoded text not
+                # yet read, and stray output must be read as the next reply.
+                raw = self._stream.buffer.readline().decode("utf-8")
             except (OSError, ValueError) as exc:
                 self.close()
                 raise BackendUnavailable(f"adapter transport failed: {exc}") from exc

@@ -5,21 +5,22 @@ translate-map, evaluate, report, plus ``run`` for a whole config-driven
 experiment.  ``train``, ``summarize`` and ``translate-map`` share
 ``run``'s ``experiments.resolve_settings`` and ``run_setup``;
 ``summarize`` and ``translate-map`` add only ``--checkpoint`` and
-``--out``.  All commands exit nonzero with a one-line message on
-toolkit errors and on files they cannot read or write.
+``--out``.  Every CSV is read and written by ``corpus``: ``evaluate``
+reads its candidates by ``load_csv``'s rules, and each ``--out`` CSV is
+written whole or not at all.  All commands exit nonzero with a
+one-line message on toolkit errors and on files they cannot read or
+write.
 """
 
 import argparse
-import csv
 import sys
 
 from . import augment as augment_mod
 from . import corpus, experiments
 from .backends import DEFAULT_SEED, PRESETS, TrainedHandle
 from .crosslingual import DEFAULT_THRESHOLD
-from .errors import (DuplicateId, IndicSumError, MismatchedIds, MissingColumn,
-                     MissingGoldSummary)
-from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
+from .errors import IndicSumError, MismatchedIds, MissingGoldSummary
+from .rouge import DEFAULT_ORDERS, corpus_rouge
 from .segment import LANGUAGES
 
 __all__ = ["main"]
@@ -83,24 +84,9 @@ def _cmd_summarize(args) -> int:
         handle = TrainedHandle(backend=backend, checkpoint=args.checkpoint)
         rows = [(rec.id, summary) for rec, summary in summarize_split(
             split, handle, settings.generation, threshold=args.threshold)]
-    experiments.write_summaries(args.out, rows)
+    corpus.write_summaries(args.out, rows)
     print(f"{args.out}: {len(rows)} summaries")
     return 0
-
-
-def _load_candidates(path) -> dict:
-    with corpus.open_utf8(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for name in ("id", "Summary"):
-            if name not in fields:
-                raise MissingColumn(f"{path}: required column {name!r} is missing")
-        candidates = {}
-        for lineno, row in enumerate(reader, start=2):
-            if row["id"] in candidates:
-                raise DuplicateId(f"{path}:{lineno}: duplicate id {row['id']!r}")
-            candidates[row["id"]] = row["Summary"]
-        return candidates
 
 
 def _name_ids(ids) -> str:
@@ -110,7 +96,7 @@ def _name_ids(ids) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    candidates = _load_candidates(args.cands)
+    candidates = corpus.load_summaries(args.cands)
     refs = corpus.load_csv(args.refs, args.split, args.lang)
     ref_ids = {rec.id for rec in refs}
     missing = [rec.id for rec in refs if rec.id not in candidates]
@@ -122,13 +108,11 @@ def _cmd_evaluate(args) -> int:
         problems.append(f"no reference for candidate ids {_name_ids(extra)}")
     if problems:
         raise MismatchedIds(f"{args.cands}: " + "; ".join(problems))
-    per_pair = []
     for rec in refs:
         if rec.summary is None:
             raise MissingGoldSummary(f"reference {rec.id!r} has no Summary")
-        per_pair.append(rouge_scores(candidates[rec.id], rec.summary, DEFAULT_ORDERS))
-    scores = mean_scores(per_pair)
-    print(f"{len(per_pair)} scored pairs")
+    scores = corpus_rouge((candidates[rec.id], rec.summary) for rec in refs)
+    print(f"{len(refs)} scored pairs")
     for n in DEFAULT_ORDERS:
         s = scores[n]
         print(

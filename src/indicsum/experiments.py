@@ -21,7 +21,7 @@ import json
 import os
 import urllib.parse
 from collections import namedtuple
-from contextlib import ExitStack, closing, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
@@ -40,7 +40,7 @@ from .backends import (
     get_preset,
     summarize,
 )
-from .corpus import SPLIT_KINDS, load_csv, open_utf8
+from .corpus import SPLIT_KINDS, load_csv, open_utf8, write_summaries
 from .crosslingual import (
     DEFAULT_THRESHOLD,
     HttpTranslator,
@@ -76,7 +76,6 @@ __all__ = [
     "run_setup",
     "summarize_split",
     "train_on_file",
-    "write_summaries",
 ]
 
 DEFAULT_NOISE_RATE = 0.1
@@ -411,26 +410,6 @@ def summarize_split(split, handle, generation, *, translator=None,
                                      threshold)
                      for rec, summary, m in zip(records, summaries, mappings)]
     return list(zip(records, summaries))
-
-
-def write_summaries(path, rows) -> None:
-    """Write ``(id, summary)`` rows as an ``id,Summary`` CSV.  The rows
-    go to a temporary file beside ``path`` that replaces it once whole,
-    so a failed write leaves ``path`` as it was and no file behind."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "Summary"])
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        with suppress(OSError):
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
-            # Name the file the caller asked for, not the temporary one.
-            raise OSError(exc.errno, exc.strerror, path) from None
-        raise
 
 
 @contextmanager

@@ -3,6 +3,7 @@ import os
 import random
 import signal
 import subprocess
+import sys
 import threading
 import time
 
@@ -285,6 +286,30 @@ class TestAdapterStdio:
         with AdapterBackend(argv=stub_argv("--malformed")) as backend:
             with pytest.raises(BackendUnavailable):
                 backend.generate("some text", GenerationParams())
+
+    @pytest.mark.parametrize("stray, error", [
+        (b"stray\n", "adapter sent a malformed response: 'stray\\n'"),
+        (b"\xff\n", "adapter transport failed: 'utf-8' codec can't decode"
+                    " byte 0xff in position 0: invalid start byte"),
+    ], ids=["stray-line", "not-utf8"])
+    def test_bad_output_is_the_next_reply(self, stray, error, tmp_path):
+        """What an adapter sends after a reply in the same write is read
+        as the next reply, and fails it; a fresh adapter then answers."""
+        adapter = tmp_path / "stray_adapter.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    reply = {'id': json.loads(line)['id'],\n"
+            "             'result': {'summary': 'ok'}}\n"
+            "    sys.stdout.buffer.write(json.dumps(reply).encode()"
+            f" + b'\\n' + {stray!r})\n"
+            "    sys.stdout.flush()\n", encoding="utf-8")
+        with AdapterBackend(argv=[sys.executable, str(adapter)]) as backend:
+            assert backend.generate("a b", GenerationParams()) == "ok"
+            with pytest.raises(BackendUnavailable) as info:
+                backend.generate("a b", GenerationParams())
+            assert str(info.value) == error
+            assert backend.generate("a b", GenerationParams()) == "ok"
 
     def test_crash_mid_session(self, stub_argv):
         with AdapterBackend(argv=stub_argv("--crash-after", "1")) as backend:

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 import indicsum
-from indicsum import experiments, jsonlog
+from indicsum import corpus, experiments, jsonlog
 from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
                                baseline_handle)
 from indicsum.cli import main
-from indicsum.corpus import ArticleRecord
+from indicsum.corpus import ArticleRecord, DatasetSplit
 from indicsum.crosslingual import TableTranslator, TranslationCache
 from indicsum.errors import (BackendUnavailable, ConfigError, EmptyReport,
                              MissingGoldSummary, NoAlignment,
@@ -808,9 +808,22 @@ def test_append_keeps_whole_lines_when_lines_raise(tmp_path):
     assert [v["n"] for _, v in jsonlog.read(path, json.loads)] == list(range(100))
 
 
-@pytest.mark.parametrize("old", [None, b"id,Summary\nx1,kept\n"],
-                         ids=["new-file", "existing-file"])
-def test_write_summaries_leaves_no_partial_csv(old, tmp_path):
+def save_rows(path, rows):
+    """``save_csv`` of a test split whose records come lazily from
+    ``(id, article)`` rows."""
+    corpus.save_csv(DatasetSplit("test", "english",
+                                 (ArticleRecord(i, text) for i, text in rows)), path)
+
+
+@pytest.mark.parametrize("write, old", [
+    pytest.param(corpus.write_summaries, None, id="new-file"),
+    pytest.param(corpus.write_summaries, b"id,Summary\nx1,kept\n",
+                 id="existing-file"),
+    pytest.param(save_rows, None, id="save_csv-new-file"),
+    pytest.param(save_rows, b"id,Link,Heading,Article\nx1,,,kept\n",
+                 id="save_csv-existing-file"),
+])
+def test_write_summaries_leaves_no_partial_csv(write, old, tmp_path):
     """Rows that fail after more than the write buffer holds leave the
     target as it was (absent or with its old bytes) and no other file."""
     path = tmp_path / "summaries.csv"
@@ -823,7 +836,7 @@ def test_write_summaries_leaves_no_partial_csv(old, tmp_path):
         raise OSError("disk went away")
 
     with pytest.raises(OSError, match="disk went away"):
-        experiments.write_summaries(path, failing())
+        write(path, failing())
     assert os.listdir(tmp_path) == ([] if old is None else ["summaries.csv"])
     if old is not None:
         assert path.read_bytes() == old
@@ -832,7 +845,7 @@ def test_write_summaries_leaves_no_partial_csv(old, tmp_path):
 def test_write_summaries_error_names_target(tmp_path):
     path = str(tmp_path / "missing" / "summaries.csv")
     with pytest.raises(FileNotFoundError) as info:
-        experiments.write_summaries(path, [("e1", "one")])
+        corpus.write_summaries(path, [("e1", "one")])
     assert str(info.value) == f"[Errno 2] No such file or directory: {path!r}"
 
 
@@ -938,16 +951,32 @@ class TestCli:
         assert "ROUGE" not in captured.out
 
     def test_evaluate_matches_corpus_rouge(self, write_csv, eval_csv, capsys):
-        cands = write_csv([[r[0], r[3]] for r in ENG_ROWS], header=("id", "Summary"))
-        assert main(["evaluate", str(cands), "--refs", str(eval_csv),
-                     "--lang", "english", "--split", "validation"]) == 0
-        want = corpus_rouge([(r[3], r[4]) for r in ENG_ROWS])
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "3 scored pairs"
-        assert lines[1:] == [
-            f"ROUGE-{n}: precision {s.precision:.4f} recall {s.recall:.4f}"
-            f" f1 {s.f1:.4f}" for n, s in want.items()
+        """Candidates are read by ``load_csv``'s rules: a missing Summary
+        cell is an empty summary, header names and ids are stripped, blank
+        rows are skipped and the first column of a name counts."""
+        full = [[r[0], r[3]] for r in ENG_ROWS]
+        texts = [r[3] for r in ENG_ROWS]
+        cases = [  # (header, candidate rows, candidate text of e1, e2, e3)
+            (("id", "Summary"), full, texts),
+            (("id", "Summary"), [full[0], ["e2"], full[2]],
+             [texts[0], "", texts[2]]),
+            (("id", " Summary"), full, texts),
+            (("id", "Summary"), [[f" {i} ", text] for i, text in full], texts),
+            (("id", "Summary"), full + [["", ""]], texts),
+            (("id", "Summary", "Summary"), [row + ["other"] for row in full],
+             texts),
         ]
+        for header, rows, candidates in cases:
+            cands = write_csv(rows, header=header)
+            assert main(["evaluate", str(cands), "--refs", str(eval_csv),
+                         "--lang", "english", "--split", "validation"]) == 0
+            want = corpus_rouge([(c, r[4]) for c, r in zip(candidates, ENG_ROWS)])
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == "3 scored pairs"
+            assert lines[1:] == [
+                f"ROUGE-{n}: precision {s.precision:.4f} recall {s.recall:.4f}"
+                f" f1 {s.f1:.4f}" for n, s in want.items()
+            ]
 
     def test_evaluate_missing_column(self, write_csv, eval_csv, capsys):
         bad = write_csv([["e1", "text"]], header=("id", "Article"))

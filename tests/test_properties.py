@@ -1,6 +1,6 @@
-"""Property tests over random English, Hindi and Gujarati texts and
-random config files, and exhaustive torn-tail checks of the append-only
-logs.
+"""Property tests over random English, Hindi and Gujarati texts, random
+config files and CSV rows, and exhaustive torn-tail checks of the
+append-only logs.
 
 Texts are runs of words split into lines by newlines only, into
 sentences by each language's terminators, or not at all.  Examples are
@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from indicsum import jsonlog
 from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
                                baseline_handle, lead_baseline)
-from indicsum.corpus import SPLIT_KINDS
+from indicsum.corpus import (SPLIT_KINDS, ArticleRecord, DatasetSplit,
+                             load_csv, load_summaries, save_csv,
+                             write_summaries)
 from indicsum.crosslingual import (IdentityTranslator, TranslationCache,
                                    _parse_cache_line, pipeline_summarize)
 from indicsum.experiments import (ExperimentConfig, RunRecord, config_hash,
@@ -250,6 +252,43 @@ def test_cache_line_is_json_dumps(src, dst, src_lang, tgt_lang):
     line = json.dumps(record, ensure_ascii=False).encode("utf-8")
     assert data == line + b"\n"
     assert _parse_cache_line(line) == ((src, src_lang, tgt_lang), dst)
+
+
+# Cells with what CSV must quote (commas, quotes, CR and LF) and Indic
+# marks; surrogates cannot be written as UTF-8, and NUL is left out.
+csv_texts = st.text(st.one_of(
+    st.characters(codec="utf-8", exclude_characters="\x00"),
+    st.sampled_from([",", '"', "\r", "\n", " ", "\u0abe", "\u0acd", "\u093c",
+                     "\u0964"]),
+))
+csv_ids = csv_texts.map(str.strip).filter(bool)
+
+
+@derandomized
+@given(st.lists(st.tuples(csv_ids, csv_texts), unique_by=lambda row: row[0],
+                max_size=6))
+def test_summaries_csv_round_trips(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "summaries.csv")
+        write_summaries(path, rows)
+        assert list(load_summaries(path).items()) == rows
+
+
+@derandomized
+@given(st.sampled_from(SPLIT_KINDS), languages, st.data())
+def test_split_csv_round_trips(kind, language, data):
+    """A split with stripped ids, articles that are not blank and, on a
+    train split, summaries that are not blank loads back as it was saved."""
+    summaries = csv_texts.filter(str.strip) if kind == "train" else st.none()
+    rows = data.draw(st.lists(
+        st.tuples(csv_ids, csv_texts.filter(str.strip), csv_texts, csv_texts,
+                  summaries),
+        unique_by=lambda row: row[0], max_size=6))
+    split = DatasetSplit(kind, language, tuple(ArticleRecord(*row) for row in rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "split.csv")
+        save_csv(split, path)
+        assert load_csv(path, kind, language) == split
 
 
 GUJ_SOURCES = ("પહેલું વાક્ય અહીં છે.", "બીજું વાક્ય અહીં છે.",
