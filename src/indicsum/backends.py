@@ -7,7 +7,9 @@ built-in lead baseline or an adapter: a separate process (spawned with
 one end of a socket pair as its stdin and stdout, or reached over a
 local socket) speaking newline-delimited JSON.  Each request is one
 line ``{"op", "payload", "id"}``; each response is one line
-``{"id", "result"}`` or ``{"id", "error"}``.  Supported ops:
+``{"id", "result"}`` or ``{"id", "error"}``.  A request is written as
+it is encoded, a ``train`` request record by record, and is never held
+whole.  Supported ops:
 
 * ``train``    payload {records: [{id, article, summary}], spec: {...}}
                result {checkpoint}
@@ -241,10 +243,10 @@ class AdapterBackend:
     listening adapter) must be given.  A spawned adapter gets one end of
     a socket pair as its stdin and stdout; the parent closes that end
     after the spawn, so the adapter's exit reads as end of stream.  The
-    transport (one stream over the socket: requests go out as text,
-    replies are read as lines from its byte buffer) starts lazily on the
-    first request and is reused; requests are serialized through a
-    lock, matching the adapters' single-threaded protocol loop.  Every
+    transport (one stream over the socket: requests go out as text in
+    pieces, replies are read as lines from its byte buffer) starts
+    lazily on the first request and is reused; requests are serialized
+    through a lock, matching the adapters' single-threaded loop.  Every
     reply is parsed and checked in ``_request``: ``train``'s checkpoint
     and ``generate``'s summary must be text that is not blank and
     encodes as UTF-8.  ``generate`` fails after
@@ -316,23 +318,22 @@ class AdapterBackend:
     def __exit__(self, *exc_info):
         self.close()
 
-    def _request(self, op: str, payload: dict, key: str) -> str:
+    def _request(self, op: str, payload, key: str) -> str:
         """Send one ``op`` request and return its ``result[key]``, a
-        string that is not blank and encodes as UTF-8."""
+        string that is not blank and encodes as UTF-8.  ``payload`` is JSON
+        text in pieces, each written as it comes inside the request's frame;
+        a torn request line is always followed by closing the connection."""
         with self._lock:
             self._connect()
             self._next_id += 1
             req_id = self._next_id
-            line = json.dumps(
-                {"op": op, "payload": payload, "id": req_id},
-                ensure_ascii=False,
-            )
             try:
                 # No deadline on train: a real fine-tune runs for hours.
                 self._sock.settimeout(None if op == "train" else ADAPTER_TIMEOUT)
-                # Two writes: ``line + "\n"`` would copy a train payload.
-                self._stream.write(line)
-                self._stream.write("\n")
+                self._stream.write(f'{{"op": "{op}", "payload": ')
+                for piece in payload:
+                    self._stream.write(piece)
+                self._stream.write(f', "id": {req_id}}}\n')
                 self._stream.flush()
                 # From the byte buffer: a text write drops decoded text not
                 # yet read, and stray output must be read as the next reply.
@@ -340,6 +341,9 @@ class AdapterBackend:
             except (OSError, ValueError) as exc:
                 self.close()
                 raise BackendUnavailable(f"adapter transport failed: {exc}") from exc
+            except BaseException:  # e.g. a record json.dumps cannot encode
+                self.close()
+                raise
             if not raw:
                 self.close()
                 raise BackendUnavailable("adapter closed the connection")
@@ -374,23 +378,22 @@ class AdapterBackend:
     # -- operations --------------------------------------------------
 
     def train(self, dataset: DatasetSplit, spec: SummarizerSpec) -> str:
-        payload = {
-            "records": [
-                {"id": r.id, "article": r.article, "summary": r.summary or ""}
-                for r in dataset.records
-            ],
-            "spec": asdict(spec),
-        }
-        return self._request("train", payload, "checkpoint")
+        def payload():  # each record is read from the split as it is sent
+            yield '{"records": ['
+            for i, r in enumerate(dataset.records):
+                record = {"id": r.id, "article": r.article, "summary": r.summary or ""}
+                yield (", " if i else "") + json.dumps(record, ensure_ascii=False)
+            yield f'], "spec": {json.dumps(asdict(spec), ensure_ascii=False)}}}'
+        return self._request("train", payload(), "checkpoint")
 
     def generate(self, article: str, params: GenerationParams,
                  checkpoint: str | None = None) -> str:
-        return self._request("generate", {
+        return self._request("generate", (json.dumps({
             "article": article,
             "checkpoint": checkpoint,
             "max_tokens": params.max_tokens,
             "seed": params.seed,
-        }, "summary")
+        }, ensure_ascii=False),), "summary")
 
     def describe(self) -> dict:
         transport = (

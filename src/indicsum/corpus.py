@@ -71,9 +71,9 @@ def open_utf8(path, newline=None):
 
 def _read_rows(path, columns, required):
     """Yield ``(line number, cells)`` for each row of the CSV at ``path``
-    that has a cell which is not blank.  ``cells`` lists the row's
-    ``columns`` in order, ``""`` where the header or a short row lacks
-    one; ``columns[0]`` is the id, stripped.
+    that has a cell which is not blank, numbered by the line it starts
+    on.  ``cells`` lists the row's ``columns`` in order, ``""`` where the
+    header or a short row lacks one; ``columns[0]`` is the id, stripped.
 
     Header names are stripped, and the first column of a name counts.
     Raises MissingColumn when the file has no header or lacks a
@@ -95,7 +95,9 @@ def _read_rows(path, columns, required):
         positions = [index.get(name) for name in columns]
 
         seen = set()
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num  # a quoted cell can span lines
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not any(c.strip() for c in row):
                 continue
             cells = [row[pos] if pos is not None and pos < len(row) else ""

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import random
 import signal
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -327,6 +329,78 @@ class TestAdapterStdio:
             AdapterBackend()
         with pytest.raises(ValueError):
             AdapterBackend(argv=["x"], address=("127.0.0.1", 1))
+
+
+def large_train_split(*extra):
+    """A train split of about 4 MB of article text, then ``extra``."""
+    article = "शब्द और text, \"quoted\" here. " * 100
+    return DatasetSplit("train", "hindi", tuple(
+        ArticleRecord(id=f"r{i}", article=article, summary="s") for i in range(1000)
+    ) + extra)
+
+
+class TestAdapterStreaming:
+    """``train`` writes its request record by record: the line is never
+    held whole, and a write that fails partway closes the adapter, so
+    the next request starts a fresh one."""
+
+    def test_train_memory_does_not_grow_with_the_request(self, stub_argv):
+        split = large_train_split()
+        spec = SummarizerSpec(model_id="m", epochs=1)
+        request = len(json.dumps({"op": "train", "payload": {
+            "records": [{"id": r.id, "article": r.article, "summary": r.summary}
+                        for r in split.records],
+            "spec": dataclasses.asdict(spec)}, "id": 1},
+            ensure_ascii=False).encode("utf-8"))
+        assert request > 4_000_000
+        with AdapterBackend(argv=stub_argv()) as backend:
+            tracemalloc.start()
+            try:
+                assert backend.train(split, spec) == "ckpt-1000x1"
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < request / 4
+
+    def test_unencodable_record_partway(self, stub_argv, tmp_path):
+        pid_file = tmp_path / "stub.pid"
+        split = large_train_split(ArticleRecord("bad", "Lone \ud800 half.", summary="s"))
+        with AdapterBackend(argv=stub_argv("--pid-file", str(pid_file))) as backend:
+            assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
+            first = pid_file.read_text()
+            with pytest.raises(BackendUnavailable, match=r"^adapter transport failed: "
+                               r"'utf-8' codec can't encode character '\\ud800'"):
+                backend.train(split, SummarizerSpec(model_id="m", epochs=1))
+            assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
+            assert pid_file.read_text() != first
+
+    def test_unserializable_record_partway(self, stub_argv, tmp_path):
+        """The error of a record that is not JSON text passes through, and
+        the torn line never reaches the adapter's next request."""
+        pid_file = tmp_path / "stub.pid"
+        split = large_train_split(ArticleRecord("bad", b"bytes", summary="s"))
+        with AdapterBackend(argv=stub_argv("--pid-file", str(pid_file))) as backend:
+            assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
+            first = pid_file.read_text()
+            with pytest.raises(TypeError, match="bytes is not JSON serializable"):
+                backend.train(split, SummarizerSpec(model_id="m", epochs=1))
+            assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
+            assert pid_file.read_text() != first
+
+    def test_adapter_exits_partway(self, tmp_path):
+        adapter = tmp_path / "short_reader.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for line in iter(lambda: sys.stdin.buffer.readline(65536), b''):\n"
+            "    if not line.endswith(b'\\n'):\n"
+            "        sys.exit()  # read 64 KiB of a longer request\n"
+            "    reply = {'id': json.loads(line)['id'], 'result': {'summary': 'ok'}}\n"
+            "    print(json.dumps(reply), flush=True)\n", encoding="utf-8")
+        with AdapterBackend(argv=[sys.executable, str(adapter)]) as backend:
+            with pytest.raises(BackendUnavailable,
+                               match="^adapter transport failed: "):
+                backend.train(large_train_split(), SummarizerSpec(model_id="m", epochs=1))
+            assert backend.generate("a b", GenerationParams()) == "ok"
 
 
 class TestAdapterSocket:

@@ -71,6 +71,15 @@ class TestLoadCsv:
         with pytest.raises(DuplicateId):
             load_csv(write_csv(rows), "train", "english")
 
+    def test_errors_name_the_line_a_record_starts_on(self, tmp_path):
+        path = tmp_path / "ml.csv"
+        path.write_text('id,Article,Summary\n'
+                        'e1,"First line.\nSecond line.\nThird line.",\n'
+                        'e2,Other.,\n'
+                        'e1,Again.,\n', encoding="utf-8")
+        with pytest.raises(DuplicateId, match=r"ml\.csv:6: duplicate id 'e1'"):
+            load_csv(path, "validation", "english")
+
     def test_blank_article(self, write_csv):
         rows = [["a1", "", "", "   ", "s"]]
         with pytest.raises(EmptyArticle):

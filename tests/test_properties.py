@@ -10,16 +10,20 @@ derandomized, so every run checks the same cases.
 import json
 import os
 import re
+import socket
 import tempfile
+import threading
 import unicodedata
+from contextlib import contextmanager
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indicsum import jsonlog
-from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
-                               baseline_handle, lead_baseline)
+from indicsum.backends import (PRESETS, AdapterBackend, GenerationParams,
+                               SummarizerSpec, baseline_handle, lead_baseline)
 from indicsum.corpus import (SPLIT_KINDS, ArticleRecord, DatasetSplit,
                              load_csv, load_summaries, save_csv,
                              write_summaries)
@@ -252,6 +256,68 @@ def test_cache_line_is_json_dumps(src, dst, src_lang, tgt_lang):
     line = json.dumps(record, ensure_ascii=False).encode("utf-8")
     assert data == line + b"\n"
     assert _parse_cache_line(line) == ((src, src_lang, tgt_lang), dst)
+
+
+@contextmanager
+def recording_adapter():
+    """Yield ``(address, lines)`` of an adapter that a thread serves on a
+    local socket: it appends each raw request line to ``lines`` and
+    answers it with a checkpoint and a summary."""
+    lines = []
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(10)
+
+        def serve():
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as requests:
+                for line in requests:
+                    lines.append(line)
+                    reply = {"id": json.loads(line)["id"],
+                             "result": {"checkpoint": "c", "summary": "s"}}
+                    conn.sendall(json.dumps(reply).encode() + b"\n")
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            yield server.getsockname(), lines
+        finally:
+            thread.join(10)
+            assert not thread.is_alive()
+
+
+specs = st.builds(SummarizerSpec, model_id=cache_texts.filter(bool),
+                  epochs=st.integers(1, 50), weight_decay=st.floats(0, 1),
+                  learning_rate=st.floats(1e-6, 1), batch_size=st.integers(1, 64),
+                  max_input_tokens=st.integers(1, 4096))
+
+
+@derandomized
+@given(st.lists(st.tuples(cache_texts, cache_texts, st.none() | cache_texts),
+                max_size=4),
+       specs, cache_texts, st.none() | cache_texts, st.integers(1, 500),
+       st.integers(0, 2 ** 31))
+def test_adapter_requests_are_json_dumps(rows, spec, article, checkpoint,
+                                         max_tokens, seed):
+    """The lines ``train`` streams and ``generate`` writes to an adapter
+    are ``json.dumps`` of each whole request."""
+    split = DatasetSplit("train", "hindi", tuple(
+        ArticleRecord(rec_id, text, summary=summary) for rec_id, text, summary in rows))
+    params = GenerationParams(max_tokens=max_tokens, seed=seed)
+    with recording_adapter() as (address, lines):
+        with AdapterBackend(address=address) as backend:
+            backend.train(split, spec)
+            backend.generate(article, params, checkpoint)
+    train = {"records": [{"id": rec_id, "article": text, "summary": summary or ""}
+                         for rec_id, text, summary in rows],
+             "spec": asdict(spec)}
+    generate = {"article": article, "checkpoint": checkpoint,
+                "max_tokens": max_tokens, "seed": seed}
+    assert lines == [
+        json.dumps({"op": op, "payload": payload, "id": n},
+                   ensure_ascii=False).encode("utf-8") + b"\n"
+        for n, (op, payload) in enumerate([("train", train),
+                                           ("generate", generate)], start=1)
+    ]
 
 
 # Cells with what CSV must quote (commas, quotes, CR and LF) and Indic
