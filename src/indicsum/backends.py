@@ -21,12 +21,14 @@ inside ``generate``.
 
 Any transport failure, malformed response, adapter-reported error or
 result field that is blank or not UTF-8 surfaces as BackendUnavailable.
+
+``socket`` and ``subprocess`` load on an adapter's first request, so a
+run without an adapter never loads them.
 """
 
 import json
+import math
 import shlex
-import socket
-import subprocess
 import threading
 from dataclasses import asdict, dataclass, field
 
@@ -68,10 +70,13 @@ class SummarizerSpec:
             raise InvalidSpec("model_id must be nonempty")
         if self.epochs < 1:
             raise InvalidSpec(f"epochs must be >= 1, got {self.epochs}")
-        if self.weight_decay < 0:
-            raise InvalidSpec("weight_decay must be >= 0")
-        if self.learning_rate <= 0:
-            raise InvalidSpec("learning_rate must be > 0")
+        # NaN fails every comparison, and neither NaN nor inf is JSON.
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise InvalidSpec(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidSpec(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InvalidSpec("batch_size must be >= 1")
         if self.max_input_tokens < 1:
@@ -280,8 +285,12 @@ class AdapterBackend:
     def _connect(self) -> None:
         if self._sock is not None:
             return
+        import socket
+
         try:
             if self._argv is not None:
+                import subprocess
+
                 self._sock, child_end = socket.socketpair()
                 with child_end:
                     self._proc = subprocess.Popen(
@@ -304,6 +313,8 @@ class AdapterBackend:
             except OSError:
                 pass
         if self._proc is not None:
+            import subprocess  # for TimeoutExpired; loaded by _connect
+
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=5)

@@ -161,8 +161,10 @@ def _write_csv(path, header, rows) -> None:
     except BaseException as exc:
         with suppress(OSError):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
-            # Name the file the caller asked for, not the temporary one.
+        if (isinstance(exc, OSError) and exc.errno is not None
+                and exc.filename in (tmp, None)):
+            # Name the file the caller asked for, not the temporary one;
+            # a failed write (say on a full disk) names no file at all.
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
 

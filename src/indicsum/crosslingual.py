@@ -6,17 +6,18 @@ Back-mapping guarantees extractiveness: every output sentence is a
 verbatim sentence of the source article, because summary sentences are
 resolved to mapping entries: equal ``rouge_tokens`` first, then a
 clipped unigram F1 fallback with a configurable threshold.
+
+The HTTP modules (``http.client``, ``urllib.request``, ``urllib.error``)
+load on the first remote translation and ``concurrent.futures`` on the
+first remote client's split, so a run with an in-memory translator
+never loads them.
 """
 
-import http.client
 import json
 import os
 import sys
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import jsonlog, segment
@@ -149,6 +150,10 @@ class HttpTranslator:
                          "Content-Type": "application/json"}
 
     def translate(self, sentence: str) -> str:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         data = json.dumps({"text": sentence, "source": self.source_lang,
                            "target": self.target_lang}).encode("utf-8")
         request = urllib.request.Request(self.endpoint, data=data,
@@ -262,6 +267,8 @@ def _translate_retrying(client, sentence, sleep):
     would get again, so it fails at once; any other exception is a bug
     and propagates at once.
     """
+    import urllib.error  # bound before an except clause can name it
+
     for attempt in range(RETRY_ATTEMPTS):
         try:
             return _translate_once(client, sentence)
@@ -329,6 +336,8 @@ def build_mappings(articles, client, *, cache: TranslationCache | None = None,
         if pending and getattr(client, "local", False):
             store(_translate_once(client, s) for s in pending)
         elif pending:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(min(PARALLELISM, len(pending))) as pool:
                 store(pool.map(lambda s: _translate_retrying(client, s, sleep),
                                pending))

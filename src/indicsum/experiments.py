@@ -553,8 +553,14 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
 
 def _check_consistency(run: RunRecord, path, lineno: int) -> None:
-    """``ConfigError`` unless ``run`` has records and an aggregate for
-    every reported order, each the mean of its records' scores."""
+    """``ConfigError`` unless each of ``run``'s fields has its declared
+    type, and ``run`` has records and an aggregate for every reported
+    order, each the mean of its records' scores."""
+    for f in fields(run):
+        value = getattr(run, f.name)
+        if not isinstance(value, f.type):
+            raise ConfigError(f"{path}:{lineno}: malformed run record:"
+                              f" {f.name} must be a {f.type.__name__}, got {value!r}")
     if not run.records:
         raise ConfigError(f"{path}:{lineno}: run has no records")
     try:

@@ -39,33 +39,40 @@ def append(path, lines, parse) -> None:
     ending a whole one.  Lines stream through a bounded buffer, so a
     batch is never held whole; if ``lines`` raises partway, the lines
     it gave are written whole before the error propagates.  Nothing is
-    touched when ``lines`` is empty."""
+    touched when ``lines`` is empty.  A failed system call that names
+    no file (a read or write, say on a full disk) is re-raised naming
+    ``path``."""
     lines = iter(lines)
     first = next(lines, None)
     if first is None:
         return
-    with open(path, "ab+", buffering=0) as fh:
-        # Read back from the end until the last non-blank line is whole,
-        # in steps that start at about one cache line and double.
-        pos = fh.seek(0, os.SEEK_END)
-        tail, step = b"", 256
-        while pos > 0 and b"\n" not in tail.rstrip():
-            step = min(pos, step)
-            pos -= step
-            tail = os.pread(fh.fileno(), step, pos) + tail
-            step *= 2
-        body = tail.rstrip()
-        start = body.rfind(b"\n") + 1
-        newline = b""
-        try:
-            parse(body[start:])
-        except ValueError:  # a torn line, or only blank ones
-            fh.truncate(pos + start)
-        else:
-            if not tail.endswith(b"\n"):
-                newline = b"\n"
-        # Closing the buffer flushes it, also when ``lines`` raises.
-        with io.BufferedWriter(fh) as out:
-            out.write(newline)
-            for line in itertools.chain([first], lines):
-                out.write((line + "\n").encode("utf-8"))
+    try:
+        with open(path, "ab+", buffering=0) as fh:
+            # Read back from the end until the last non-blank line is whole,
+            # in steps that start at about one cache line and double.
+            pos = fh.seek(0, os.SEEK_END)
+            tail, step = b"", 256
+            while pos > 0 and b"\n" not in tail.rstrip():
+                step = min(pos, step)
+                pos -= step
+                tail = os.pread(fh.fileno(), step, pos) + tail
+                step *= 2
+            body = tail.rstrip()
+            start = body.rfind(b"\n") + 1
+            newline = b""
+            try:
+                parse(body[start:])
+            except ValueError:  # a torn line, or only blank ones
+                fh.truncate(pos + start)
+            else:
+                if not tail.endswith(b"\n"):
+                    newline = b"\n"
+            # Closing the buffer flushes it, also when ``lines`` raises.
+            with io.BufferedWriter(fh) as out:
+                out.write(newline)
+                for line in itertools.chain([first], lines):
+                    out.write((line + "\n").encode("utf-8"))
+    except OSError as exc:
+        if exc.filename is not None or exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None

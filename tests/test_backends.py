@@ -71,6 +71,8 @@ class TestSpecs:
             {"learning_rate": 0.0},
             {"batch_size": 0},
             {"max_input_tokens": 0},
+            *({name: value} for name in ("weight_decay", "learning_rate")
+              for value in (float("nan"), float("inf"), float("-inf"))),
         ],
     )
     def test_invalid_spec_fields(self, kwargs):
@@ -323,6 +325,27 @@ class TestAdapterStdio:
         backend = AdapterBackend(argv=["/nonexistent/adapter-binary"])
         with pytest.raises(BackendUnavailable):
             backend.generate("text", GenerationParams())
+
+    def test_close_kills_an_adapter_that_outlives_terminate(self):
+        calls = []
+
+        class StubbornProc:
+            def terminate(self):
+                calls.append("terminate")
+
+            def wait(self, timeout=None):
+                calls.append(("wait", timeout))
+                if len(calls) == 2:
+                    raise subprocess.TimeoutExpired("adapter", timeout)
+
+            def kill(self):
+                calls.append("kill")
+
+        backend = AdapterBackend(argv=["adapter"])
+        backend._proc = StubbornProc()
+        backend.close()
+        assert calls == ["terminate", ("wait", 5), "kill", ("wait", None)]
+        assert backend._proc is None
 
     def test_constructor_argument_validation(self):
         with pytest.raises(ValueError):

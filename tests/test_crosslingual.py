@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 import re
@@ -309,12 +310,13 @@ class TestBuildMappings:
     def test_remote_client_gets_one_pool_per_split(self, monkeypatch):
         pools = []
 
-        class CountingPool(crosslingual.ThreadPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(crosslingual, "ThreadPoolExecutor", CountingPool)
+        # build_mappings imports the pool class from here when it needs one.
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         client = Remote({s: f"en({s})" for s in S})
         mappings = build_mappings(SPLIT, client)
         assert len(pools) == 1

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import errno
 import fcntl
 import json
 import os
 import re
+import resource
 import shlex
 import signal
 import subprocess
@@ -849,6 +851,39 @@ def test_write_summaries_error_names_target(tmp_path):
     assert str(info.value) == f"[Errno 2] No such file or directory: {path!r}"
 
 
+# Writes a little over 20,000 bytes to the file named by argv[2], through
+# argv[1]'s writer, and prints the error it raises.
+_FSIZE_CHILD = """
+import sys
+from indicsum import corpus, jsonlog
+writer, path = sys.argv[1:]
+try:
+    if writer == "append":
+        jsonlog.append(path, ("x" * 999 for _ in range(21)), lambda line: line)
+    else:
+        corpus.write_summaries(path, ((str(i), "x" * 997) for i in range(21)))
+except OSError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("writer", ["append", "write_summaries"])
+def test_write_past_file_size_limit_names_target(writer, tmp_path):
+    """Under ``RLIMIT_FSIZE``, set in the child only, the failed write
+    names the file the caller asked for."""
+    path = str(tmp_path / "out")
+    src = str(Path(indicsum.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        # -B: a byte-code file written under the limit would be cut short.
+        [sys.executable, "-B", "-c", _FSIZE_CHILD, writer, path],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                              (20_000, 20_000)))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {path!r}\n"
+
+
 class TestRenderReport:
     def test_formatting(self):
         out = render_report([fake_run("lead-baseline", (0.5, 0.4, 0.3))])
@@ -1368,6 +1403,10 @@ class TestCli:
         ("epochs = 3", "config key 'epochs' needs model_id"),
         ("model_id = m\nepochs = 0",
          "bad inline spec value: epochs must be >= 1, got 0"),
+        ("model_id = m\nepochs = 1\nlearning_rate = nan",
+         "bad inline spec value: learning_rate must be finite and > 0, got nan"),
+        ("model_id = m\nepochs = 1\nweight_decay = inf",
+         "bad inline spec value: weight_decay must be finite and >= 0, got inf"),
         ("adapter = python3 'x",
          "bad adapter command line \"python3 'x\": No closing quotation"),
     ])
@@ -1402,3 +1441,24 @@ class TestCli:
         assert main(["report", "--runs", str(out_dir / "runs.jsonl"),
                      "--format", "csv"]) == 0
         assert "lead-baseline" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("approach", 7, "approach must be a str, got 7"),
+        ("config_hash", None, "config_hash must be a str, got None"),
+        ("timestamp", ["t"], "timestamp must be a str, got ['t']"),
+        ("language", {"x": 1}, "language must be a str, got {'x': 1}"),
+        ("backend", "lead-baseline",
+         "backend must be a dict, got 'lead-baseline'"),
+        ("aggregate", [1], "aggregate must be a dict, got [1]"),
+    ])
+    def test_report_names_a_wrongly_typed_field(self, field, value, message,
+                                                 tmp_path, capsys):
+        # Also as the last line: a whole line is never taken for a torn one.
+        log = tmp_path / "runs.jsonl"
+        good = fake_run("x", (0.5, 0.2, 0.1)).to_json()
+        bad = json.dumps(json.loads(good) | {field: value})
+        log.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        assert main(["report", "--runs", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {log}:2: malformed run record: {message}\n"
+        assert captured.out == ""
