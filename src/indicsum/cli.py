@@ -140,7 +140,8 @@ def _add_stage_options(parser) -> None:
     """The adapter flags, and the run settings no stage sets: a stage's
     arguments carry ``ExperimentConfig``'s names for ``resolve_settings``."""
     parser.add_argument("--adapter", help="adapter command line (stdio transport)")
-    parser.add_argument("--socket", help="adapter address as host:port")
+    parser.add_argument("--socket",
+                        help="adapter address as host:port ([::1]:port for IPv6)")
     parser.set_defaults(spec=None, seed=DEFAULT_SEED, augmentations=())
 
 

@@ -203,8 +203,9 @@ class TranslationCache:
     ``translate-map --cache`` hold ``experiments.directory_lock`` on the
     file's directory), on one thread.  A process killed mid-``put``
     leaves the records it had written whole and at most one torn last
-    line, handled by the rule in ``jsonlog``: skipped on load, cut off
-    by the next ``put``.
+    line, without its newline, handled by the rule in ``jsonlog``:
+    skipped on load, cut off by the next ``put``.  A whole line that is
+    not a record is a ``ConfigError``, even as the last line.
     """
 
     def __init__(self, path):
@@ -239,7 +240,7 @@ class TranslationCache:
                 self._map[key] = dst
                 yield '{"src": ' + _quote(src) + middle + _quote(dst) + "}"
 
-        jsonlog.append(self.path, lines(), _parse_cache_line)
+        jsonlog.append(self.path, lines())
 
 
 def _translate_once(client, sentence):

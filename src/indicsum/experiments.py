@@ -242,7 +242,7 @@ class RunRecord:
         """Decode one run-log line (str or UTF-8 bytes); ``ValueError``
         unless it is a JSON object with a RunRecord's fields."""
         try:
-            payload = json.loads(line)  # a torn line can end mid-character
+            payload = json.loads(line)
             payload["records"] = tuple(payload.get("records", ()))
             return cls(**payload)
         except (ValueError, TypeError, AttributeError) as exc:
@@ -449,6 +449,8 @@ def run_setup(language: str, adapter: str | None = None,
         backend = AdapterBackend(argv=adapter)
     elif socket is not None:
         host, _, port = socket.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]  # an IPv6 address, as in [::1]:PORT
         if not host:
             raise ConfigError(f"socket must be host:port, got {socket!r}")
         try:
@@ -548,7 +550,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             ((row["id"], row["summary"]) for row in record_rows),
         )
         jsonlog.append(os.path.join(config.output_dir, "runs.jsonl"),
-                       [run.to_json()], RunRecord.from_json)
+                       [run.to_json()])
         return run
 
 
@@ -580,8 +582,8 @@ def _check_consistency(run: RunRecord, path, lineno: int) -> None:
 def load_runs(path) -> list[RunRecord]:
     """Load a run log, checking each aggregate against its records.
 
-    A torn last line is skipped (``jsonlog``); any other bad line is a
-    ``ConfigError`` naming it."""
+    A torn last line, without its newline, is skipped (``jsonlog``);
+    any whole bad line is a ``ConfigError`` naming it."""
     runs = []
     for lineno, run in jsonlog.read(path, RunRecord.from_json):
         _check_consistency(run, path, lineno)

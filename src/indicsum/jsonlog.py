@@ -1,8 +1,10 @@
 """Append-only JSON-lines files: the translation cache and the run log.
 
-A writer killed mid-append leaves whole lines followed by at most one
-torn line: ``read`` skips the torn one and the next ``append`` cuts it
-off.  ``parse`` turns one line (bytes) into a value, raising
+Every append writes each line's newline last, so a line is whole when
+it ends in ``\\n``.  A writer killed mid-append leaves whole lines
+followed by at most one torn last line, the bytes after the last
+newline: ``read`` skips them and the next ``append`` cuts them off.
+``parse`` turns one whole line (bytes) into a value, raising
 ``ValueError`` when the line is unreadable.
 """
 
@@ -16,60 +18,48 @@ __all__ = ["append", "read"]
 
 
 def read(path, parse):
-    """Yield ``(line number, parse(line))`` for each non-blank line.  An
-    unreadable last line is skipped; an earlier one is a ``ConfigError``."""
-    bad = None  # (line number, error) of an unreadable line
+    """Yield ``(line number, parse(line))`` for each non-blank whole line.
+    An unterminated last line is skipped; a whole line that ``parse``
+    rejects is a ``ConfigError`` naming it, wherever it is."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line.endswith(b"\n") or not line.strip():
                 continue
-            if bad is not None:
-                raise ConfigError(f"{path}:{bad[0]}: {bad[1]}")
             try:
                 value = parse(line)
             except ValueError as exc:
-                bad = (lineno, exc)
-                continue
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
             yield lineno, value
 
 
-def append(path, lines, parse) -> None:
+def append(path, lines) -> None:
     """Append ``lines`` (strings without newlines, possibly a lazy
-    iterator) to ``path``, after cutting off an unreadable last line or
-    ending a whole one.  Lines stream through a bounded buffer, so a
-    batch is never held whole; if ``lines`` raises partway, the lines
-    it gave are written whole before the error propagates.  Nothing is
-    touched when ``lines`` is empty.  A failed system call that names
-    no file (a read or write, say on a full disk) is re-raised naming
-    ``path``."""
+    iterator) to ``path``, after cutting off the bytes after its last
+    newline.  Lines stream through a bounded buffer, so a batch is never
+    held whole; if ``lines`` raises partway, the lines it gave are
+    written whole before the error propagates.  Nothing is touched when
+    ``lines`` is empty.  A failed system call that names no file (a read
+    or write, say on a full disk) is re-raised naming ``path``."""
     lines = iter(lines)
     first = next(lines, None)
     if first is None:
         return
     try:
         with open(path, "ab+", buffering=0) as fh:
-            # Read back from the end until the last non-blank line is whole,
-            # in steps that start at about one cache line and double.
-            pos = fh.seek(0, os.SEEK_END)
-            tail, step = b"", 256
-            while pos > 0 and b"\n" not in tail.rstrip():
+            # Read back from the end to the last newline, in steps that
+            # start at about one cache line and double.
+            pos, step = fh.seek(0, os.SEEK_END), 256
+            while pos > 0:
                 step = min(pos, step)
                 pos -= step
-                tail = os.pread(fh.fileno(), step, pos) + tail
+                newline = os.pread(fh.fileno(), step, pos).rfind(b"\n")
+                if newline >= 0:
+                    pos += newline + 1
+                    break
                 step *= 2
-            body = tail.rstrip()
-            start = body.rfind(b"\n") + 1
-            newline = b""
-            try:
-                parse(body[start:])
-            except ValueError:  # a torn line, or only blank ones
-                fh.truncate(pos + start)
-            else:
-                if not tail.endswith(b"\n"):
-                    newline = b"\n"
+            fh.truncate(pos)
             # Closing the buffer flushes it, also when ``lines`` raises.
             with io.BufferedWriter(fh) as out:
-                out.write(newline)
                 for line in itertools.chain([first], lines):
                     out.write((line + "\n").encode("utf-8"))
     except OSError as exc:

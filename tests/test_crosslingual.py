@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from indicsum import crosslingual
+from indicsum import crosslingual, jsonlog
 from indicsum.backends import (
     AdapterBackend,
     GenerationParams,
@@ -381,6 +381,9 @@ def cache_line(src, dst):
                        "dst": dst}, ensure_ascii=False) + "\n"
 
 
+DROP = object()  # a field value that leaves the field out
+
+
 class TestTranslationCache:
     @pytest.fixture
     def torn(self, tmp_path):
@@ -402,13 +405,14 @@ class TestTranslationCache:
                                           "english") == "e3."
 
     def test_missing_final_newline(self, tmp_path):
+        # A line without its newline is torn, however whole its JSON.
         path = tmp_path / "cache.jsonl"
         path.write_text(cache_line(GUJ_SENTENCES[0], "e1.").rstrip("\n"),
                         encoding="utf-8")
         cache = TranslationCache(path)
-        assert len(cache) == 1
+        assert len(cache) == 0
         cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati", "english")
-        assert len(TranslationCache(path)) == 2
+        assert path.read_text(encoding="utf-8") == cache_line(GUJ_SENTENCES[1], "e2.")
 
     def test_loaded_language_names_are_shared(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -427,29 +431,23 @@ class TestTranslationCache:
 
     @pytest.mark.parametrize("field, value", [
         ("dst", ""), ("dst", "   "), ("dst", 5), ("dst", None),
-        ("src", ["a"]), ("src_lang", None), ("tgt_lang", 1.5),
+        ("src", ["a"]), ("src_lang", None), ("tgt_lang", 1.5), ("dst", DROP),
     ])
     @pytest.mark.parametrize("position", ["middle", "last"])
     def test_whole_line_with_bad_field(self, field, value, position, tmp_path):
+        """A whole line is never taken for a torn one, even as the last."""
         record = {"src": GUJ_SENTENCES[1], "src_lang": "gujarati",
                   "tgt_lang": "english", "dst": "e2.", field: value}
+        record = {k: v for k, v in record.items() if v is not DROP}
         bad = json.dumps(record, ensure_ascii=False) + "\n"
         good = cache_line(GUJ_SENTENCES[0], "e1.")
+        last = cache_line(GUJ_SENTENCES[2], "e3.") if position == "middle" else ""
         path = tmp_path / "cache.jsonl"
-        if position == "middle":
-            path.write_text(good + bad + cache_line(GUJ_SENTENCES[2], "e3."),
-                            encoding="utf-8")
-            with pytest.raises(ConfigError, match=f"{path}:2: bad cache record"):
-                TranslationCache(path)
-            return
-        path.write_text(good + bad, encoding="utf-8")
-        cache = TranslationCache(path)
-        assert len(cache) == 1
-        cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati", "english")
-        assert path.read_text(encoding="utf-8") == good + cache_line(
-            GUJ_SENTENCES[1], "e2.")
-        assert TranslationCache(path).get(GUJ_SENTENCES[1], "gujarati",
-                                          "english") == "e2."
+        path.write_text(good + bad + last, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{path}:2: bad cache record"):
+            TranslationCache(path)
+        jsonlog.append(path, ["{}"])
+        assert path.read_text(encoding="utf-8") == good + bad + last + "{}\n"
 
 
 def ten_token_mapping():

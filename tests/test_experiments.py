@@ -8,8 +8,10 @@ import re
 import resource
 import shlex
 import signal
+import socket
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -587,6 +589,36 @@ class TestRunExperiment:
         # 4 originals + 4 right-shifted copies reach the adapter
         assert run.backend["checkpoint"] == "ckpt-8x1"
 
+    def test_socket_in_brackets_reaches_ipv6_loopback(self, eval_csv, tmp_path):
+        """``socket = [::1]:PORT`` connects to an adapter listening on
+        ``::1``, here one that a test thread serves."""
+        try:
+            server = socket.create_server(("::1", 0), family=socket.AF_INET6)
+        except OSError as exc:
+            pytest.skip(f"cannot listen on ::1: {exc}")
+        port = server.getsockname()[1]
+
+        def serve():
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as requests:
+                for line in requests:
+                    reply = {"id": json.loads(line)["id"],
+                             "result": {"summary": "s"}}
+                    conn.sendall(json.dumps(reply).encode() + b"\n")
+
+        with server:
+            server.settimeout(10)
+            thread = threading.Thread(target=serve)
+            thread.start()
+            try:
+                run = run_experiment(base_config(eval_csv, tmp_path,
+                                                 socket=f"[::1]:{port}"))
+            finally:
+                thread.join(10)
+        assert not thread.is_alive()
+        assert run.backend["address"] == ["::1", port]
+        assert {record["summary"] for record in run.records} == {"s"}
+
 
 class TestRunLog:
     def test_round_trip(self, eval_csv, tmp_path):
@@ -596,7 +628,7 @@ class TestRunLog:
         assert runs[0] == run
 
     def test_corrupt_line(self, tmp_path):
-        # Only a line before the last can be more than a torn append.
+        # A whole line that is no run record is an error, wherever it is.
         log = tmp_path / "runs.jsonl"
         good = fake_run("x", (0.5, 0.2, 0.1)).to_json()
         for bad in ("{not json", "[1]", "7"):
@@ -617,9 +649,14 @@ class TestRunLog:
         assert load_runs(log) == [NON_ASCII_RUN]
 
     def test_unterminated_last_line_loads(self, tmp_path):
+        """A whole last record without its newline is torn until the
+        newline is written; then it loads."""
         log = tmp_path / "runs.jsonl"
         good = NON_ASCII_RUN.to_json()
         log.write_text(good + "\n" + good, encoding="utf-8")
+        assert load_runs(log) == [NON_ASCII_RUN]
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("\n")
         assert load_runs(log) == [NON_ASCII_RUN, NON_ASCII_RUN]
 
     @pytest.mark.parametrize("tail", ["torn", "not an object", "unterminated",
@@ -635,10 +672,16 @@ class TestRunLog:
             "blank lines": line + "\n\n \n",
         }[tail], encoding="utf-8")
         second = run_experiment(base_config(eval_csv, tmp_path))
-        want = [first] + ([first] if tail in ("unterminated", "blank lines")
-                          else []) + [second]
+        text = log.read_text(encoding="utf-8")
+        assert text.endswith(second.to_json() + "\n")
+        if tail == "not an object":
+            # A whole line is never cut off, even as the last.
+            assert text == line + "\n[1]\n" + second.to_json() + "\n"
+            with pytest.raises(ConfigError, match="runs.jsonl:2: bad run record"):
+                load_runs(log)
+            return
+        want = [first] + ([first] if tail == "blank lines" else []) + [second]
         assert load_runs(log) == want
-        assert log.read_text(encoding="utf-8").endswith(second.to_json() + "\n")
 
     def test_to_json_bytes(self, tmp_path):
         run = NON_ASCII_RUN
@@ -756,13 +799,14 @@ class RunLog:
 
 class TestLogTails:
     """One torn-tail rule for both append-only logs: what loads, and
-    what the next append leaves, after each kind of tail."""
+    what the next append leaves, after each kind of tail.  Only a last
+    line without its newline is torn; any whole bad line is an error."""
 
     @pytest.mark.parametrize("kind", ["cache", "runs"])
     @pytest.mark.parametrize("tail, loaded, kept", [
         ("torn mid-character", [0], ""),
-        ("terminated JSON non-object", [0], ""),
-        ("unterminated whole line", [0, 1], "{1}\n"),
+        ("terminated JSON non-object", None, None),
+        ("unterminated whole line", [0], ""),
         ("trailing blank lines", [0, 1], "{1}\n\n \n"),
         ("bad middle line", None, None),
     ])
@@ -804,9 +848,9 @@ def test_append_keeps_whole_lines_when_lines_raise(tmp_path):
         raise TranslationFailure("stopped")
 
     with pytest.raises(TranslationFailure, match="stopped"):
-        jsonlog.append(path, failing(), json.loads)
+        jsonlog.append(path, failing())
     assert path.read_text() == "".join(line + "\n" for line in lines[:60])
-    jsonlog.append(path, lines[60:], json.loads)
+    jsonlog.append(path, lines[60:])
     assert [v["n"] for _, v in jsonlog.read(path, json.loads)] == list(range(100))
 
 
@@ -859,7 +903,7 @@ from indicsum import corpus, jsonlog
 writer, path = sys.argv[1:]
 try:
     if writer == "append":
-        jsonlog.append(path, ("x" * 999 for _ in range(21)), lambda line: line)
+        jsonlog.append(path, ("x" * 999 for _ in range(21)))
     else:
         corpus.write_summaries(path, ((str(i), "x" * 997) for i in range(21)))
 except OSError as exc:
@@ -867,11 +911,9 @@ except OSError as exc:
 """
 
 
-@pytest.mark.parametrize("writer", ["append", "write_summaries"])
-def test_write_past_file_size_limit_names_target(writer, tmp_path):
-    """Under ``RLIMIT_FSIZE``, set in the child only, the failed write
-    names the file the caller asked for."""
-    path = str(tmp_path / "out")
+def run_fsize_child(writer, path, limit):
+    """Run ``_FSIZE_CHILD`` with ``RLIMIT_FSIZE`` at ``limit`` bytes, set
+    in the child only; check that it printed the error for ``path``."""
     src = str(Path(indicsum.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -879,9 +921,31 @@ def test_write_past_file_size_limit_names_target(writer, tmp_path):
         [sys.executable, "-B", "-c", _FSIZE_CHILD, writer, path],
         env=env, capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
-                                              (20_000, 20_000)))
+                                              (limit, limit)))
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {path!r}\n"
+
+
+@pytest.mark.parametrize("writer", ["append", "write_summaries"])
+def test_write_past_file_size_limit_names_target(writer, tmp_path):
+    """Under ``RLIMIT_FSIZE``, set in the child only, the failed write
+    names the file the caller asked for."""
+    run_fsize_child(writer, str(tmp_path / "out"), 20_000)
+
+
+def test_append_cut_mid_line_by_file_size_limit(tmp_path):
+    """A child whose append stops mid-line leaves 20 whole lines and a
+    torn one: ``read`` yields the whole ones, and the next append cuts
+    the torn one off and keeps every byte before it."""
+    path = str(tmp_path / "out")
+    run_fsize_child("append", path, 20_500)
+    data = Path(path).read_bytes()
+    assert len(data) == 20_500
+    whole = [b"x" * 999 + b"\n"] * 20
+    assert [line for _, line in jsonlog.read(path, bytes)] == whole
+    jsonlog.append(path, ["y"])
+    assert Path(path).read_bytes() == data[:20_000] + b"y\n"
+    assert [line for _, line in jsonlog.read(path, bytes)] == whole + [b"y\n"]
 
 
 class TestRenderReport:
@@ -1462,3 +1526,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: {log}:2: malformed run record: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("change", [
+        {"records": 5}, {"records": None}, {"metrics": {"t": 1}},
+    ], ids=["records-int", "records-null", "unknown-key"])
+    def test_report_names_a_whole_bad_last_line(self, change, eval_csv,
+                                                tmp_path, capsys):
+        """A whole last line that is no run record is an error, not a torn
+        line: ``report`` names it, and the next run keeps its bytes."""
+        log = tmp_path / "out" / "runs.jsonl"
+        log.parent.mkdir()
+        good = fake_run("x", (0.5, 0.2, 0.1)).to_json()
+        bad = json.dumps(json.loads(good) | change)
+        log.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        assert main(["report", "--runs", str(log)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {log}:2: bad run record: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        run = run_experiment(base_config(eval_csv, tmp_path))
+        assert log.read_text(encoding="utf-8") == f"{good}\n{bad}\n{run.to_json()}\n"

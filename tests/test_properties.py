@@ -410,13 +410,14 @@ class RunsLog:
 
     @classmethod
     def append(cls, path, i):
-        jsonlog.append(path, [cls.line(i)], RunRecord.from_json)
+        jsonlog.append(path, [cls.line(i)])
 
 
 @pytest.mark.parametrize("log", [CacheLog, RunsLog], ids=["cache", "runs"])
 def test_torn_tail_at_every_offset(log, tmp_path):
-    """Cut the log at each byte offset: every line that ends before the
-    cut loads, and the next append reads back after them."""
+    """Cut the log at each byte offset: a line loads iff its newline lies
+    before the cut, and the next append keeps every byte up to the cut's
+    last newline and reads back after those lines."""
     lines = [log.line(i).encode("utf-8") for i in range(log.lines)]
     data = b"".join(line + b"\n" for line in lines)
     ends, pos = [], 0
@@ -426,7 +427,10 @@ def test_torn_tail_at_every_offset(log, tmp_path):
     path = tmp_path / "log.jsonl"
     for cut in range(len(data) + 1):
         path.write_bytes(data[:cut])
-        whole = [i for i, end in enumerate(ends) if end <= cut]
+        whole = [i for i, end in enumerate(ends) if end < cut]
         assert log.load(path) == whole, cut
         log.append(path, log.lines)
+        kept = data.rfind(b"\n", 0, cut) + 1
+        appended = log.line(log.lines).encode("utf-8") + b"\n"
+        assert path.read_bytes() == data[:kept] + appended, cut
         assert log.load(path) == whole + [log.lines], cut
