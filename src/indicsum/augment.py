@@ -3,6 +3,9 @@
 All operations are pure functions of (input, seed) and therefore safe
 to run concurrently.  Augmented records keep the corpus CSV schema and
 get a suffixed id so originals and copies can coexist in one split.
+An augmented split makes its copies as they are read, so a train
+request or an ``augment --out`` file never holds them all at once; a
+noise copy whose article comes out blank is an error, not a record.
 """
 
 import random
@@ -11,6 +14,7 @@ from dataclasses import replace
 from . import segment
 from .backends import DEFAULT_SEED
 from .corpus import ArticleRecord, DatasetSplit
+from .errors import EmptyArticle
 
 __all__ = [
     "add_noise",
@@ -36,6 +40,11 @@ def right_shift(record: ArticleRecord, language: str = "english") -> ArticleReco
     return replace(record, id=record.id + "-rs", article=body)
 
 
+def _check_rate(rate: float) -> None:
+    if not 0 <= rate <= 1:
+        raise ValueError(f"rate must be within [0, 1], got {rate!r}")
+
+
 def drop_tokens(text: str, rate: float, seed: int) -> str:
     """Independently drop each whitespace token with probability ``rate``.
 
@@ -45,8 +54,7 @@ def drop_tokens(text: str, rate: float, seed: int) -> str:
     when no token is dropped the input comes back byte for byte, so
     rate 0 is an exact identity.
     """
-    if not 0 <= rate <= 1:
-        raise ValueError(f"rate must be within [0, 1], got {rate!r}")
+    _check_rate(rate)
     tokens = text.split()
     rng = random.Random(seed)
     kept = [tok for tok in tokens if not rng.random() < rate]
@@ -68,6 +76,23 @@ def add_noise(record: ArticleRecord, rate: float, seed: int) -> ArticleRecord:
     )
 
 
+class _Records:
+    """A split's records, made anew by ``make()`` on each pass; ``len()``
+    is known without making them."""
+
+    __slots__ = ("_length", "_make")
+
+    def __init__(self, length: int, make):
+        self._length = length
+        self._make = make
+
+    def __len__(self):
+        return self._length
+
+    def __iter__(self):
+        return self._make()
+
+
 def augment_split(
     split: DatasetSplit,
     *,
@@ -78,19 +103,39 @@ def augment_split(
 ) -> DatasetSplit:
     """Apply right-shift and/or noise to every record of ``split``.
 
-    With ``append`` (the default) augmented copies follow the originals
-    in the output; otherwise they replace them.  The noise seed is
-    derived per record from ``seed`` and the record's position so that
-    different records receive different dropout patterns while the
-    whole split stays reproducible.
+    With ``append`` (the default) the originals come first; otherwise
+    only the copies are kept.  Then, for each record in order, come its
+    right-shift copy and its noise copy.  The noise seed is derived per
+    record from ``seed`` and the record's position so that different
+    records receive different dropout patterns while the whole split
+    stays reproducible.
+
+    The copies are made as the returned split's records are read, and
+    made again on each pass, so at most one is alive at a time; its
+    ``len()`` comes from the counts.  A bad noise rate or, with
+    ``shift``, an unknown language raises ValueError from this call.
+    Reading a noise copy whose article comes out blank raises
+    EmptyArticle naming the copy.
     """
-    augmented = []
-    for pos, rec in enumerate(split.records):
-        if shift:
-            augmented.append(right_shift(rec, split.language))
-        if noise_rate is not None:
-            augmented.append(add_noise(rec, noise_rate, seed + pos))
-    records = (list(split.records) + augmented) if append else augmented
-    return DatasetSplit(
-        kind=split.kind, language=split.language, records=tuple(records)
-    )
+    if noise_rate is not None:
+        _check_rate(noise_rate)
+    if shift and split.language not in segment.LANGUAGES:
+        raise ValueError(f"unknown language: {split.language!r}")
+    originals = split.records
+
+    def records():
+        if append:
+            yield from originals
+        for pos, rec in enumerate(originals):
+            if shift:
+                yield right_shift(rec, split.language)
+            if noise_rate is not None:
+                copy = add_noise(rec, noise_rate, seed + pos)
+                if not copy.article.strip():
+                    raise EmptyArticle(f"noise copy {copy.id!r} has a blank"
+                                       f" article at noise rate {noise_rate}")
+                yield copy
+
+    length = len(originals) * (append + shift + (noise_rate is not None))
+    return DatasetSplit(kind=split.kind, language=split.language,
+                        records=_Records(length, records))

@@ -10,6 +10,7 @@ file is read by ``_read_rows``'s rules and written whole by ``_write_csv``.
 import csv
 import os
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
@@ -47,9 +48,13 @@ class ArticleRecord:
 
 @dataclass(frozen=True)
 class DatasetSplit:
+    """One split of one language.  ``records`` holds its rows in order:
+    iterate it and take its ``len()``; do not index it (an augmented
+    split makes its copies as they are read)."""
+
     kind: str
     language: str
-    records: tuple[ArticleRecord, ...]
+    records: Iterable[ArticleRecord]
 
     def __len__(self):
         return len(self.records)

@@ -10,6 +10,7 @@ from indicsum.augment import (
     right_shift,
 )
 from indicsum.corpus import ArticleRecord, DatasetSplit
+from indicsum.errors import EmptyArticle
 from indicsum.segment import split_sentences
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "noise_rate01_seed42.txt"
@@ -138,11 +139,15 @@ class TestAugmentSplit:
         assert all(r.id.endswith("-rs") for r in out)
 
     def test_noise_seed_varies_per_record(self):
+        # Twelve words: with six, rate 0.5 dropped every word of one
+        # record, and a blank noise copy is an error.
         split = DatasetSplit(
             kind="train",
             language="english",
             records=tuple(
-                ArticleRecord(id=f"r{i}", article="one two three four five six",
+                ArticleRecord(id=f"r{i}",
+                              article="one two three four five six seven eight"
+                                      " nine ten eleven twelve",
                               summary="s")
                 for i in range(8)
             ),
@@ -154,3 +159,51 @@ class TestAugmentSplit:
         a = augment_split(self.split_of(4), shift=True, noise_rate=0.3, seed=13)
         b = augment_split(self.split_of(4), shift=True, noise_rate=0.3, seed=13)
         assert [(r.id, r.article) for r in a] == [(r.id, r.article) for r in b]
+
+    def test_copies_follow_originals_record_by_record(self):
+        split = self.split_of(2)
+        out = augment_split(split, shift=True, noise_rate=0.3, seed=13)
+        expected = [*split.records,
+                    right_shift(split.records[0]), add_noise(split.records[0], 0.3, 13),
+                    right_shift(split.records[1]), add_noise(split.records[1], 0.3, 14)]
+        assert list(out.records) == expected
+        assert list(out.records) == expected  # a second pass makes them again
+        assert len(out) == len(out.records) == 6
+
+    @pytest.mark.parametrize("shift,noise_rate,append,length", [
+        (False, None, True, 3), (False, None, False, 0), (True, None, True, 6),
+        (False, 0.1, False, 3), (True, 0.1, False, 6), (True, 0.1, True, 9),
+    ])
+    def test_length_is_counted(self, shift, noise_rate, append, length):
+        out = augment_split(self.split_of(3), shift=shift, noise_rate=noise_rate,
+                            append=append)
+        assert len(out) == len(list(out)) == length
+
+    @pytest.mark.parametrize("language,kwargs,message", [
+        ("english", {"noise_rate": 1.5}, r"rate must be within \[0, 1\], got 1.5"),
+        ("english", {"noise_rate": -0.1}, r"rate must be within"),
+        ("xx", {"shift": True}, r"unknown language: 'xx'"),
+    ])
+    def test_bad_arguments_raise_at_the_call(self, language, kwargs, message):
+        class Unread:
+            """Records that fail the test if anything reads them."""
+
+            def __len__(self):
+                return 1
+
+            def __iter__(self):
+                raise AssertionError("records were read")
+
+        with pytest.raises(ValueError, match=message):
+            augment_split(DatasetSplit("train", language, Unread()), **kwargs)
+
+    def test_blank_noise_copy_is_an_error(self):
+        split = DatasetSplit("train", "english", (
+            record("Two words.", rec_id="a0"), record("S one.", rec_id="a1")))
+        out = augment_split(split, noise_rate=1.0)
+        assert len(out) == 4
+        records = iter(out.records)
+        assert [next(records).id for _ in range(2)] == ["a0", "a1"]
+        with pytest.raises(EmptyArticle, match=r"^noise copy 'a0-noise' has a blank"
+                                               r" article at noise rate 1.0$"):
+            next(records)

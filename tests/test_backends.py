@@ -12,7 +12,9 @@ import tracemalloc
 import pytest
 
 from indicsum import backends, segment
+from indicsum.augment import add_noise, augment_split
 from indicsum.backends import (
+    DEFAULT_SEED,
     AdapterBackend,
     GenerationParams,
     LeadBaselineBackend,
@@ -25,7 +27,8 @@ from indicsum.backends import (
     summarize,
 )
 from indicsum.corpus import ArticleRecord, DatasetSplit
-from indicsum.errors import BackendUnavailable, ConfigError, EmptyInput, InvalidSpec
+from indicsum.errors import (BackendUnavailable, ConfigError, EmptyArticle,
+                             EmptyInput, InvalidSpec)
 from indicsum.segment import split_sentences, tokenize_words
 
 from conftest import segment_cases
@@ -384,6 +387,40 @@ class TestAdapterStreaming:
             finally:
                 tracemalloc.stop()
         assert peak < request / 4
+
+    def test_augmented_copies_are_never_held(self, stub_argv):
+        """An augmented split's noise copies are made as ``train`` sends
+        them, so the request holds at most one at a time."""
+        split = large_train_split()
+        spec = SummarizerSpec(model_id="m", epochs=1)
+        with AdapterBackend(argv=stub_argv()) as backend:
+            tracemalloc.start()
+            try:
+                augmented = augment_split(split, noise_rate=0.1)
+                assert backend.train(augmented, spec) == "ckpt-2000x1"
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        copies = sum(len(add_noise(r, 0.1, DEFAULT_SEED + pos).article.encode("utf-8"))
+                     for pos, r in enumerate(split.records))
+        assert copies > 3_000_000
+        assert peak < copies / 4
+
+    def test_blank_noise_copy_partway(self, stub_argv, tmp_path):
+        """A blank noise copy stops the request with ``EmptyArticle``, and
+        the next request starts a fresh adapter."""
+        pid_file = tmp_path / "stub.pid"
+        split = DatasetSplit("train", "english", (
+            ArticleRecord("a0", "A long article body.", summary="s"),
+            ArticleRecord("a1", "S one.", summary="s")))
+        with AdapterBackend(argv=stub_argv("--pid-file", str(pid_file))) as backend:
+            assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
+            first = pid_file.read_text()
+            with pytest.raises(EmptyArticle, match="^noise copy 'a0-noise' "):
+                backend.train(augment_split(split, noise_rate=1.0),
+                              SummarizerSpec(model_id="m", epochs=1))
+            assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
+            assert pid_file.read_text() != first
 
     def test_unencodable_record_partway(self, stub_argv, tmp_path):
         pid_file = tmp_path / "stub.pid"

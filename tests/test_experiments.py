@@ -24,8 +24,8 @@ from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
 from indicsum.cli import main
 from indicsum.corpus import ArticleRecord, DatasetSplit
 from indicsum.crosslingual import TableTranslator, TranslationCache
-from indicsum.errors import (BackendUnavailable, ConfigError, EmptyReport,
-                             MissingGoldSummary, NoAlignment,
+from indicsum.errors import (BackendUnavailable, ConfigError, EmptyArticle,
+                             EmptyReport, MissingGoldSummary, NoAlignment,
                              TranslationFailure)
 from indicsum.experiments import (
     CONFIG_KEYS,
@@ -589,6 +589,22 @@ class TestRunExperiment:
         # 4 originals + 4 right-shifted copies reach the adapter
         assert run.backend["checkpoint"] == "ckpt-8x1"
 
+    def test_blank_noise_copy_stops_training(self, write_csv, eval_csv, tmp_path):
+        train = write_csv([["t1", "", "", "Train body one. Train body two.",
+                            "Train body one."]])
+        pid_file = tmp_path / "stub.pid"
+        config = base_config(
+            eval_csv, tmp_path, preset="english-pegasus",
+            train_path=str(train), augmentations=("noise:1",),
+            adapter=shlex.join([sys.executable, str(STUB_PATH),
+                                "--pid-file", str(pid_file)]),
+        )
+        with pytest.raises(EmptyArticle, match="^noise copy 't1-noise' has a blank"
+                                               " article at noise rate 1.0$"):
+            run_experiment(config)
+        assert not pid_file.exists()
+        assert os.listdir(tmp_path / "out") == []
+
     def test_socket_in_brackets_reaches_ipv6_loopback(self, eval_csv, tmp_path):
         """``socket = [::1]:PORT`` connects to an adapter listening on
         ``::1``, here one that a test thread serves."""
@@ -1001,6 +1017,15 @@ class TestCli:
                      "--right-shift", "--noise-rate", "0.2",
                      "--out", str(out)]) == 0
         assert "9 records" in capsys.readouterr().out
+
+    def test_augment_blank_noise_copy(self, write_csv, tmp_path, capsys):
+        src = write_csv([["a1", "", "", "S one.", "S one."]])
+        out = tmp_path / "aug.csv"
+        assert main(["augment", str(src), "--lang", "english",
+                     "--noise-rate", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: noise copy 'a1-noise' has a blank article at noise rate 1.0\n"))
+        assert os.listdir(tmp_path) == [src.name]
 
     def test_augment_noise_rate_out_of_range(self, write_csv, tmp_path, capsys):
         out = tmp_path / "aug.csv"

@@ -1,5 +1,6 @@
 """Every exported name exists, so a deletion cannot leave a stale export,
-and every name the benchmark's tracer patches exists too.  Importing the
+and every name the benchmark's tracer patches exists too; what the
+tracer reads of a traced run matches what the run sent.  Importing the
 package loads none of the modules only the live translator, the
 translation pool and the adapter transport use."""
 
@@ -8,6 +9,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import indicsum
-from indicsum import rouge
+from indicsum import experiments, rouge
+from indicsum.experiments import ExperimentConfig
 
 MODULES = ["indicsum"] + [
     f"indicsum.{info.name}" for info in pkgutil.iter_modules(indicsum.__path__)
@@ -29,18 +32,62 @@ def test_all_names_resolve(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
-def test_traced_names_exist():
-    """The benchmark's tracer patches each ``(owner, attr)`` in its
-    ``TRACED`` table, and its runner records ``rouge.KERNEL_BACKEND``;
-    a deletion that removes one breaks the benchmark."""
+def load_tracing():
+    """The benchmark's ``e2ebench/tracing.py``, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "e2ebench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("e2ebench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_exist():
+    """The benchmark's tracer patches each ``(owner, attr)`` in its
+    ``TRACED`` table, and its runner records ``rouge.KERNEL_BACKEND``;
+    a deletion that removes one breaks the benchmark."""
+    tracing = load_tracing()
     assert tracing.TRACED
     assert [(owner.__name__, attr) for owner, attr, _ in tracing.TRACED
             if attr not in owner.__dict__] == []
     assert hasattr(rouge, "KERNEL_BACKEND")
+
+
+def test_tracer_reads_augmented_split_again(write_csv, tmp_path):
+    """The tracer takes ``len()`` of ``augment_split``'s result and reads
+    the trained split's records again after ``train``; both must match
+    the records the adapter received, so the records stay re-iterable."""
+    tracing = load_tracing()
+    requests = tmp_path / "requests.jsonl"
+    adapter = tmp_path / "recording_adapter.py"
+    adapter.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        f"    with open({str(requests)!r}, 'a', encoding='utf-8') as log:\n"
+        "        log.write(line)\n"
+        "    request = json.loads(line)\n"
+        "    reply = {'id': request['id'],\n"
+        "             'result': {'checkpoint': 'c', 'summary': 'सार'}}\n"
+        "    print(json.dumps(reply), flush=True)\n", encoding="utf-8")
+    rows = [[f"t{i}", "", "", f"पहला वाक्य {i} यहाँ है। दूसरा वाक्य {i} यहाँ है।",
+             f"पहला वाक्य {i} यहाँ है।"] for i in range(3)]
+    config = ExperimentConfig(
+        language="hindi", eval_path=str(write_csv(rows)), eval_kind="train",
+        output_dir=str(tmp_path / "out"), preset="hindi-indicbart",
+        train_path=str(write_csv(rows)),
+        adapter=shlex.join([sys.executable, str(adapter)]))
+    tracer = tracing.Tracer({})
+    tracer.install()
+    try:
+        experiments.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    with open(requests, encoding="utf-8") as fh:
+        train = json.loads(fh.readline())
+    assert train["op"] == "train"
+    assert [r["id"] for r in train["payload"]["records"]] == [
+        "t0", "t1", "t2", "t0-noise", "t1-noise", "t2-noise"]
+    assert tracer.augmented_records == len(train["payload"]["records"])
+    assert tracer.requests[0] == ("train", train["payload"])
 
 
 # Loaded on first use by crosslingual (the live translator and the pool

@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from indicsum import jsonlog
+from indicsum.augment import add_noise, augment_split, right_shift
 from indicsum.backends import (PRESETS, AdapterBackend, GenerationParams,
                                SummarizerSpec, baseline_handle, lead_baseline)
 from indicsum.corpus import (SPLIT_KINDS, ArticleRecord, DatasetSplit,
@@ -29,6 +30,7 @@ from indicsum.corpus import (SPLIT_KINDS, ArticleRecord, DatasetSplit,
                              write_summaries)
 from indicsum.crosslingual import (IdentityTranslator, TranslationCache,
                                    _parse_cache_line, pipeline_summarize)
+from indicsum.errors import EmptyArticle
 from indicsum.experiments import (ExperimentConfig, RunRecord, config_hash,
                                   load_runs, parse_config_file)
 from indicsum.rouge import DEFAULT_ORDERS, rouge_scores, rouge_tokens
@@ -292,23 +294,42 @@ specs = st.builds(SummarizerSpec, model_id=cache_texts.filter(bool),
 
 
 @derandomized
-@given(st.lists(st.tuples(cache_texts, cache_texts, st.none() | cache_texts),
-                max_size=4),
+@given(st.lists(st.tuples(cache_texts, cache_texts | texts("hindi"),
+                          st.none() | cache_texts), max_size=4),
+       st.booleans(), st.none() | st.floats(0, 0.9), st.booleans(),
        specs, cache_texts, st.none() | cache_texts, st.integers(1, 500),
        st.integers(0, 2 ** 31))
-def test_adapter_requests_are_json_dumps(rows, spec, article, checkpoint,
-                                         max_tokens, seed):
+def test_adapter_requests_are_json_dumps(rows, shift, noise_rate, append, spec,
+                                         article, checkpoint, max_tokens, seed):
     """The lines ``train`` streams and ``generate`` writes to an adapter
-    are ``json.dumps`` of each whole request."""
+    are ``json.dumps`` of each whole request, also when ``train`` sends
+    an augmented split, whose copies are made as they are read: every
+    pass over its records makes the same ones, as many as its ``len()``."""
     split = DatasetSplit("train", "hindi", tuple(
         ArticleRecord(rec_id, text, summary=summary) for rec_id, text, summary in rows))
+    sent = augment_split(split, shift=shift, noise_rate=noise_rate, seed=seed,
+                         append=append)
+    expected = list(split.records) if append else []
+    blank = False
+    for pos, rec in enumerate(split.records):
+        if shift:
+            expected.append(right_shift(rec, "hindi"))
+        if noise_rate is not None:
+            expected.append(add_noise(rec, noise_rate, seed + pos))
+            blank = blank or not expected[-1].article.strip()
+    assert len(sent) == len(expected)
+    if blank:
+        with pytest.raises(EmptyArticle, match="^noise copy "):
+            list(sent.records)
+        sent, expected = split, list(split.records)
     params = GenerationParams(max_tokens=max_tokens, seed=seed)
     with recording_adapter() as (address, lines):
         with AdapterBackend(address=address) as backend:
-            backend.train(split, spec)
+            backend.train(sent, spec)
             backend.generate(article, params, checkpoint)
-    train = {"records": [{"id": rec_id, "article": text, "summary": summary or ""}
-                         for rec_id, text, summary in rows],
+    assert list(sent.records) == expected
+    train = {"records": [{"id": r.id, "article": r.article, "summary": r.summary or ""}
+                         for r in expected],
              "spec": asdict(spec)}
     generate = {"article": article, "checkpoint": checkpoint,
                 "max_tokens": max_tokens, "seed": seed}
