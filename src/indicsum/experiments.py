@@ -474,6 +474,34 @@ def run_setup(language: str, adapter: str | None = None,
         yield backend, partial(summarize_split, translator=translator, cache=cache)
 
 
+def _load_scorable(config: ExperimentConfig, language: str):
+    """``config``'s eval split; ``MissingGoldSummary`` naming the first
+    record without a gold summary, since scoring needs every one."""
+    split = load_csv(config.eval_path, config.eval_kind, language)
+    for rec in split:
+        if rec.summary is None:
+            raise MissingGoldSummary(
+                f"record {rec.id!r}: no gold summary;"
+                " evaluation needs references"
+            )
+    return split
+
+
+def _approach(preset, spec, backend, translate_map: bool) -> str:
+    """The results table's name for what made the summaries: ``preset``
+    when an adapter ran its model or it names none; else the adapter's
+    model id (``adapter`` without a spec), else the lead baseline, each
+    after ``translate-map+`` when that pipeline ran."""
+    adapter = isinstance(backend, AdapterBackend)
+    if preset and (adapter or PRESETS[preset].spec is None):
+        return preset
+    if adapter:
+        made = spec.model_id if spec else "adapter"
+    else:
+        made = "lead-baseline"
+    return f"translate-map+{made}" if translate_map else made
+
+
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run one experiment end to end and append its RunRecord.
 
@@ -484,19 +512,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """
     language, pipeline, spec, generation, augmentation = _resolve(config)
     translate_map = pipeline == "translate-map"
-    approach = config.preset or (
-        "translate-map+lead-baseline" if translate_map else "lead-baseline"
-    )
 
     # The eval split is checked before the backend starts, so an
     # unscorable split fails before anything trains.
-    eval_split = load_csv(config.eval_path, config.eval_kind, language)
-    for rec in eval_split:
-        if rec.summary is None:
-            raise MissingGoldSummary(
-                f"record {rec.id!r}: no gold summary;"
-                " evaluation needs references"
-            )
+    eval_split = _load_scorable(config, language)
 
     digest = config_hash(config)
     with run_setup(
@@ -508,10 +527,16 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     ) as (backend, summarize_all):
         handle = TrainedHandle(backend=backend)
         if spec is not None and backend.trainable and config.train_path:
+            # Only one split is held at a time: nothing reads the eval
+            # split until generation, so it is dropped while the model
+            # trains and loaded (and checked) again after.
+            eval_split = None
             handle = train_on_file(
                 backend, spec, config.train_path, language,
                 augmentation, seed=config.seed, append=config.augment_append,
             )
+            eval_split = _load_scorable(config, language)
+        approach = _approach(config.preset, spec, backend, translate_map)
 
         record_rows = []
         per_record = []

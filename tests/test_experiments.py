@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import errno
 import fcntl
+import gc
 import json
 import os
 import re
@@ -242,7 +243,10 @@ class TestRunExperiment:
             language=preset.language, eval_path=str(eval_csv),
             output_dir=str(tmp_path / "out"), preset=name,
         ))
-        assert run.approach == name
+        # No adapter serves a model preset here, so the lead baseline made
+        # the summaries and the results table names it; a preset that
+        # names no model is its own pipeline and keeps its name.
+        assert run.approach == (name if preset.spec is None else "lead-baseline")
         assert len(run.records) == len(ENG_ROWS)
         cache = tmp_path / "out" / "translation-cache.jsonl"
         assert cache.exists() == (preset.pipeline == "translate-map")
@@ -572,6 +576,129 @@ class TestRunExperiment:
         assert run.backend["kind"] == "adapter"
         assert run.backend["checkpoint"] == "ckpt-4x1"
         assert run.backend["spec"]["epochs"] == 1
+
+    def test_model_preset_without_adapter_reports_lead_baseline(
+            self, write_csv, tmp_path, capsys):
+        eval_path = write_csv([["h1", "", "", "पहला वाक्य यहाँ है। दूसरा वाक्य।",
+                                "पहला वाक्य यहाँ है।"]])
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"language = hindi\neval = {eval_path}\n"
+                       f"output_dir = {out}\npreset = hindi-indicbart\n",
+                       encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--runs", str(out / "runs.jsonl")]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == ["lead-baseline"]
+
+    @pytest.mark.parametrize("overrides,approach", [
+        ({"spec": SummarizerSpec("m", 1)}, "m"),
+        ({"spec": SummarizerSpec("m", 1), "pipeline": "translate-map"},
+         "translate-map+m"),
+        ({}, "adapter"),
+    ], ids=["inline-spec", "translate-map", "no-spec"])
+    def test_adapter_run_reports_its_model(self, overrides, approach,
+                                           write_csv, eval_csv, tmp_path):
+        train = write_csv(
+            [[f"t{i}", "", "", f"Train body {i} one. Train body {i} two.",
+              f"Train body {i} one."] for i in range(4)]
+        )
+        run = run_experiment(base_config(
+            eval_csv, tmp_path, train_path=str(train),
+            adapter=shlex.join([sys.executable, str(STUB_PATH)]), **overrides,
+        ))
+        assert run.approach == approach
+        trained = "spec" in overrides
+        assert run.backend["checkpoint"] == ("ckpt-4x1" if trained else None)
+
+    def test_eval_split_not_held_while_training(self, write_csv, eval_csv,
+                                                tmp_path, monkeypatch):
+        train = write_csv([["t1", "", "", "Train body one. Train body two.",
+                            "Train body one."]])
+        held = []
+
+        def fine_tune(*args, **kwargs):
+            gc.collect()
+            held.append(sum(1 for obj in gc.get_objects()
+                            if isinstance(obj, DatasetSplit)
+                            and obj.kind == "validation"))
+            return real(*args, **kwargs)
+
+        real = experiments.fine_tune
+        monkeypatch.setattr(experiments, "fine_tune", fine_tune)
+        run = run_experiment(base_config(
+            eval_csv, tmp_path, preset="english-pegasus", train_path=str(train),
+            adapter=shlex.join([sys.executable, str(STUB_PATH)]),
+        ))
+        assert held == [0]
+        assert [row["id"] for row in run.records] == ["e1", "e2", "e3"]
+
+    def test_eval_split_checked_again_after_training(self, write_csv, eval_csv,
+                                                     tmp_path, monkeypatch):
+        # The split passed its check before training; e2 loses its gold
+        # summary while the model trains, and the second read finds it.
+        train = write_csv([["t1", "", "", "Train body one. Train body two.",
+                            "Train body one."]])
+        pid_file = tmp_path / "stub.pid"
+
+        def fine_tune(*args, **kwargs):
+            write_csv([row[:4] if row[0] == "e2" else row for row in ENG_ROWS],
+                      name=eval_csv.name)
+            return real(*args, **kwargs)
+
+        real = experiments.fine_tune
+        monkeypatch.setattr(experiments, "fine_tune", fine_tune)
+        with pytest.raises(MissingGoldSummary, match="^record 'e2': no gold"):
+            run_experiment(base_config(
+                eval_csv, tmp_path, preset="english-pegasus",
+                train_path=str(train),
+                adapter=shlex.join([sys.executable, str(STUB_PATH),
+                                    "--pid-file", str(pid_file)]),
+            ))
+        assert os.listdir(tmp_path / "out") == []
+        pid = int(pid_file.read_text(encoding="utf-8"))
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    @pytest.mark.parametrize("how,reads", [
+        ("direct", 1), ("translate-map", 1), ("preset-no-train", 1),
+        ("training", 2),
+    ])
+    def test_eval_csv_read_again_only_after_training(
+            self, how, reads, write_csv, tmp_path, gujarati_records,
+            monkeypatch):
+        # Only a run that trains drops the eval split and reads it again.
+        adapter = shlex.join([sys.executable, str(STUB_PATH)])
+        if how == "translate-map":
+            path = write_csv([[r.id, "", "", r.article, r.summary]
+                              for r in gujarati_records[:3]])
+            config = base_config(path, tmp_path, language="gujarati",
+                                 pipeline="translate-map")
+        else:
+            path = write_csv(ENG_ROWS)
+            config = base_config(path, tmp_path)
+        if how == "preset-no-train":
+            config = dataclasses.replace(config, preset="english-pegasus",
+                                         adapter=adapter)
+        elif how == "training":
+            train = write_csv([["t1", "", "", "Train body one. Train body two.",
+                                "Train body one."]])
+            config = dataclasses.replace(config, preset="english-pegasus",
+                                         adapter=adapter, train_path=str(train))
+        paths = []
+
+        def load_csv(path, *args):
+            paths.append(str(path))
+            return real(path, *args)
+
+        real = experiments.load_csv
+        monkeypatch.setattr(experiments, "load_csv", load_csv)
+        run = run_experiment(config)
+        assert paths.count(str(path)) == reads
+        if how == "preset-no-train":
+            assert run.approach == "english-pegasus"
+            assert run.backend["checkpoint"] is None
 
     def test_adapter_training_applies_augmentation_steps(
         self, write_csv, eval_csv, tmp_path

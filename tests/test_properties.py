@@ -1,6 +1,7 @@
 """Property tests over random English, Hindi and Gujarati texts, random
-config files and CSV rows, and exhaustive torn-tail checks of the
-append-only logs.
+config files and CSV rows, exhaustive torn-tail checks of the
+append-only logs, and a check that a failing property test reports its
+falsifying example under the repository's pytest settings.
 
 Texts are runs of words split into lines by newlines only, into
 sentences by each language's terminators, or not at all.  Examples are
@@ -11,11 +12,14 @@ import json
 import os
 import re
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 import unicodedata
 from contextlib import contextmanager
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -455,3 +459,23 @@ def test_torn_tail_at_every_offset(log, tmp_path):
         appended = log.line(log.lines).encode("utf-8") + b"\n"
         assert path.read_bytes() == data[:kept] + appended, cut
         assert log.load(path) == whole + [log.lines], cut
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    """Under the repository's pytest settings, a failing property test
+    reports its falsifying example, not an internal error."""
+    test = tmp_path / "test_fails.py"
+    test.write_text("from hypothesis import given, settings, strategies as st\n"
+                    "@settings(database=None, derandomize=True)\n"
+                    "@given(st.integers())\n"
+                    "def test_small(n):\n"
+                    "    assert n < 10\n", encoding="utf-8")
+    ini = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ini), "--rootdir",
+         str(tmp_path), "-p", "no:cacheprovider", "-q", str(test)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "Falsifying example" in out, out
+    assert "INTERNALERROR" not in out, out
