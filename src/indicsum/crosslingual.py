@@ -15,7 +15,6 @@ never loads them.
 
 import json
 import os
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -179,9 +178,7 @@ _quote = json.encoder.encode_basestring  # a JSON string, non-ASCII kept
 
 def _parse_cache_line(line: bytes):
     """``(key, translation)`` of one cache line; ``ValueError`` unless
-    all four fields are strings and the translation is not blank.  The
-    key's language names are interned, so a loaded cache holds one
-    string per language, not two per line."""
+    all four fields are strings and the translation is not blank."""
     try:
         rec = json.loads(line.decode("utf-8"))
         fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
@@ -189,17 +186,18 @@ def _parse_cache_line(line: bytes):
         raise ValueError(f"bad cache record: {exc}") from None
     if not all(isinstance(f, str) for f in fields) or not fields[3].strip():
         raise ValueError("bad cache record: a non-string field or a blank dst")
-    src, src_lang, tgt_lang, dst = fields
-    return (src, sys.intern(src_lang), sys.intern(tgt_lang)), dst
+    return fields[:3], fields[3]
 
 
 class TranslationCache:
     """Append-only persistent sentence-translation cache.
 
     One JSON record per line: {"src", "src_lang", "tgt_lang", "dst"}.
-    Existing entries are loaded eagerly.  Each ``put`` streams its new
-    records to the end of the file through ``jsonlog.append``.  One
-    process may write a file at a time (``run_experiment`` and
+    Constructing a cache reads nothing: ``load`` reads the file once
+    per split and keeps only that split's translations, so memory grows
+    with the split, not with the file's history.  Each ``put`` streams
+    its new records to the end of the file through ``jsonlog.append``.
+    One process may write a file at a time (``run_experiment`` and
     ``translate-map --cache`` hold ``experiments.directory_lock`` on the
     file's directory), on one thread.  A process killed mid-``put``
     leaves the records it had written whole and at most one torn last
@@ -210,23 +208,40 @@ class TranslationCache:
 
     def __init__(self, path):
         self.path = path
-        self._map = {}
-        if os.path.exists(path):
-            records = jsonlog.read(path, _parse_cache_line)
-            self._map.update(value for _, value in records)
+        self._maps = {}  # (src_lang, tgt_lang) -> {src: dst}
 
     def __len__(self):
-        return len(self._map)
+        return sum(map(len, self._maps.values()))
+
+    def load(self, sentences, src_lang: str, tgt_lang: str) -> None:
+        """Read the file, keeping only the ``src_lang`` to ``tgt_lang``
+        translations of ``sentences``, in place of what was held.
+
+        ``sentences`` maps each wanted sentence to itself (as
+        ``build_mappings``' memo does), so each kept translation is keyed
+        by the caller's own string, not by a copy parsed from the file.
+        Every whole line is parsed and checked, wanted or not; of two
+        lines for one sentence, the later wins."""
+        kept = {}
+        if os.path.exists(self.path):
+            for _, ((src, src_l, tgt_l), dst) in jsonlog.read(self.path,
+                                                             _parse_cache_line):
+                own = sentences.get(src)
+                if own is not None and src_l == src_lang and tgt_l == tgt_lang:
+                    kept[own] = dst
+        self._maps = {(src_lang, tgt_lang): kept}
 
     def get(self, src: str, src_lang: str, tgt_lang: str) -> str | None:
-        return self._map.get((src, src_lang, tgt_lang))
+        return self._maps.get((src_lang, tgt_lang), {}).get(src)
 
     def put(self, pairs, src_lang: str, tgt_lang: str) -> None:
-        """Record ``(src, dst)`` pairs, appending the new ones in order.
+        """Record ``(src, dst)`` pairs, appending in order each one whose
+        sentence the cache does not hold yet (from ``load`` or a ``put``).
 
         ``pairs`` may be a lazy iterator; each line is written as its
         pair arrives.  A line is ``json.dumps(record, ensure_ascii=False)``
         byte for byte, built from the encoder's own string quoting."""
+        held = self._maps.setdefault((src_lang, tgt_lang), {})
         # The field order and separators of json.dumps, with the
         # language fields quoted once per put.
         middle = (f', "src_lang": {_quote(src_lang)},'
@@ -234,10 +249,9 @@ class TranslationCache:
 
         def lines():
             for src, dst in pairs:
-                key = (src, src_lang, tgt_lang)
-                if key in self._map:
+                if src in held:
                     continue
-                self._map[key] = dst
+                held[src] = dst
                 yield '{"src": ' + _quote(src) + middle + _quote(dst) + "}"
 
         jsonlog.append(self.path, lines())
@@ -294,36 +308,41 @@ def build_mappings(articles, client, *, cache: TranslationCache | None = None,
     mappings, in one pass over the split.
 
     The source language (taken from the client) selects sentence
-    delimiters.  One memo maps each distinct sentence of the split, in
-    first-seen order, to its translation (None while pending).  Each is
-    looked up in the cache, when given, once, and each miss is
+    delimiters.  One memo holds each distinct sentence of the split, in
+    first-seen order: every occurrence in the articles is the memo's one
+    string.  With a cache, it is loaded for the memo's sentences, then
+    the memo maps each sentence to its translation (None while pending):
+    each is looked up in the cache, when given, once, and each miss is
     translated once.  A client that declares ``local = True`` (an
     in-memory translator) is called on this thread, and its error
     propagates; any other client translates on one pool of
     ``PARALLELISM`` threads for the split, with ``_translate_retrying``.
     New translations stream into the memo and, with a cache, into its
     one ``put``, in first-seen order, so a failure keeps every
-    translation made before it.  A toolkit error carries
-    ``article_index``: the position of the first article it concerns,
-    which for a failed translation is the first article holding the
-    first sentence left untranslated.
+    translation made before it.  A toolkit error about an article
+    carries ``article_index``: the position of the first article it
+    concerns, which for a failed translation is the first article
+    holding the first sentence left untranslated.  A bad cache line is
+    a ``ConfigError`` about no article, and carries none.
     """
     language = client.source_lang
     if language not in segment.LANGUAGES:
         raise ValueError(f"unknown source language: {language!r}")
+    memo = {}
     split = []
     for index, article in enumerate(articles):
         if not article.strip():
             exc = EmptyInput("cannot translate an empty article")
             exc.article_index = index
             raise exc
-        split.append(list(segment.split_sentences(article, language)))
+        split.append([memo.setdefault(s, s)
+                      for s in segment.split_sentences(article, language)])
 
     src, tgt = client.source_lang, client.target_lang
-    memo = dict.fromkeys(s for sentences in split for s in sentences)
     if cache is not None:
-        for sentence in memo:
-            memo[sentence] = cache.get(sentence, src, tgt)
+        cache.load(memo, src, tgt)
+    for sentence in memo:
+        memo[sentence] = None if cache is None else cache.get(sentence, src, tgt)
     pending = [s for s, translated in memo.items() if translated is None]
 
     def store(translations):

@@ -390,7 +390,7 @@ def summarize_split(split, handle, generation, *, translator=None,
     ``put``), generate through ``handle``, back-map (with a
     translator), so a translation error comes before any generation.
     Toolkit errors name the record; a translation error names the
-    first record holding the sentence.
+    first record holding the sentence, and a bad cache line none.
     """
     records = list(split)
     texts = [rec.article for rec in records]
@@ -400,7 +400,9 @@ def summarize_split(split, handle, generation, *, translator=None,
             mappings = crosslingual.build_mappings(texts, translator,
                                                    cache=cache)
         except IndicSumError as exc:
-            _name_record(records[exc.article_index], exc)
+            index = getattr(exc, "article_index", None)
+            if index is not None:
+                _name_record(records[index], exc)
             raise
         texts = (m.english_article for m in mappings)
     summaries = [_with_record_id(rec, summarize, handle, text, generation)

@@ -336,6 +336,23 @@ class TestBuildMappings:
         assert split_wide.read_text(encoding="utf-8") == "".join(
             cache_line(s, s) for s in S)
 
+    def test_repeated_sentence_is_one_string(self, tmp_path):
+        # S[0] occurs in articles 0 (twice) and 2, and S[2] is a cache hit.
+        path = tmp_path / "cache.jsonl"
+        path.write_text(cache_line(S[2], "e2."), encoding="utf-8")
+        for cache in (None, TranslationCache(path)):
+            mappings = build_mappings(SPLIT, IdentityTranslator(), cache=cache)
+            first = mappings[0].entries[0][1]
+            assert first == S[0]
+            assert mappings[0].entries[2][1] is first
+            assert mappings[2].entries[1][1] is first
+            assert mappings[3].entries[1][1] is mappings[1].entries[0][1]
+        assert cache._maps[("gujarati", "english")] == {S[2]: "e2.", S[0]: S[0],
+                                                        S[1]: S[1], S[3]: S[3],
+                                                        S[4]: S[4]}
+        key = next(iter(cache._maps[("gujarati", "english")]))
+        assert key is mappings[1].entries[0][1]
+
     def test_empty_article_names_its_index(self):
         with pytest.raises(EmptyInput) as info:
             build_mappings([SPLIT[0], "  "], IdentityTranslator())
@@ -381,6 +398,13 @@ def cache_line(src, dst):
                        "dst": dst}, ensure_ascii=False) + "\n"
 
 
+def loaded(path, sentences=GUJ_SENTENCES):
+    """The cache at ``path``, loaded for ``sentences``, Gujarati to English."""
+    cache = TranslationCache(path)
+    cache.load({s: s for s in sentences}, "gujarati", "english")
+    return cache
+
+
 DROP = object()  # a field value that leaves the field out
 
 
@@ -395,39 +419,64 @@ class TestTranslationCache:
         return path
 
     def test_torn_last_line_skipped_then_cut_off(self, torn):
-        cache = TranslationCache(torn)
+        cache = loaded(torn)
         assert len(cache) == 1
         cache.put([(GUJ_SENTENCES[2], "e3.")], "gujarati", "english")
         assert torn.read_text(encoding="utf-8") == (
             cache_line(GUJ_SENTENCES[0], "e1.") + cache_line(GUJ_SENTENCES[2], "e3.")
         )
-        assert TranslationCache(torn).get(GUJ_SENTENCES[2], "gujarati",
-                                          "english") == "e3."
+        assert loaded(torn).get(GUJ_SENTENCES[2], "gujarati", "english") == "e3."
 
     def test_missing_final_newline(self, tmp_path):
         # A line without its newline is torn, however whole its JSON.
         path = tmp_path / "cache.jsonl"
         path.write_text(cache_line(GUJ_SENTENCES[0], "e1.").rstrip("\n"),
                         encoding="utf-8")
-        cache = TranslationCache(path)
+        cache = loaded(path)
         assert len(cache) == 0
         cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati", "english")
         assert path.read_text(encoding="utf-8") == cache_line(GUJ_SENTENCES[1], "e2.")
 
-    def test_loaded_language_names_are_shared(self, tmp_path):
+    def test_construction_reads_nothing(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("{not json\n", encoding="utf-8")
+        cache = TranslationCache(path)
+        assert len(cache) == 0
+        assert cache.get(GUJ_SENTENCES[0], "gujarati", "english") is None
+
+    def test_kept_translations_keyed_by_callers_strings(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("".join(cache_line(s, s) for s in GUJ_SENTENCES),
                         encoding="utf-8")
-        keys = list(TranslationCache(path)._map)
-        assert len(keys) == 3
-        assert len({id(src_lang) for _, src_lang, _ in keys}) == 1
-        assert len({id(tgt_lang) for _, _, tgt_lang in keys}) == 1
+        # Equal strings, but not the objects the file's lines parse to.
+        own = ["".join(list(s)) for s in GUJ_SENTENCES]
+        cache = TranslationCache(path)
+        cache.load({s: s for s in own}, "gujarati", "english")
+        keys = list(cache._maps[("gujarati", "english")])
+        assert keys == own
+        assert all(key is s for key, s in zip(keys, own))
+
+    def test_load_keeps_only_wanted_sentences_and_pair(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        other_pair = json.dumps({"src": GUJ_SENTENCES[0], "src_lang": "hindi",
+                                 "tgt_lang": "english", "dst": "h1."},
+                                ensure_ascii=False) + "\n"
+        path.write_text(cache_line(GUJ_SENTENCES[0], "e1.")
+                        + cache_line(GUJ_SENTENCES[1], "e2.")
+                        + cache_line(GUJ_SENTENCES[0], "e1b.") + other_pair,
+                        encoding="utf-8")
+        cache = loaded(path, GUJ_SENTENCES[:1])
+        assert len(cache) == 1
+        # Of two lines for one sentence, the later wins.
+        assert cache.get(GUJ_SENTENCES[0], "gujarati", "english") == "e1b."
+        assert cache.get(GUJ_SENTENCES[0], "hindi", "english") is None
+        assert cache.get(GUJ_SENTENCES[1], "gujarati", "english") is None
 
     def test_bad_middle_line(self, torn):
         with open(torn, "a", encoding="utf-8") as fh:
             fh.write("\n" + cache_line(GUJ_SENTENCES[2], "e3."))
         with pytest.raises(ConfigError, match=f"{torn}:2: bad cache record"):
-            TranslationCache(torn)
+            loaded(torn)
 
     @pytest.mark.parametrize("field, value", [
         ("dst", ""), ("dst", "   "), ("dst", 5), ("dst", None),
@@ -445,7 +494,7 @@ class TestTranslationCache:
         path = tmp_path / "cache.jsonl"
         path.write_text(good + bad + last, encoding="utf-8")
         with pytest.raises(ConfigError, match=f"{path}:2: bad cache record"):
-            TranslationCache(path)
+            loaded(path)
         jsonlog.append(path, ["{}"])
         assert path.read_text(encoding="utf-8") == good + bad + last + "{}\n"
 

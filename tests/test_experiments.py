@@ -484,7 +484,9 @@ class TestRunExperiment:
                                                         if x != s[4]}),
                             cache=TranslationCache(path))
         assert str(info.value) == f"record 'g3': no table entry for sentence: {s[4]!r}"
-        assert [src for (src, _, _) in TranslationCache(path)._map] == s[:4]
+        cache = TranslationCache(path)
+        cache.load({x: x for x in s}, "gujarati", "english")
+        assert list(cache._maps[("gujarati", "english")]) == s[:4]
 
     def test_surrogate_translation_names_record(self, write_csv, tmp_path,
                                                 monkeypatch):
@@ -504,7 +506,8 @@ class TestRunExperiment:
         out = tmp_path / "out"
         assert os.listdir(out) == ["translation-cache.jsonl"]
         cache = TranslationCache(out / "translation-cache.jsonl")
-        assert list(cache._map) == [(s[0], "gujarati", "english")]
+        cache.load({x: x for x in s}, "gujarati", "english")
+        assert cache._maps == {("gujarati", "english"): {s[0]: s[0]}}
 
     def test_surrogate_summary_names_record(self, eval_csv, tmp_path):
         adapter = tmp_path / "surrogate_adapter.py"
@@ -560,6 +563,66 @@ class TestRunExperiment:
         assert run.approach == "translate-map+lead-baseline"
         assert (tmp_path / "out" / "translation-cache.jsonl").exists()
         assert len(run.records) == 10
+
+    def test_cache_lines_the_split_does_not_need(self, write_csv, tmp_path,
+                                                 gujarati_records):
+        # The split's sentences, half of them cached; another split's
+        # lines and another language pair's lines around them.
+        records = gujarati_records[:6]
+        split = list(dict.fromkeys(s for r in records
+                                   for s in split_sentences(r.article, "gujarati")))
+        other = [s for r in gujarati_records[6:12]
+                 for s in split_sentences(r.article, "gujarati") if s not in split]
+
+        def line(src, dst, src_lang="gujarati"):
+            return json.dumps({"src": src, "src_lang": src_lang,
+                               "tgt_lang": "english", "dst": dst},
+                              ensure_ascii=False) + "\n"
+
+        own = [line(x, x) for x in split[::2]]
+        noise = ([line(x, x) for x in other]
+                 + [line(x, f"wrong {i}.", "hindi") for i, x in enumerate(split)])
+        # Every other line of the mixed file is the split's, while they last.
+        mixed = "".join(a + b for a, b in zip(noise, own + [""] * len(noise)))
+        path = write_csv([[r.id, "", "", r.article, r.summary] for r in records])
+        outs = {}
+        for name, text in (("only", "".join(own)), ("mixed", mixed)):
+            out = tmp_path / name
+            out.mkdir()
+            (out / "translation-cache.jsonl").write_text(text, encoding="utf-8")
+            outs[name] = out
+        cache_path = outs["mixed"] / "translation-cache.jsonl"
+        config = base_config(path, tmp_path, language="gujarati",
+                             pipeline="translate-map")
+
+        with open(cache_path, "a", encoding="utf-8") as fh:
+            fh.write('{"src": 1}\n')
+        bad_line = mixed.count("\n") + 1
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{cache_path}:{bad_line}: bad cache")):
+            run_experiment(dataclasses.replace(config, output_dir=str(outs["mixed"])))
+        cache_path.write_text(mixed, encoding="utf-8")
+
+        cache = TranslationCache(cache_path)
+        cache.load({x: x for x in split}, "gujarati", "english")
+        assert len(cache) == len(own)
+
+        runs, written = {}, {}
+        for name, out in outs.items():
+            before = (out / "translation-cache.jsonl").read_bytes()
+            runs[name] = run_experiment(dataclasses.replace(config,
+                                                            output_dir=str(out)))
+            after = (out / "translation-cache.jsonl").read_bytes()
+            assert after.startswith(before)
+            written[name] = after[len(before):]
+            [csv_path] = out.glob("summaries-*.csv")
+            written[name, "csv"] = csv_path.read_bytes()
+        assert runs["mixed"].records == runs["only"].records
+        assert runs["mixed"].aggregate == runs["only"].aggregate
+        assert written["mixed", "csv"] == written["only", "csv"]
+        assert written["mixed"] == written["only"]
+        assert written["only"].decode("utf-8") == "".join(
+            line(x, x) for x in split if x not in split[::2])
 
     def test_adapter_training_run(self, write_csv, eval_csv, tmp_path):
         train = write_csv(
@@ -910,6 +973,7 @@ class CacheLog:
 
     def load(self):
         cache = TranslationCache(self.path)
+        cache.load({src: src for src in GUJ_SOURCES}, "gujarati", "english")
         held = [i for i, src in enumerate(GUJ_SOURCES)
                 if cache.get(src, "gujarati", "english") == f"e{i}."]
         assert len(cache) == len(held)
@@ -1464,6 +1528,43 @@ class TestCli:
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["run", "translate-map"])
+    def test_bad_cache_line_is_one_line_error(self, stage, write_csv, tmp_path,
+                                              gujarati_records, capsys):
+        # The bad line belongs to no record; it fails before the adapter
+        # starts, and nothing is written.
+        records = gujarati_records[:3]
+        src = write_csv([[r.id, "", "", r.article, r.summary] for r in records])
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--pid-file", str(pid_file)])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        cache = out_dir / "translation-cache.jsonl"
+        sentences = split_sentences(records[0].article, "gujarati")[:3]
+        data = "".join(json.dumps({"src": x, "src_lang": "gujarati",
+                                   "tgt_lang": "english", "dst": x},
+                                  ensure_ascii=False) + "\n"
+                       for x in sentences) + '{"src": 1}\n'
+        cache.write_text(data, encoding="utf-8")
+        out = tmp_path / "guj.csv"
+        if stage == "run":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"language = gujarati\neval = {src}\n"
+                           f"output_dir = {out_dir}\npipeline = translate-map\n"
+                           f"adapter = {adapter}\n", encoding="utf-8")
+            argv = ["run", "--config", str(cfg)]
+        else:
+            argv = ["translate-map", str(src), "--adapter", adapter,
+                    "--cache", str(cache), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache}:4: bad cache record: 'src_lang'\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == [cache.name]
+        assert not out.exists()
+        assert cache.read_text(encoding="utf-8") == data
+        assert not pid_file.exists()
 
     @pytest.mark.parametrize("threshold", ["-3", "7"])
     def test_translate_map_threshold_out_of_range(self, threshold, write_csv,

@@ -90,6 +90,30 @@ def test_tracer_reads_augmented_split_again(write_csv, tmp_path):
     assert tracer.requests[0] == ("train", train["payload"])
 
 
+def test_tracer_counts_warm_cache_gets(write_csv, tmp_path):
+    """On a warm translate-map run the tracer sees one cache ``get`` per
+    distinct sentence of the split, every one a hit, and no ``put``."""
+    tracing = load_tracing()
+    sentences = [f"વાક્ય ક્રમ {i} છે." for i in range(5)]
+    rows = [[f"g{i}", "", "", " ".join(sentences[i:i + 3]), sentences[i]]
+            for i in range(3)]
+    config = ExperimentConfig(
+        language="gujarati", eval_path=str(write_csv(rows)),
+        output_dir=str(tmp_path / "out"), pipeline="translate-map", max_tokens=6)
+    cold = experiments.run_experiment(config)  # fills the cache
+    tracer = tracing.Tracer({})
+    tracer.install()
+    try:
+        warm = experiments.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    assert warm.records == cold.records
+    metrics = tracing.layer_metrics(tracer, len(rows), 0, 0.0)
+    assert metrics["crosslingual.cache.get.calls"] == len(sentences)
+    assert metrics["crosslingual.cache.hit_ratio"] == 1.0
+    assert metrics["crosslingual.cache.put.calls"] == 0
+
+
 # Loaded on first use by crosslingual (the live translator and the pool
 # of a remote client) and backends (the adapter transport).
 DEFERRED = ["http.client", "urllib.request", "urllib.error", "ssl", "email",

@@ -400,6 +400,7 @@ class CacheLog:
     @staticmethod
     def load(path):
         cache = TranslationCache(path)
+        cache.load({src: src for src in GUJ_SOURCES}, "gujarati", "english")
         held = [i for i, src in enumerate(GUJ_SOURCES)
                 if cache.get(src, "gujarati", "english") == f"e{i}."]
         assert len(cache) == len(held)
