@@ -49,6 +49,7 @@ PARALLELISM = 4         # threads translating a split for a remote client
 RETRY_ATTEMPTS = 3      # tries per sentence for a remote client,
 RETRY_BASE_DELAY = 0.1  # sleeping this * 2**k s after failure k
 HTTP_TIMEOUT = 30.0     # seconds per HttpTranslator request
+TARGET_LANG = "english"  # the one language every translator translates into
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,6 @@ class IdentityTranslator:
     """Returns the input unchanged; the offline default for tests."""
 
     local = True  # in memory: build_mappings calls it once, inline
-    target_lang = "english"
 
     def __init__(self, source_lang: str = "gujarati"):
         self.source_lang = source_lang
@@ -98,10 +98,9 @@ class TableTranslator:
     """Fixed-table translator backed by a two-column UTF-8 TSV."""
 
     local = True
-    target_lang = "english"
 
     def __init__(self, table: dict, source_lang: str = "gujarati"):
-        self.table = dict(table)
+        self.table = table
         self.source_lang = source_lang
 
     @classmethod
@@ -135,8 +134,6 @@ class HttpTranslator:
     {"text", "source", "target"} to {"translation"}.
     """
 
-    target_lang = "english"
-
     def __init__(self, endpoint: str, source_lang: str = "gujarati"):
         key = os.environ.get("TRANSLATE_API_KEY")
         if not key:
@@ -154,7 +151,7 @@ class HttpTranslator:
         import urllib.request
 
         data = json.dumps({"text": sentence, "source": self.source_lang,
-                           "target": self.target_lang}).encode("utf-8")
+                           "target": TARGET_LANG}).encode("utf-8")
         request = urllib.request.Request(self.endpoint, data=data,
                                          headers=self._headers)
         try:
@@ -178,7 +175,7 @@ _quote = json.encoder.encode_basestring  # a JSON string, non-ASCII kept
 
 def _parse_cache_line(line: bytes):
     """``(key, translation)`` of one cache line; ``ValueError`` unless
-    all four fields are strings and the translation is not blank."""
+    all four fields are UTF-8 strings and the translation is not blank."""
     try:
         rec = json.loads(line.decode("utf-8"))
         fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
@@ -186,17 +183,23 @@ def _parse_cache_line(line: bytes):
         raise ValueError(f"bad cache record: {exc}") from None
     if not all(isinstance(f, str) for f in fields) or not fields[3].strip():
         raise ValueError("bad cache record: a non-string field or a blank dst")
+    try:  # a lone surrogate does not encode; only a JSON escape spells one
+        if b"\\" in line:
+            "".join(fields).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("bad cache record: a field that is not UTF-8") from None
     return fields[:3], fields[3]
 
 
 class TranslationCache:
     """Append-only persistent sentence-translation cache.
 
-    One JSON record per line: {"src", "src_lang", "tgt_lang", "dst"}.
-    Constructing a cache reads nothing: ``load`` reads the file once
-    per split and keeps only that split's translations, so memory grows
-    with the split, not with the file's history.  Each ``put`` streams
-    its new records to the end of the file through ``jsonlog.append``.
+    One JSON record per line: {"src", "src_lang", "tgt_lang", "dst"},
+    where ``tgt_lang`` is always ``TARGET_LANG``.  Constructing a cache
+    reads nothing: ``load`` reads the file once per split and keeps only
+    that split's translations, so memory grows with the split, not with
+    the file's history.  Each ``put`` streams its records to the end of
+    the file through ``jsonlog.append`` and keeps none of them.
     One process may write a file at a time (``run_experiment`` and
     ``translate-map --cache`` hold ``experiments.directory_lock`` on the
     file's directory), on one thread.  A process killed mid-``put``
@@ -208,13 +211,13 @@ class TranslationCache:
 
     def __init__(self, path):
         self.path = path
-        self._maps = {}  # (src_lang, tgt_lang) -> {src: dst}
+        self._held = {}  # src -> dst, as the last load kept them
 
     def __len__(self):
-        return sum(map(len, self._maps.values()))
+        return len(self._held)
 
-    def load(self, sentences, src_lang: str, tgt_lang: str) -> None:
-        """Read the file, keeping only the ``src_lang`` to ``tgt_lang``
+    def load(self, sentences, src_lang: str) -> None:
+        """Read the file, keeping only the ``src_lang`` to English
         translations of ``sentences``, in place of what was held.
 
         ``sentences`` maps each wanted sentence to itself (as
@@ -227,34 +230,26 @@ class TranslationCache:
             for _, ((src, src_l, tgt_l), dst) in jsonlog.read(self.path,
                                                              _parse_cache_line):
                 own = sentences.get(src)
-                if own is not None and src_l == src_lang and tgt_l == tgt_lang:
+                if own is not None and src_l == src_lang and tgt_l == TARGET_LANG:
                     kept[own] = dst
-        self._maps = {(src_lang, tgt_lang): kept}
+        self._held = kept
 
-    def get(self, src: str, src_lang: str, tgt_lang: str) -> str | None:
-        return self._maps.get((src_lang, tgt_lang), {}).get(src)
+    def get(self, src: str) -> str | None:
+        return self._held.get(src)
 
-    def put(self, pairs, src_lang: str, tgt_lang: str) -> None:
-        """Record ``(src, dst)`` pairs, appending in order each one whose
-        sentence the cache does not hold yet (from ``load`` or a ``put``).
+    def put(self, pairs, src_lang: str) -> None:
+        """Append a line for each ``src_lang`` to English ``(src, dst)``
+        pair, in order, holding none of them.
 
         ``pairs`` may be a lazy iterator; each line is written as its
         pair arrives.  A line is ``json.dumps(record, ensure_ascii=False)``
         byte for byte, built from the encoder's own string quoting."""
-        held = self._maps.setdefault((src_lang, tgt_lang), {})
         # The field order and separators of json.dumps, with the
         # language fields quoted once per put.
         middle = (f', "src_lang": {_quote(src_lang)},'
-                  f' "tgt_lang": {_quote(tgt_lang)}, "dst": ')
-
-        def lines():
-            for src, dst in pairs:
-                if src in held:
-                    continue
-                held[src] = dst
-                yield '{"src": ' + _quote(src) + middle + _quote(dst) + "}"
-
-        jsonlog.append(self.path, lines())
+                  f' "tgt_lang": {_quote(TARGET_LANG)}, "dst": ')
+        jsonlog.append(self.path, ('{"src": ' + _quote(src) + middle
+                                   + _quote(dst) + "}" for src, dst in pairs))
 
 
 def _translate_once(client, sentence):
@@ -308,22 +303,23 @@ def build_mappings(articles, client, *, cache: TranslationCache | None = None,
     mappings, in one pass over the split.
 
     The source language (taken from the client) selects sentence
-    delimiters.  One memo holds each distinct sentence of the split, in
-    first-seen order: every occurrence in the articles is the memo's one
-    string.  With a cache, it is loaded for the memo's sentences, then
-    the memo maps each sentence to its translation (None while pending):
-    each is looked up in the cache, when given, once, and each miss is
+    delimiters; every translation is into ``TARGET_LANG``.  One memo
+    holds each distinct sentence of the split, in first-seen order:
+    every occurrence in the articles is the memo's one string.  With a
+    cache, it is loaded for the memo's sentences, then the memo maps
+    each sentence to its translation (None while pending): each is
+    looked up in the cache, when given, once, and each miss is
     translated once.  A client that declares ``local = True`` (an
     in-memory translator) is called on this thread, and its error
     propagates; any other client translates on one pool of
     ``PARALLELISM`` threads for the split, with ``_translate_retrying``.
-    New translations stream into the memo and, with a cache, into its
-    one ``put``, in first-seen order, so a failure keeps every
-    translation made before it.  A toolkit error about an article
-    carries ``article_index``: the position of the first article it
-    concerns, which for a failed translation is the first article
-    holding the first sentence left untranslated.  A bad cache line is
-    a ``ConfigError`` about no article, and carries none.
+    New translations stream into the memo, their only map, and, with a
+    cache, through its one ``put``, in first-seen order, so a failure
+    keeps every translation made before it.  A toolkit error about an
+    article carries ``article_index``: the position of the first
+    article it concerns, which for a failed translation is the first
+    article holding the first sentence left untranslated.  A bad cache
+    line is a ``ConfigError`` about no article, and carries none.
     """
     language = client.source_lang
     if language not in segment.LANGUAGES:
@@ -338,19 +334,18 @@ def build_mappings(articles, client, *, cache: TranslationCache | None = None,
         split.append([memo.setdefault(s, s)
                       for s in segment.split_sentences(article, language)])
 
-    src, tgt = client.source_lang, client.target_lang
     if cache is not None:
-        cache.load(memo, src, tgt)
+        cache.load(memo, language)
     for sentence in memo:
-        memo[sentence] = None if cache is None else cache.get(sentence, src, tgt)
+        memo[sentence] = None if cache is None else cache.get(sentence)
     pending = [s for s, translated in memo.items() if translated is None]
 
     def store(translations):
         pairs = zip(pending, translations)
         if cache is None:
             memo.update(pairs)
-        else:  # update() is None: each pair enters memo, then the cache
-            cache.put((memo.update([pair]) or pair for pair in pairs), src, tgt)
+        else:  # update() is None: each pair enters memo, then the file
+            cache.put((memo.update([pair]) or pair for pair in pairs), language)
 
     try:
         if pending and getattr(client, "local", False):

@@ -57,7 +57,6 @@ class CountingIdentity(IdentityTranslator):
 
 class FailingClient:
     source_lang = "gujarati"
-    target_lang = "english"
 
     def __init__(self, fail_times=10**9):
         self.fail_times = fail_times
@@ -148,7 +147,6 @@ class TestBuildMapping:
 
         class Remote:
             source_lang = "gujarati"
-            target_lang = "english"
 
             def translate(self, sentence):
                 if sentence == sentences[0]:
@@ -183,7 +181,6 @@ class TestBuildMapping:
 
         class Remote:
             source_lang = "gujarati"
-            target_lang = "english"
 
             def translate(self, sentence):
                 barrier.wait()
@@ -233,9 +230,9 @@ class TestBuildMapping:
         batches = []
         put = TranslationCache.put
 
-        def counting_put(self, pairs, src_lang, tgt_lang):
+        def counting_put(self, pairs, src_lang):
             batches.append(list(pairs))  # pairs may be a one-pass iterator
-            put(self, batches[-1], src_lang, tgt_lang)
+            put(self, batches[-1], src_lang)
 
         monkeypatch.setattr(TranslationCache, "put", counting_put)
         cache_path = tmp_path / "cache.jsonl"
@@ -257,7 +254,6 @@ class Remote:
     """A client without ``local``: translated on the pool, with retry."""
 
     source_lang = "gujarati"
-    target_lang = "english"
 
     def __init__(self, table):
         self.table = table
@@ -294,13 +290,13 @@ class TestBuildMappings:
         gets = []
         get = TranslationCache.get
 
-        def counting_get(self, src, src_lang, tgt_lang):
+        def counting_get(self, src):
             gets.append(src)
-            return get(self, src, src_lang, tgt_lang)
+            return get(self, src)
 
         monkeypatch.setattr(TranslationCache, "get", counting_get)
         cache = TranslationCache(tmp_path / "cache.jsonl")
-        cache.put([(S[2], "e2.")], "gujarati", "english")
+        cache.put([(S[2], "e2.")], "gujarati")
         client = CountingIdentity()
         mappings = build_mappings(SPLIT, client, cache=cache)
         assert gets == S
@@ -347,10 +343,9 @@ class TestBuildMappings:
             assert mappings[0].entries[2][1] is first
             assert mappings[2].entries[1][1] is first
             assert mappings[3].entries[1][1] is mappings[1].entries[0][1]
-        assert cache._maps[("gujarati", "english")] == {S[2]: "e2.", S[0]: S[0],
-                                                        S[1]: S[1], S[3]: S[3],
-                                                        S[4]: S[4]}
-        key = next(iter(cache._maps[("gujarati", "english")]))
+        # The new translations live only in the memo, not in the cache.
+        assert len(cache) == 1 and cache.get(S[2]) == "e2."
+        key = next(iter(cache._held))
         assert key is mappings[1].entries[0][1]
 
     def test_empty_article_names_its_index(self):
@@ -401,7 +396,7 @@ def cache_line(src, dst):
 def loaded(path, sentences=GUJ_SENTENCES):
     """The cache at ``path``, loaded for ``sentences``, Gujarati to English."""
     cache = TranslationCache(path)
-    cache.load({s: s for s in sentences}, "gujarati", "english")
+    cache.load({s: s for s in sentences}, "gujarati")
     return cache
 
 
@@ -421,11 +416,11 @@ class TestTranslationCache:
     def test_torn_last_line_skipped_then_cut_off(self, torn):
         cache = loaded(torn)
         assert len(cache) == 1
-        cache.put([(GUJ_SENTENCES[2], "e3.")], "gujarati", "english")
+        cache.put([(GUJ_SENTENCES[2], "e3.")], "gujarati")
         assert torn.read_text(encoding="utf-8") == (
             cache_line(GUJ_SENTENCES[0], "e1.") + cache_line(GUJ_SENTENCES[2], "e3.")
         )
-        assert loaded(torn).get(GUJ_SENTENCES[2], "gujarati", "english") == "e3."
+        assert loaded(torn).get(GUJ_SENTENCES[2]) == "e3."
 
     def test_missing_final_newline(self, tmp_path):
         # A line without its newline is torn, however whole its JSON.
@@ -434,7 +429,7 @@ class TestTranslationCache:
                         encoding="utf-8")
         cache = loaded(path)
         assert len(cache) == 0
-        cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati", "english")
+        cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati")
         assert path.read_text(encoding="utf-8") == cache_line(GUJ_SENTENCES[1], "e2.")
 
     def test_construction_reads_nothing(self, tmp_path):
@@ -442,7 +437,7 @@ class TestTranslationCache:
         path.write_text("{not json\n", encoding="utf-8")
         cache = TranslationCache(path)
         assert len(cache) == 0
-        assert cache.get(GUJ_SENTENCES[0], "gujarati", "english") is None
+        assert cache.get(GUJ_SENTENCES[0]) is None
 
     def test_kept_translations_keyed_by_callers_strings(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -451,26 +446,34 @@ class TestTranslationCache:
         # Equal strings, but not the objects the file's lines parse to.
         own = ["".join(list(s)) for s in GUJ_SENTENCES]
         cache = TranslationCache(path)
-        cache.load({s: s for s in own}, "gujarati", "english")
-        keys = list(cache._maps[("gujarati", "english")])
+        cache.load({s: s for s in own}, "gujarati")
+        keys = list(cache._held)
         assert keys == own
         assert all(key is s for key, s in zip(keys, own))
 
     def test_load_keeps_only_wanted_sentences_and_pair(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        other_pair = json.dumps({"src": GUJ_SENTENCES[0], "src_lang": "hindi",
-                                 "tgt_lang": "english", "dst": "h1."},
-                                ensure_ascii=False) + "\n"
+
+        def other_pair(src_lang, tgt_lang, dst):
+            return json.dumps({"src": GUJ_SENTENCES[0], "src_lang": src_lang,
+                               "tgt_lang": tgt_lang, "dst": dst},
+                              ensure_ascii=False) + "\n"
+
         path.write_text(cache_line(GUJ_SENTENCES[0], "e1.")
                         + cache_line(GUJ_SENTENCES[1], "e2.")
-                        + cache_line(GUJ_SENTENCES[0], "e1b.") + other_pair,
+                        + cache_line(GUJ_SENTENCES[0], "e1b.")
+                        + other_pair("hindi", "english", "h1.")
+                        + other_pair("gujarati", "hindi", "g1."),
                         encoding="utf-8")
         cache = loaded(path, GUJ_SENTENCES[:1])
         assert len(cache) == 1
-        # Of two lines for one sentence, the later wins.
-        assert cache.get(GUJ_SENTENCES[0], "gujarati", "english") == "e1b."
-        assert cache.get(GUJ_SENTENCES[0], "hindi", "english") is None
-        assert cache.get(GUJ_SENTENCES[1], "gujarati", "english") is None
+        # Of two lines for one sentence, the later wins; a line into a
+        # language other than English is skipped.
+        assert cache.get(GUJ_SENTENCES[0]) == "e1b."
+        assert cache.get(GUJ_SENTENCES[1]) is None
+        cache.load({GUJ_SENTENCES[0]: GUJ_SENTENCES[0]}, "hindi")
+        assert len(cache) == 1
+        assert cache.get(GUJ_SENTENCES[0]) == "h1."
 
     def test_bad_middle_line(self, torn):
         with open(torn, "a", encoding="utf-8") as fh:
@@ -481,6 +484,7 @@ class TestTranslationCache:
     @pytest.mark.parametrize("field, value", [
         ("dst", ""), ("dst", "   "), ("dst", 5), ("dst", None),
         ("src", ["a"]), ("src_lang", None), ("tgt_lang", 1.5), ("dst", DROP),
+        ("dst", "\ud800 x."),
     ])
     @pytest.mark.parametrize("position", ["middle", "last"])
     def test_whole_line_with_bad_field(self, field, value, position, tmp_path):
@@ -488,7 +492,7 @@ class TestTranslationCache:
         record = {"src": GUJ_SENTENCES[1], "src_lang": "gujarati",
                   "tgt_lang": "english", "dst": "e2.", field: value}
         record = {k: v for k, v in record.items() if v is not DROP}
-        bad = json.dumps(record, ensure_ascii=False) + "\n"
+        bad = json.dumps(record) + "\n"  # a lone surrogate as a JSON escape
         good = cache_line(GUJ_SENTENCES[0], "e1.")
         last = cache_line(GUJ_SENTENCES[2], "e3.") if position == "middle" else ""
         path = tmp_path / "cache.jsonl"

@@ -485,8 +485,9 @@ class TestRunExperiment:
                             cache=TranslationCache(path))
         assert str(info.value) == f"record 'g3': no table entry for sentence: {s[4]!r}"
         cache = TranslationCache(path)
-        cache.load({x: x for x in s}, "gujarati", "english")
-        assert list(cache._maps[("gujarati", "english")]) == s[:4]
+        cache.load({x: x for x in s}, "gujarati")
+        assert len(cache) == 4
+        assert [x for x in s if cache.get(x) == x] == s[:4]
 
     def test_surrogate_translation_names_record(self, write_csv, tmp_path,
                                                 monkeypatch):
@@ -506,8 +507,9 @@ class TestRunExperiment:
         out = tmp_path / "out"
         assert os.listdir(out) == ["translation-cache.jsonl"]
         cache = TranslationCache(out / "translation-cache.jsonl")
-        cache.load({x: x for x in s}, "gujarati", "english")
-        assert cache._maps == {("gujarati", "english"): {s[0]: s[0]}}
+        cache.load({x: x for x in s}, "gujarati")
+        assert len(cache) == 1
+        assert cache.get(s[0]) == s[0]
 
     def test_surrogate_summary_names_record(self, eval_csv, tmp_path):
         adapter = tmp_path / "surrogate_adapter.py"
@@ -604,7 +606,7 @@ class TestRunExperiment:
         cache_path.write_text(mixed, encoding="utf-8")
 
         cache = TranslationCache(cache_path)
-        cache.load({x: x for x in split}, "gujarati", "english")
+        cache.load({x: x for x in split}, "gujarati")
         assert len(cache) == len(own)
 
         runs, written = {}, {}
@@ -973,15 +975,14 @@ class CacheLog:
 
     def load(self):
         cache = TranslationCache(self.path)
-        cache.load({src: src for src in GUJ_SOURCES}, "gujarati", "english")
+        cache.load({src: src for src in GUJ_SOURCES}, "gujarati")
         held = [i for i, src in enumerate(GUJ_SOURCES)
-                if cache.get(src, "gujarati", "english") == f"e{i}."]
+                if cache.get(src) == f"e{i}."]
         assert len(cache) == len(held)
         return held
 
     def append(self):
-        TranslationCache(self.path).put([(GUJ_SOURCES[2], "e2.")],
-                                        "gujarati", "english")
+        TranslationCache(self.path).put([(GUJ_SOURCES[2], "e2.")], "gujarati")
         return self.line(2)
 
 

@@ -248,20 +248,20 @@ cache_texts = st.text(st.one_of(
 
 
 @derandomized
-@given(cache_texts, cache_texts.filter(str.strip), cache_texts, cache_texts)
-def test_cache_line_is_json_dumps(src, dst, src_lang, tgt_lang):
+@given(cache_texts, cache_texts.filter(str.strip), cache_texts)
+def test_cache_line_is_json_dumps(src, dst, src_lang):
     """The line ``put`` writes is ``json.dumps`` of the record and loads
     back to the same key and translation."""
-    record = {"src": src, "src_lang": src_lang, "tgt_lang": tgt_lang,
+    record = {"src": src, "src_lang": src_lang, "tgt_lang": "english",
               "dst": dst}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cache.jsonl")
-        TranslationCache(path).put([(src, dst)], src_lang, tgt_lang)
+        TranslationCache(path).put([(src, dst)], src_lang)
         with open(path, "rb") as fh:
             data = fh.read()
     line = json.dumps(record, ensure_ascii=False).encode("utf-8")
     assert data == line + b"\n"
-    assert _parse_cache_line(line) == ((src, src_lang, tgt_lang), dst)
+    assert _parse_cache_line(line) == ((src, src_lang, "english"), dst)
 
 
 @contextmanager
@@ -400,16 +400,15 @@ class CacheLog:
     @staticmethod
     def load(path):
         cache = TranslationCache(path)
-        cache.load({src: src for src in GUJ_SOURCES}, "gujarati", "english")
+        cache.load({src: src for src in GUJ_SOURCES}, "gujarati")
         held = [i for i, src in enumerate(GUJ_SOURCES)
-                if cache.get(src, "gujarati", "english") == f"e{i}."]
+                if cache.get(src) == f"e{i}."]
         assert len(cache) == len(held)
         return held
 
     @staticmethod
     def append(path, i):
-        TranslationCache(path).put([(GUJ_SOURCES[i], f"e{i}.")],
-                                   "gujarati", "english")
+        TranslationCache(path).put([(GUJ_SOURCES[i], f"e{i}.")], "gujarati")
 
 
 class RunsLog:
