@@ -15,6 +15,7 @@ never loads them.
 
 import json
 import os
+import re
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -172,16 +173,31 @@ class HttpTranslator:
 
 _quote = json.encoder.encode_basestring  # a JSON string, non-ASCII kept
 
+# A whole line in the exact form ``put`` writes, where no field holds a
+# character JSON must escape: ``json.loads`` of it gives the four
+# captured substrings.
+_CANONICAL_LINE = re.compile(
+    r'\{"src": "([^"\\\x00-\x1f]*)", "src_lang": "([^"\\\x00-\x1f]*)",'
+    r' "tgt_lang": "([^"\\\x00-\x1f]*)", "dst": "([^"\\\x00-\x1f]*)"\}\n')
+
 
 def _parse_cache_line(line: bytes):
     """``(key, translation)`` of one cache line; ``ValueError`` unless
-    all four fields are UTF-8 strings and the translation is not blank."""
+    all four fields are UTF-8 strings and the translation is not blank.
+    A line in ``put``'s own form is read by one regex match, any other
+    by the JSON decoder."""
     try:
-        rec = json.loads(line.decode("utf-8"))
-        fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
+        text = line.decode("utf-8")
+        canonical = _CANONICAL_LINE.fullmatch(text)
+        if canonical is not None:
+            fields = canonical.groups()
+        else:
+            rec = json.loads(text)
+            fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"bad cache record: {exc}") from None
-    if not all(isinstance(f, str) for f in fields) or not fields[3].strip():
+    if (canonical is None and not all(isinstance(f, str) for f in fields)
+            or not fields[3].strip()):
         raise ValueError("bad cache record: a non-string field or a blank dst")
     try:  # a lone surrogate does not encode; only a JSON escape spells one
         if b"\\" in line:

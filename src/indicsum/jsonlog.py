@@ -23,7 +23,7 @@ def read(path, parse):
     rejects is a ``ConfigError`` naming it, wherever it is."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n") or not line.strip():
+            if not line.endswith(b"\n") or line.isspace():
                 continue
             try:
                 value = parse(line)

@@ -2,7 +2,8 @@
 
 Segmentation is a deliberate plain delimiter split (no abbreviation
 handling): English and Gujarati sentences end on ``.``, ``?`` or ``!``;
-Hindi additionally ends on the danda ``।``.
+Hindi additionally ends on the danda ``।``.  One pattern per language
+matches a whole sentence piece, and serves both splitters.
 """
 
 import re
@@ -10,12 +11,24 @@ import unicodedata
 
 LANGUAGES = ("english", "hindi", "gujarati")
 
-# A run of consecutive sentence terminators, per language.
-_TERMINATOR_RUNS = {
-    "english": re.compile(r"[.?!]+"),
-    "gujarati": re.compile(r"[.?!]+"),
-    "hindi": re.compile(r"[.?!।]+"),
-}
+# The sentence terminators of each language.
+_TERMINATORS = {"english": ".?!", "gujarati": ".?!", "hindi": ".?!।"}
+
+
+class _PiecePatterns(dict):
+    """Language -> compiled pattern of one sentence piece: text up to
+    and including a run of consecutive terminators, or trailing text
+    with no terminator.  Entries are compiled on first use."""
+
+    def __missing__(self, language: str):
+        if language not in _TERMINATORS:
+            raise ValueError(f"unknown language: {language!r}")
+        marks = _TERMINATORS[language]
+        pattern = self[language] = re.compile(f"[^{marks}]*[{marks}]+|[^{marks}]+")
+        return pattern
+
+
+_SENTENCE_PIECES = _PiecePatterns()
 
 
 class SentenceList(tuple):
@@ -36,22 +49,16 @@ def iter_sentences(text: str, language: str = "english"):
     is one sentence), trailing text without a terminator forms a final
     sentence, and blank segments are dropped.
     """
-    if language not in _TERMINATOR_RUNS:
-        raise ValueError(f"unknown language: {language!r}")
-    start = 0
-    for m in _TERMINATOR_RUNS[language].finditer(text):
-        chunk = text[start:m.end()].strip()
-        start = m.end()
+    for m in _SENTENCE_PIECES[language].finditer(text):
+        chunk = m.group().strip()
         if chunk:
             yield chunk
-    chunk = text[start:].strip()
-    if chunk:
-        yield chunk
 
 
 def split_sentences(text: str, language: str = "english") -> SentenceList:
     """All sentences of ``text``, as :func:`iter_sentences` yields them."""
-    return SentenceList(iter_sentences(text, language))
+    pieces = _SENTENCE_PIECES[language].findall(text)
+    return SentenceList(filter(None, map(str.strip, pieces)))
 
 
 def tokenize_words(text: str) -> list[str]:

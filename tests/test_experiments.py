@@ -1016,6 +1016,7 @@ class TestLogTails:
         ("terminated JSON non-object", None, None),
         ("unterminated whole line", [0], ""),
         ("trailing blank lines", [0, 1], "{1}\n\n \n"),
+        ("trailing ASCII whitespace lines", [0, 1], "{1}\n \t\r\x0b\x0c\n\n"),
         ("bad middle line", None, None),
     ])
     def test_tail(self, kind, tail, loaded, kept, eval_csv, tmp_path):
@@ -1029,6 +1030,7 @@ class TestLogTails:
             "terminated JSON non-object": b"[1]\n",
             "unterminated whole line": second,
             "trailing blank lines": second + b"\n\n \n",
+            "trailing ASCII whitespace lines": second + b"\n \t\r\x0b\x0c\n\n",
             "bad middle line": b"{not json\n" + second + b"\n",
         }[tail])
         if loaded is None:
@@ -1038,7 +1040,7 @@ class TestLogTails:
             return
         assert log.load() == loaded
         appended = log.append()
-        assert log.path.read_text(encoding="utf-8") == (
+        assert log.path.read_bytes().decode("utf-8") == (
             log.line(0) + "\n" + kept.format(*map(log.line, range(2)))
             + appended + "\n"
         )

@@ -42,6 +42,7 @@ from indicsum.segment import (LANGUAGES, iter_sentences, split_sentences,
                               tokenize_words)
 
 from conftest import _GUJARATI_WORDS, _HINDI_WORDS, _WORDS
+from test_segment import reference_split
 
 # The danda ends Hindi sentences only, so Gujarati words may carry it.
 _VOCAB = {"english": _WORDS, "hindi": _HINDI_WORDS,
@@ -111,6 +112,25 @@ def test_segmentation_loses_nothing(data, language):
     sentences = list(iter_sentences(text, language))
     assert all(sentence.strip() for sentence in sentences)
     assert re.sub(r"\s", "", "".join(sentences)) == re.sub(r"\s", "", text)
+
+
+# Words of all three scripts, every terminator alone and in runs, and
+# whitespace that ``str.strip`` removes but a plain space check misses.
+_SPLIT_PARTS = st.one_of(
+    st.sampled_from([*_WORDS[:4], *_HINDI_WORDS[:4], *_GUJARATI_WORDS[:4]]),
+    st.sampled_from([".", "?", "!", "।"]),
+    st.text(".?!।", min_size=2, max_size=4),
+    st.sampled_from([" ", "\n", "\t", "\x85", "\u3000"]),
+)
+
+
+@derandomized
+@given(st.lists(_SPLIT_PARTS, max_size=30), languages)
+def test_splitters_agree_with_reference(parts, language):
+    text = "".join(parts)
+    expected = reference_split(text, language)
+    assert split_sentences(text, language) == expected
+    assert tuple(iter_sentences(text, language)) == expected
 
 
 # Words in three scripts, with case, vowel signs, nukta and virama, and
@@ -261,7 +281,81 @@ def test_cache_line_is_json_dumps(src, dst, src_lang):
             data = fh.read()
     line = json.dumps(record, ensure_ascii=False).encode("utf-8")
     assert data == line + b"\n"
-    assert _parse_cache_line(line) == ((src, src_lang, "english"), dst)
+    assert _parse_cache_line(data) == ((src, src_lang, "english"), dst)
+
+
+def json_parse_cache_line(line):
+    """The cache-line rule by the JSON decoder alone: the reference that
+    ``_parse_cache_line``'s regex path for ``put``'s own lines must match."""
+    try:
+        rec = json.loads(line.decode("utf-8"))
+        fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"bad cache record: {exc}") from None
+    if not all(isinstance(f, str) for f in fields) or not fields[3].strip():
+        raise ValueError("bad cache record: a non-string field or a blank dst")
+    try:
+        if b"\\" in line:
+            "".join(fields).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("bad cache record: a field that is not UTF-8") from None
+    return fields[:3], fields[3]
+
+
+# Fields that ``put`` writes unescaped, blank ones and any UTF-8 text.
+cache_fields = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters='"\\' + "".join(
+        map(chr, range(0x20))))),
+    st.sampled_from(["", " ", "\u3000"]),
+    cache_texts,
+)
+
+
+@st.composite
+def cache_lines(draw):
+    """A line as ``put`` writes it, or a variant only the JSON decoder
+    reads: ASCII escapes, other key orders, an extra or repeated key,
+    extra spaces, CRLF, fields left unescaped, data after the record, a
+    cut-off line or a byte that is not UTF-8."""
+    record = {"src": draw(cache_fields), "src_lang": draw(cache_fields),
+              "tgt_lang": draw(st.just("english") | cache_fields),
+              "dst": draw(cache_fields)}
+    canonical = json.dumps(record, ensure_ascii=False)
+    other = json.dumps(draw(cache_texts), ensure_ascii=False)
+    key = draw(st.sampled_from(sorted(record)))
+    line = draw(st.sampled_from([
+        canonical,
+        json.dumps(record),
+        json.dumps(dict(reversed(record.items())), ensure_ascii=False),
+        json.dumps({**record, "extra": 1}, ensure_ascii=False),
+        canonical[:-1] + f', "{key}": {other}}}',
+        json.dumps(record, ensure_ascii=False, separators=(",  ", ": ")),
+        " " + canonical,
+        canonical + "\r",
+        '{"src": "%s", "src_lang": "%s", "tgt_lang": "%s", "dst": "%s"}'
+        % tuple(record.values()),
+        canonical + other,
+        canonical[:draw(st.integers(0, len(canonical)))],
+    ])).encode("utf-8") + b"\n"
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(line) - 1))
+        line = line[:at] + b"\xff" + line[at:]
+    return line
+
+
+@derandomized
+@given(cache_lines())
+def test_cache_line_parse_matches_json_rule(line):
+    """Every line loads to what the JSON decoder reads from it, or both
+    reject it with the same message."""
+    try:
+        expected = json_parse_cache_line(line)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _parse_cache_line(line)
+        assert str(got.value) == str(exc)
+    else:
+        assert _parse_cache_line(line) == expected
 
 
 @contextmanager

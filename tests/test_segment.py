@@ -116,21 +116,21 @@ class TestIterSentences:
             assert got == reference_split(text, language), text
 
     def test_splits_only_as_far_as_read(self, monkeypatch):
-        runs = segment._TERMINATOR_RUNS["english"]
+        pieces = segment._SENTENCE_PIECES["english"]
         found = []
 
-        class CountingRuns:
+        class CountingPieces:
             def finditer(self, text):
-                for m in runs.finditer(text):
+                for m in pieces.finditer(text):
                     found.append(m.group())
                     yield m
 
-        monkeypatch.setitem(segment._TERMINATOR_RUNS, "english", CountingRuns())
+        monkeypatch.setitem(segment._SENTENCE_PIECES, "english", CountingPieces())
         sentences = iter_sentences("First. Second?! Third. Tail", "english")
         assert next(sentences) == "First."
-        assert found == ["."]
+        assert found == ["First."]
         assert list(sentences) == ["Second?!", "Third.", "Tail"]
-        assert found == [".", "?!", "."]
+        assert found == ["First.", " Second?!", " Third.", " Tail"]
 
     def test_unknown_language(self):
         with pytest.raises(ValueError):
