@@ -17,7 +17,6 @@ import json
 import os
 import re
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from . import jsonlog, segment
@@ -31,7 +30,7 @@ from .errors import (
     NoAlignment,
     TranslationFailure,
 )
-from .rouge import rouge_tokens, score_counts
+from .rouge import _counts, _overlap, _prf, rouge_tokens
 
 __all__ = [
     "HttpTranslator",
@@ -431,11 +430,11 @@ def back_map(english_summary: str, mapping: SentenceMapping,
                 index = i
         if index is None:
             if entry_counts is None:
-                entry_counts = [Counter(t) for t in entry_tokens]
-            counts = Counter(tokens)
+                entry_counts = [_counts(t, 1) for t in entry_tokens]
+            counts, total = _counts(tokens, 1), len(tokens)
             best_index, best_score = 0, -1.0
-            for i, ref in enumerate(entry_counts):
-                score = score_counts(counts, ref).f1
+            for i, (ref, key) in enumerate(zip(entry_counts, entry_tokens)):
+                score = _prf(_overlap(counts, ref), total, len(key))[2]
                 if score > best_score:
                     best_index, best_score = i, score
             if best_score < threshold:

@@ -7,11 +7,12 @@ lowercasing (a no-op for Indic scripts), punctuation replaced by
 spaces, whitespace split.  No stemming, no stopword removal.
 
 This module is the package's one text-matching rule: back-mapping
-uses ``rouge_tokens`` and ``score_counts`` too.
+uses ``rouge_tokens`` and the same clipped-overlap kernel (``_counts``,
+``_overlap``, ``_prf``) too.
 """
 
 import unicodedata
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 
 from . import segment
@@ -58,25 +59,48 @@ def ngrams(tokens, n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
+def _counts(tokens, n: int) -> dict:
+    """Plain-dict tally of the n-grams of ``tokens`` (``n`` >= 1).
+
+    Unigram keys are the tokens themselves; longer keys are ``zip``
+    windows.  ``_count_elements`` is the C tally ``Counter.update``
+    calls, without its Python frames and type check.
+    """
+    counts = {}
+    _count_elements(counts, tokens if n == 1
+                    else zip(*(tokens[i:] for i in range(n))))
+    return counts
+
+
+def _overlap(cand, ref) -> int:
+    """Clipped match count of two tallies of the same kind of key."""
+    # The overlap loops over the shared keys only: the keys-view
+    # intersection runs in C over the smaller view, so a key that one
+    # side lacks costs no Python-level step and no result mapping is built.
+    overlap = 0
+    for key in cand.keys() & ref.keys():
+        a, b = cand[key], ref[key]
+        overlap += a if a < b else b
+    return overlap
+
+
+def _prf(overlap: int, cand_total: int, ref_total: int):
+    """Precision, recall and F1 of ``overlap`` matches out of the two totals."""
+    precision = overlap / cand_total if cand_total else 0.0
+    recall = overlap / ref_total if ref_total else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 def score_counts(cand: Counter, ref: Counter, n: int = 1) -> RougeScore:
     """Precision, recall and F1 of the clipped overlap of two counts.
 
     ``cand`` and ``ref`` count the same kind of key: ``ngrams`` windows,
     or plain tokens (``Counter(rouge_tokens(text))``) for unigrams.
-    ``n`` only labels the result.
+    ``n`` only labels the result.  The overlap and the scores come from
+    the kernel ``rouge_scores`` and back-mapping use.
     """
-    # The overlap loops over the shared keys only: the keys-view
-    # intersection runs in C over the smaller view, so a key that one
-    # side lacks costs no Python-level step and no result Counter is built.
-    overlap = 0
-    for key in cand.keys() & ref.keys():
-        a, b = cand[key], ref[key]
-        overlap += a if a < b else b
-    cand_total, ref_total = cand.total(), ref.total()
-    precision = overlap / cand_total if cand_total else 0.0
-    recall = overlap / ref_total if ref_total else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return RougeScore(n=n, precision=precision, recall=recall, f1=f1)
+    return RougeScore(n, *_prf(_overlap(cand, ref), cand.total(), ref.total()))
 
 
 def rouge_scores(candidate: str, reference: str,
@@ -84,7 +108,14 @@ def rouge_scores(candidate: str, reference: str,
     """ROUGE-N of ``candidate`` against ``reference`` for every order in
     ``ns``, tokenizing each text once."""
     cand, ref = rouge_tokens(candidate), rouge_tokens(reference)
-    return {n: score_counts(ngrams(cand, n), ngrams(ref, n), n) for n in ns}
+    scores = {}
+    for n in ns:
+        if n < 1:
+            raise InvalidN(f"n-gram order must be >= 1, got {n}")
+        scores[n] = RougeScore(n, *_prf(
+            _overlap(_counts(cand, n), _counts(ref, n)),
+            max(len(cand) - n + 1, 0), max(len(ref) - n + 1, 0)))
+    return scores
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:

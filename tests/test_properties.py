@@ -17,6 +17,7 @@ import sys
 import tempfile
 import threading
 import unicodedata
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
@@ -32,12 +33,14 @@ from indicsum.backends import (PRESETS, AdapterBackend, GenerationParams,
 from indicsum.corpus import (SPLIT_KINDS, ArticleRecord, DatasetSplit,
                              load_csv, load_summaries, save_csv,
                              write_summaries)
-from indicsum.crosslingual import (IdentityTranslator, TranslationCache,
-                                   _parse_cache_line, pipeline_summarize)
-from indicsum.errors import EmptyArticle
+from indicsum.crosslingual import (IdentityTranslator, SentenceMapping,
+                                   TranslationCache, _parse_cache_line,
+                                   back_map, pipeline_summarize)
+from indicsum.errors import EmptyArticle, NoAlignment
 from indicsum.experiments import (ExperimentConfig, RunRecord, config_hash,
                                   load_runs, parse_config_file)
-from indicsum.rouge import DEFAULT_ORDERS, rouge_scores, rouge_tokens
+from indicsum.rouge import (DEFAULT_ORDERS, ngrams, rouge_scores,
+                            rouge_tokens, score_counts)
 from indicsum.segment import (LANGUAGES, iter_sentences, split_sentences,
                               tokenize_words)
 
@@ -179,6 +182,124 @@ def test_rouge_matches_oracle_and_swaps(candidate, reference):
             oracle_scores(cand, ref, n), abs=1e-12)
         assert (swapped[n].precision, swapped[n].recall, swapped[n].f1) == (
             score.recall, score.precision, score.f1)
+
+
+# Runs of one word (repeated tokens) and separators alone (no tokens),
+# besides the mixed texts above, which may be empty.
+kernel_texts = st.one_of(
+    rouge_texts(),
+    st.builds(lambda word, k: " ".join([word] * k),
+              st.sampled_from(_ROUGE_WORDS), st.integers(1, 6)),
+    st.lists(st.sampled_from(_ROUGE_SEPARATORS), max_size=6).map("".join),
+)
+
+
+@derandomized
+@given(kernel_texts, kernel_texts,
+       st.lists(st.integers(1, 5), min_size=1, max_size=5))
+def test_rouge_scores_equal_public_composition(candidate, reference, orders):
+    """The kernel's scores are the same floats, bit for bit, as
+    ``score_counts`` over ``ngrams`` Counters, for every order, also one
+    longer than either text."""
+    cand, ref = rouge_tokens(candidate), rouge_tokens(reference)
+    expected = {n: score_counts(ngrams(cand, n), ngrams(ref, n), n)
+                for n in orders}
+    got = rouge_scores(candidate, reference, orders)
+    assert got == expected
+    assert repr(got) == repr(expected)  # -0.0 == 0.0, but it prints apart
+
+
+def counter_back_map(summary, mapping, threshold):
+    """``back_map`` as it was written over ``Counter`` and
+    ``score_counts(...).f1``: exact tokens, else the first maximal
+    unigram F1 at or above ``threshold``, else the first entry the
+    sentence's tokens begin, else ``NoAlignment``."""
+    entry_tokens = [tuple(rouge_tokens(t)) for _, _, t in mapping.entries]
+    matched = []
+    for sentence in split_sentences(summary, mapping.language):
+        tokens = tuple(rouge_tokens(sentence))
+        if tokens in entry_tokens:
+            matched.append(entry_tokens.index(tokens))
+            continue
+        counts = Counter(tokens)
+        best_index, best_score = 0, -1.0
+        for i, key in enumerate(entry_tokens):
+            score = score_counts(counts, Counter(key)).f1
+            if score > best_score:
+                best_index, best_score = i, score
+        if best_score < threshold:
+            best_index = next((i for i, key in enumerate(entry_tokens)
+                               if tokens and key[:len(tokens)] == tokens),
+                              None)
+        if best_index is None:
+            raise NoAlignment(
+                f"no mapping entry reaches threshold {threshold} for"
+                f" summary sentence {sentence!r}"
+                f" (best unigram F1 {max(best_score, 0.0):.3f})",
+                sentence=sentence,
+                best_score=max(best_score, 0.0),
+            )
+        matched.append(best_index)
+    return " ".join(mapping.entries[i][1] for i in sorted(set(matched)))
+
+
+_MAP_WORDS = ("rain", "Rain", "city", "road", "flood", "river", "school")
+
+
+@st.composite
+def near_miss_mappings(draw):
+    """``(summary, mapping, threshold)``: entries from a small vocabulary,
+    some a reordering of an earlier one (a tie), and summary sentences
+    that copy an entry with one token swapped, dropped or repeated, or
+    cut short (the prefix fallback), or are new.  The threshold is often
+    exactly one of the scores the search computes."""
+    words = st.lists(st.sampled_from(_MAP_WORDS), min_size=1, max_size=6)
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        if entries and draw(st.booleans()):
+            entries.append(draw(st.permutations(draw(st.sampled_from(entries)))))
+        else:
+            entries.append(draw(words))
+    mapping = SentenceMapping(tuple((i, f"src{i}.", " ".join(e) + ".")
+                                    for i, e in enumerate(entries)))
+    sentences = []
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = list(draw(st.sampled_from(entries)))
+        edit = draw(st.sampled_from(["copy", "swap", "drop", "repeat",
+                                     "truncate", "new"]))
+        at = draw(st.integers(0, len(tokens) - 1))
+        if edit == "swap":
+            tokens[at] = draw(st.sampled_from(_MAP_WORDS + ("zzz",)))
+        elif edit == "drop" and len(tokens) > 1:
+            del tokens[at]
+        elif edit == "repeat":
+            tokens.insert(at, tokens[at])
+        elif edit == "truncate":
+            tokens = tokens[:at + 1]
+        elif edit == "new":
+            tokens = draw(words)
+        sentences.append(" ".join(tokens) + ".")
+    summary = " ".join(sentences)
+    scores = [score_counts(Counter(rouge_tokens(s)), Counter(rouge_tokens(e))).f1
+              for s in sentences for _, _, e in mapping.entries]
+    threshold = draw(st.sampled_from([*scores, 0.0, 0.5, 0.6, 1.0]))
+    return summary, mapping, threshold
+
+
+@derandomized
+@given(near_miss_mappings())
+def test_back_map_picks_what_counter_search_picked(case):
+    summary, mapping, threshold = case
+    try:
+        expected = counter_back_map(summary, mapping, threshold)
+    except NoAlignment as exc:
+        with pytest.raises(NoAlignment) as raised:
+            back_map(summary, mapping, threshold)
+        assert str(raised.value) == str(exc)
+        assert raised.value.best_score == exc.best_score
+        assert raised.value.sentence == exc.sentence
+    else:
+        assert back_map(summary, mapping, threshold) == expected
 
 
 _NAMES = st.text(alphabet="abxyz019/._-", min_size=1, max_size=12)
