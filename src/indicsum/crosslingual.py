@@ -263,8 +263,8 @@ class TranslationCache:
         # language fields quoted once per put.
         middle = (f', "src_lang": {_quote(src_lang)},'
                   f' "tgt_lang": {_quote(TARGET_LANG)}, "dst": ')
-        jsonlog.append(self.path, ('{"src": ' + _quote(src) + middle
-                                   + _quote(dst) + "}" for src, dst in pairs))
+        jsonlog.append(self.path, (f'{{"src": {_quote(src)}{middle}{_quote(dst)}}}'
+                                   for src, dst in pairs))
 
 
 def _translate_once(client, sentence):
@@ -355,12 +355,17 @@ def build_mappings(articles, client, *, cache: TranslationCache | None = None,
         memo[sentence] = None if cache is None else cache.get(sentence)
     pending = [s for s, translated in memo.items() if translated is None]
 
+    def remembered(pairs):  # each pair enters memo, then the file
+        for sentence, translated in pairs:
+            memo[sentence] = translated
+            yield sentence, translated
+
     def store(translations):
         pairs = zip(pending, translations)
         if cache is None:
             memo.update(pairs)
-        else:  # update() is None: each pair enters memo, then the file
-            cache.put((memo.update([pair]) or pair for pair in pairs), language)
+        else:
+            cache.put(remembered(pairs), language)
 
     try:
         if pending and getattr(client, "local", False):
@@ -403,8 +408,12 @@ def back_map(english_summary: str, mapping: SentenceMapping,
     else to the lowest-index entry whose tokens begin with the
     sentence's, when it has any (a sentence the generator cut short),
     else ``NoAlignment``.  Entries are tokenized once each, in index
-    order, only as far as needed.  Matched source sentences come out
-    deduplicated, in article order.
+    order, only as far as needed.  The F1 search does not score an
+    entry whose length alone bounds its F1 below the best found before
+    it (F1 <= 2·min(|s|, |e|) / (|s| + |e|) for token counts |s| and
+    |e|), so the choice is the same as scoring every entry; an entry's
+    unigram tally is built when it is first scored.  Matched source
+    sentences come out deduplicated, in article order.
     """
     if not mapping.entries:
         raise EmptyInput("mapping has no entries")
@@ -430,11 +439,20 @@ def back_map(english_summary: str, mapping: SentenceMapping,
                 index = i
         if index is None:
             if entry_counts is None:
-                entry_counts = [_counts(t, 1) for t in entry_tokens]
+                entry_counts = [None] * len(entry_tokens)
             counts, total = _counts(tokens, 1), len(tokens)
             best_index, best_score = 0, -1.0
-            for i, (ref, key) in enumerate(zip(entry_counts, entry_tokens)):
-                score = _prf(_overlap(counts, ref), total, len(key))[2]
+            for i, key in enumerate(entry_tokens):
+                # F1 is at most 2·min(|s|, |e|) / (|s| + |e|): skip an entry
+                # whose bound is below the best so far (-1 before the first
+                # score) by a relative margin far above float rounding.
+                size = len(key)
+                if 2 * min(size, total) < best_score * (1 - 1e-9) * (size + total):
+                    continue
+                ref = entry_counts[i]
+                if ref is None:
+                    ref = entry_counts[i] = _counts(key, 1)
+                score = _prf(_overlap(counts, ref), total, size)[2]
                 if score > best_score:
                     best_index, best_score = i, score
             if best_score < threshold:

@@ -618,15 +618,17 @@ def load_runs(path) -> list[RunRecord]:
     return runs
 
 
-_REPORT_COLUMNS = ("Approach Implemented", "ROUGE-1", "ROUGE-2", "ROUGE-4")
+_REPORT_COLUMNS = ("Approach Implemented", "Language", "ROUGE-1", "ROUGE-2",
+                   "ROUGE-4")
 
 
-def _report_rows(records) -> list[tuple[str, str, str, str]]:
+def _report_rows(records) -> list[tuple[str, ...]]:
     rows = []
     for run in records:
         rows.append(
             (
                 run.approach,
+                run.language,
                 *(f"{run.aggregate[str(n)]['f1']:.4f}" for n in DEFAULT_ORDERS),
             )
         )

@@ -1,7 +1,8 @@
 """Append-only JSON-lines files: the translation cache and the run log.
 
-Every append writes each line's newline last, so a line is whole when
-it ends in ``\\n``.  A writer killed mid-append leaves whole lines
+Every append writes each line's newline after its bytes, so a line is
+whole when it ends in ``\\n``.  Lines go out in bounded batches of whole
+lines, in order.  A writer killed mid-append leaves whole lines
 followed by at most one torn last line, the bytes after the last
 newline: ``read`` skips them and the next ``append`` cuts them off.
 ``parse`` turns one whole line (bytes) into a value, raising
@@ -9,12 +10,13 @@ newline: ``read`` skips them and the next ``append`` cuts them off.
 """
 
 import io
-import itertools
 import os
 
 from .errors import ConfigError
 
 __all__ = ["append", "read"]
+
+BATCH_LINES = 256  # lines joined into one write by ``append``
 
 
 def read(path, parse):
@@ -35,9 +37,12 @@ def read(path, parse):
 def append(path, lines) -> None:
     """Append ``lines`` (strings without newlines, possibly a lazy
     iterator) to ``path``, after cutting off the bytes after its last
-    newline.  Lines stream through a bounded buffer, so a batch is never
-    held whole; if ``lines`` raises partway, the lines it gave are
-    written whole before the error propagates.  Nothing is touched when
+    newline.  Each line is encoded as it arrives and written in batches
+    of at most ``BATCH_LINES`` whole lines, each line's newline after
+    its bytes, through a buffered writer, so ``lines`` is never held
+    whole.  If ``lines`` raises partway (or a line does not encode), the
+    lines it gave before are written whole before the error propagates;
+    a write that failed is not tried again.  Nothing is touched when
     ``lines`` is empty.  A failed system call that names no file (a read
     or write, say on a full disk) is re-raised naming ``path``."""
     lines = iter(lines)
@@ -58,10 +63,21 @@ def append(path, lines) -> None:
                     break
                 step *= 2
             fh.truncate(pos)
-            # Closing the buffer flushes it, also when ``lines`` raises.
+            # A raw write may stop short without raising (a file size
+            # limit, say); the buffered writer raises instead.  Closing
+            # it flushes it, also when ``lines`` raises.
             with io.BufferedWriter(fh) as out:
-                for line in itertools.chain([first], lines):
-                    out.write((line + "\n").encode("utf-8"))
+                batch = []
+                try:
+                    batch.append(first.encode("utf-8"))
+                    for line in lines:
+                        if len(batch) == BATCH_LINES:
+                            full, batch = batch, []
+                            out.write(b"\n".join(full) + b"\n")
+                        batch.append(line.encode("utf-8"))
+                finally:
+                    if batch:
+                        out.write(b"\n".join(batch) + b"\n")
     except OSError as exc:
         if exc.filename is not None or exc.errno is None:
             raise

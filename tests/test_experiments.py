@@ -1048,20 +1048,46 @@ class TestLogTails:
 
 
 def test_append_keeps_whole_lines_when_lines_raise(tmp_path):
-    """An iterator that fails after more lines than the write buffer
-    holds leaves exactly the lines it gave; the log stays usable."""
-    path = tmp_path / "log.jsonl"
-    lines = [json.dumps({"n": i, "pad": "x" * 200}) for i in range(100)]
+    """An iterator that fails, or gives a line that does not encode (a
+    lone surrogate), after more lines than the write buffer holds, after
+    exactly one batch, after one batch and a line, or after several
+    batches, leaves exactly the lines before it, each whole; the next
+    append continues the log."""
+    batch = jsonlog.BATCH_LINES
+    lines = [json.dumps({"n": i, "pad": "x" * 200}) for i in range(4 * batch)]
 
-    def failing():
-        yield from lines[:60]
+    def raising(stop):
+        yield from lines[:stop]
         raise TranslationFailure("stopped")
 
-    with pytest.raises(TranslationFailure, match="stopped"):
-        jsonlog.append(path, failing())
-    assert path.read_text() == "".join(line + "\n" for line in lines[:60])
-    jsonlog.append(path, lines[60:])
-    assert [v["n"] for _, v in jsonlog.read(path, json.loads)] == list(range(100))
+    def unencodable(stop):
+        yield from lines[:stop]
+        yield '{"n": "\ud800"}'
+        yield from lines[stop:]
+
+    for stop, failing, error in [(60, raising, TranslationFailure),
+                                 (batch, raising, TranslationFailure),
+                                 (batch + 1, raising, TranslationFailure),
+                                 (3 * batch + 7, raising, TranslationFailure),
+                                 (batch + 3, unencodable, UnicodeEncodeError)]:
+        path = tmp_path / f"log-{stop}.jsonl"
+        with pytest.raises(error):
+            jsonlog.append(path, failing(stop))
+        assert path.read_text() == "".join(line + "\n" for line in lines[:stop])
+        jsonlog.append(path, lines[stop:])
+        assert ([v["n"] for _, v in jsonlog.read(path, json.loads)]
+                == list(range(len(lines))))
+
+
+def test_cache_put_of_several_batches_writes_json_dumps_lines(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    pairs = [(f"વાક્ય {i} \"ક\"\t.", f"sentence {i} \\ \u2028")
+             for i in range(2 * jsonlog.BATCH_LINES + 5)]
+    TranslationCache(path).put(iter(pairs), "gujarati")
+    assert path.read_text(encoding="utf-8") == "".join(
+        json.dumps({"src": src, "src_lang": "gujarati", "tgt_lang": "english",
+                    "dst": dst}, ensure_ascii=False) + "\n"
+        for src, dst in pairs)
 
 
 def save_rows(path, rows):
@@ -1105,8 +1131,9 @@ def test_write_summaries_error_names_target(tmp_path):
     assert str(info.value) == f"[Errno 2] No such file or directory: {path!r}"
 
 
-# Writes a little over 20,000 bytes to the file named by argv[2], through
-# argv[1]'s writer, and prints the error it raises.
+# Writes a little over 20,000 bytes (30,000 for "append-batches") to the
+# file named by argv[2], through argv[1]'s writer, and prints the error it
+# raises.
 _FSIZE_CHILD = """
 import sys
 from indicsum import corpus, jsonlog
@@ -1114,6 +1141,8 @@ writer, path = sys.argv[1:]
 try:
     if writer == "append":
         jsonlog.append(path, ("x" * 999 for _ in range(21)))
+    elif writer == "append-batches":
+        jsonlog.append(path, ("x" * 99 for _ in range(300)))
     else:
         corpus.write_summaries(path, ((str(i), "x" * 997) for i in range(21)))
 except OSError as exc:
@@ -1158,13 +1187,23 @@ def test_append_cut_mid_line_by_file_size_limit(tmp_path):
     assert [line for _, line in jsonlog.read(path, bytes)] == whole + [b"y\n"]
 
 
+def test_append_cut_in_a_later_batch_by_file_size_limit(tmp_path):
+    """A limit that falls inside the last batch of an append still fails
+    it, naming the file, and leaves the earlier batches whole."""
+    assert jsonlog.BATCH_LINES * 100 < 27_050 < 30_000
+    path = str(tmp_path / "out")
+    run_fsize_child("append-batches", path, 27_050)
+    assert Path(path).read_bytes() == (b"x" * 99 + b"\n") * 270 + b"x" * 50
+
+
 class TestRenderReport:
     def test_formatting(self):
         out = render_report([fake_run("lead-baseline", (0.5, 0.4, 0.3))])
         lines = out.splitlines()
         assert lines[0].split() == [
-            "Approach", "Implemented", "ROUGE-1", "ROUGE-2", "ROUGE-4"
+            "Approach", "Implemented", "Language", "ROUGE-1", "ROUGE-2", "ROUGE-4"
         ]
+        assert lines[2].split()[1] == "english"
         assert "0.5000" in lines[2]
         assert "0.4000" in lines[2]
         assert "0.3000" in lines[2]
@@ -1177,11 +1216,21 @@ class TestRenderReport:
         assert body[0].startswith("first")
         assert body[1].startswith("second")
 
+    def test_each_language_its_own_row(self):
+        runs = [dataclasses.replace(fake_run("lead-baseline", (0.5, 0.4, 0.3)),
+                                    language=language)
+                for language in ("english", "hindi", "gujarati")]
+        body = render_report(runs).splitlines()[2:]
+        assert [row.split()[:2] for row in body] == [
+            ["lead-baseline", "english"], ["lead-baseline", "hindi"],
+            ["lead-baseline", "gujarati"]]
+
     def test_csv_format(self):
         out = render_report([fake_run("x", (0.5, 0.2, 0.1))], format="csv")
         rows = list(csv.reader(out.splitlines()))
-        assert rows[0] == ["Approach Implemented", "ROUGE-1", "ROUGE-2", "ROUGE-4"]
-        assert rows[1] == ["x", "0.5000", "0.2000", "0.1000"]
+        assert rows[0] == ["Approach Implemented", "Language", "ROUGE-1",
+                           "ROUGE-2", "ROUGE-4"]
+        assert rows[1] == ["x", "english", "0.5000", "0.2000", "0.1000"]
 
     def test_empty(self):
         with pytest.raises(EmptyReport):

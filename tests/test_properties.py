@@ -9,6 +9,7 @@ derandomized, so every run checks the same cases.
 """
 
 import json
+import math
 import os
 import re
 import socket
@@ -20,13 +21,15 @@ import unicodedata
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from indicsum import jsonlog
+from indicsum import crosslingual, jsonlog
 from indicsum.augment import add_noise, augment_split, right_shift
 from indicsum.backends import (PRESETS, AdapterBackend, GenerationParams,
                                SummarizerSpec, baseline_handle, lead_baseline)
@@ -286,10 +289,10 @@ def near_miss_mappings(draw):
     return summary, mapping, threshold
 
 
-@derandomized
-@given(near_miss_mappings())
-def test_back_map_picks_what_counter_search_picked(case):
-    summary, mapping, threshold = case
+def assert_back_map_as_counter_search(summary, mapping, threshold):
+    """``back_map`` gives what ``counter_back_map`` gives: the same
+    string, or ``NoAlignment`` with the same message, sentence and
+    best score."""
     try:
         expected = counter_back_map(summary, mapping, threshold)
     except NoAlignment as exc:
@@ -300,6 +303,113 @@ def test_back_map_picks_what_counter_search_picked(case):
         assert raised.value.sentence == exc.sentence
     else:
         assert back_map(summary, mapping, threshold) == expected
+
+
+@derandomized
+@given(near_miss_mappings())
+def test_back_map_picks_what_counter_search_picked(case):
+    assert_back_map_as_counter_search(*case)
+
+
+def exact_f1(tokens, key):
+    """Unigram F1 of two token sequences as an exact fraction."""
+    overlap = sum((Counter(tokens) & Counter(key)).values())
+    return Fraction(2 * overlap, len(tokens) + len(key))
+
+
+def length_bound(tokens, key):
+    """``2·min(|s|, |e|) / (|s| + |e|)``, the most F1 that ``key``'s
+    length allows against ``tokens``."""
+    return Fraction(2 * min(len(tokens), len(key)), len(tokens) + len(key))
+
+
+_BOUND_WORDS = ("rain", "city", "road", "flood", "river", "school")
+
+
+@st.composite
+def length_bound_mappings(draw):
+    """``(summary, mapping, threshold)``: up to 12 entries of 1-20 tokens
+    and summary sentences that are an entry cut short or with one token
+    swapped.  For each sentence, entries are added whose lengths lie
+    just inside and just outside the bound set by its F1 against the
+    entry it came from, and pairs of entries of different lengths whose
+    F1 ties exactly (a prefix of ``e`` tokens and an extension to
+    ``s²/e`` tokens both score ``2e/(s + e)``).  Entries are shuffled,
+    so the best so far may come before or after them."""
+    words = st.lists(st.sampled_from(_BOUND_WORDS), min_size=1, max_size=20)
+    entries = draw(st.lists(words, min_size=1, max_size=5))
+    sentences = []
+
+    def add(tokens, length):
+        if 1 <= length <= 20 and len(entries) < 12 and draw(st.booleans()):
+            grow = max(length - len(tokens), 0)
+            extra = draw(st.lists(st.sampled_from(_BOUND_WORDS),
+                                  min_size=grow, max_size=grow))
+            entries.append(tokens[:length] + extra)
+
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.sampled_from(entries))
+        tokens = list(base)
+        at = draw(st.integers(0, len(tokens) - 1))
+        if draw(st.booleans()):
+            tokens = tokens[:at + 1]
+        else:
+            tokens[at] = draw(st.sampled_from(_BOUND_WORDS + ("zzz",)))
+        sentences.append(tokens)
+        s, f1 = len(tokens), exact_f1(tokens, base)
+        if f1:
+            # The lengths at which 2·min(s, e)/(s + e) equals f1.
+            for edge in (f1 * s / (2 - f1), s * (2 - f1) / f1):
+                for length in {math.floor(edge), math.ceil(edge)}:
+                    add(tokens, length)
+        ties = [e for e in range(1, s) if s * s % e == 0 and s * s // e <= 20]
+        if ties:
+            e = draw(st.sampled_from(ties))
+            add(tokens, e)
+            add(tokens, s * s // e)
+    entries = draw(st.permutations(entries))
+    mapping = SentenceMapping(tuple((i, f"src{i}.", " ".join(e) + ".")
+                                    for i, e in enumerate(entries)))
+    summary = " ".join(" ".join(tokens) + "." for tokens in sentences)
+    scores = [score_counts(Counter(tokens), Counter(e)).f1
+              for tokens in sentences for e in entries]
+    threshold = draw(st.sampled_from([*scores, 0.0, 0.6, 1.0]))
+    return summary, mapping, threshold
+
+
+def bounded_scorings(summary, mapping, threshold):
+    """How many entries a search that skips an entry whose length bound
+    is below the exact best F1 before it scores, over the summary's
+    sentences up to the first that does not align."""
+    entry_tokens = [rouge_tokens(t) for _, _, t in mapping.entries]
+    scored = 0
+    for sentence in split_sentences(summary, mapping.language):
+        tokens = rouge_tokens(sentence)
+        if tokens in entry_tokens:
+            continue
+        best = best_score = None
+        for key in entry_tokens:
+            if best is None or length_bound(tokens, key) >= best:
+                scored += 1
+                best = max(best or 0, exact_f1(tokens, key))
+                best_score = max(best_score or 0.0, score_counts(
+                    Counter(tokens), Counter(key)).f1)
+        if best_score < threshold and not any(
+                key[:len(tokens)] == tokens for key in entry_tokens):
+            break
+    return scored
+
+
+@derandomized
+@given(length_bound_mappings())
+def test_length_bound_never_changes_a_back_map_choice(case):
+    """``back_map`` gives what ``counter_back_map``, which scores every
+    entry, gives, and scores exactly the entries whose length does not
+    rule them out."""
+    with mock.patch.object(crosslingual, "_overlap",
+                           wraps=crosslingual._overlap) as overlap:
+        assert_back_map_as_counter_search(*case)
+    assert overlap.call_count == bounded_scorings(*case)
 
 
 _NAMES = st.text(alphabet="abxyz019/._-", min_size=1, max_size=12)
