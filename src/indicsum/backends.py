@@ -323,12 +323,6 @@ class AdapterBackend:
                 self._proc.wait()
         self._proc = self._sock = self._stream = None
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
     def _request(self, op: str, payload, key: str) -> str:
         """Send one ``op`` request and return its ``result[key]``, a
         string that is not blank and encodes as UTF-8.  ``payload`` is JSON

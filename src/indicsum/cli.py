@@ -8,8 +8,8 @@ experiment.  ``train``, ``summarize`` and ``translate-map`` share
 ``--out``.  Every CSV is read and written by ``corpus``: ``evaluate``
 reads its candidates by ``load_csv``'s rules, and each ``--out`` CSV is
 written whole or not at all.  All commands exit nonzero with a
-one-line message on toolkit errors and on files they cannot read or
-write.
+one-line message on toolkit errors, on files they cannot read or
+write, and when stopped by SIGINT or SIGTERM.
 """
 
 import argparse
@@ -226,14 +226,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
+    """Run one command; exit 1 with one ``error:`` line on a toolkit or
+    file error, and 128 plus the signal's number on SIGINT or SIGTERM.
+    SIGTERM unwinds as Ctrl-C does, so what the command opened (a
+    spawned adapter, a partly written file) is closed or removed."""
+    import signal
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return args.func(args)
     except (IndicSumError, OSError) as exc:  # OSError: e.g. a missing input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + (exc.args[0] if exc.args else signal.SIGINT)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

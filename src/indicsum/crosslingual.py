@@ -70,12 +70,6 @@ class SentenceMapping:
             if not translated.strip():
                 raise ValueError(f"entry {pos} has an empty translation")
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     @property
     def english_article(self) -> str:
         """The translations, joined by single spaces."""

@@ -239,14 +239,35 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line) -> "RunRecord":
-        """Decode one run-log line (str or UTF-8 bytes); ``ValueError``
-        unless it is a JSON object with a RunRecord's fields."""
+        """Decode and check one run-log line (str or UTF-8 bytes);
+        ``ValueError`` unless it is a JSON object with a RunRecord's
+        fields, each of its declared type, with records and an aggregate
+        for every reported order, each the mean of its records' scores."""
         try:
             payload = json.loads(line)
             payload["records"] = tuple(payload.get("records", ()))
-            return cls(**payload)
+            run = cls(**payload)
         except (ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad run record: {exc}") from None
+        for f in fields(run):
+            value = getattr(run, f.name)
+            if not isinstance(value, f.type):
+                raise ValueError(f"malformed run record: {f.name} must be"
+                                 f" a {f.type.__name__}, got {value!r}")
+        count = len(run.records)
+        if not count:
+            raise ValueError("run has no records")
+        try:
+            for n in dict.fromkeys([*map(str, DEFAULT_ORDERS), *run.aggregate]):
+                agg = run.aggregate[n]
+                for key in ("precision", "recall", "f1"):
+                    mean = sum(r["scores"][n][key] for r in run.records) / count
+                    if abs(mean - agg[key]) > 1e-9:
+                        raise ValueError(f"aggregate {key} for n={n} is"
+                                         f" {agg[key]}, per-record mean is {mean}")
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed run record: {exc!r}") from None
+        return run
 
 
 def _score_triplet(score) -> dict:
@@ -491,11 +512,11 @@ def _load_scorable(config: ExperimentConfig, language: str):
 
 def _approach(preset, spec, backend, translate_map: bool) -> str:
     """The results table's name for what made the summaries: ``preset``
-    when an adapter ran its model or it names none; else the adapter's
-    model id (``adapter`` without a spec), else the lead baseline, each
-    after ``translate-map+`` when that pipeline ran."""
+    when an adapter ran; else the adapter's model id (``adapter``
+    without a spec), else the lead baseline, each after
+    ``translate-map+`` when that pipeline ran."""
     adapter = isinstance(backend, AdapterBackend)
-    if preset and (adapter or PRESETS[preset].spec is None):
+    if preset and adapter:
         return preset
     if adapter:
         made = spec.model_id if spec else "adapter"
@@ -581,66 +602,28 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         return run
 
 
-def _check_consistency(run: RunRecord, path, lineno: int) -> None:
-    """``ConfigError`` unless each of ``run``'s fields has its declared
-    type, and ``run`` has records and an aggregate for every reported
-    order, each the mean of its records' scores."""
-    for f in fields(run):
-        value = getattr(run, f.name)
-        if not isinstance(value, f.type):
-            raise ConfigError(f"{path}:{lineno}: malformed run record:"
-                              f" {f.name} must be a {f.type.__name__}, got {value!r}")
-    if not run.records:
-        raise ConfigError(f"{path}:{lineno}: run has no records")
-    try:
-        for n in dict.fromkeys([*map(str, DEFAULT_ORDERS), *run.aggregate]):
-            agg = run.aggregate[n]
-            for key in ("precision", "recall", "f1"):
-                mean = sum(r["scores"][n][key] for r in run.records) / len(run.records)
-                if abs(mean - agg[key]) > 1e-9:
-                    raise ConfigError(
-                        f"{path}:{lineno}: aggregate {key} for n={n} is"
-                        f" {agg[key]}, per-record mean is {mean}"
-                    )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}:{lineno}: malformed run record: {exc!r}") from None
-
-
-def load_runs(path) -> list[RunRecord]:
-    """Load a run log, checking each aggregate against its records.
+def load_runs(path):
+    """Yield each run of a run log as it is read, checked by
+    ``RunRecord.from_json``.
 
     A torn last line, without its newline, is skipped (``jsonlog``);
     any whole bad line is a ``ConfigError`` naming it."""
-    runs = []
-    for lineno, run in jsonlog.read(path, RunRecord.from_json):
-        _check_consistency(run, path, lineno)
-        runs.append(run)
-    return runs
+    for _, run in jsonlog.read(path, RunRecord.from_json):
+        yield run
 
 
 _REPORT_COLUMNS = ("Approach Implemented", "Language", "ROUGE-1", "ROUGE-2",
                    "ROUGE-4")
 
 
-def _report_rows(records) -> list[tuple[str, ...]]:
-    rows = []
-    for run in records:
-        rows.append(
-            (
-                run.approach,
-                run.language,
-                *(f"{run.aggregate[str(n)]['f1']:.4f}" for n in DEFAULT_ORDERS),
-            )
-        )
-    return rows
-
-
 def render_report(records, format: str = "table") -> str:
-    """Render runs as a results table (one row per run, 4 decimals)."""
-    records = list(records)
-    if not records:
+    """Render runs, any iterable, as a results table (one row per run, 4
+    decimals), keeping only the rows."""
+    rows = [(run.approach, run.language,
+             *(f"{run.aggregate[str(n)]['f1']:.4f}" for n in DEFAULT_ORDERS))
+            for run in records]
+    if not rows:
         raise EmptyReport("no runs to report")
-    rows = _report_rows(records)
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)

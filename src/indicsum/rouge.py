@@ -128,7 +128,10 @@ def mean_scores(per_pair) -> dict[int, RougeScore]:
     their orders.
 
     Precision, recall and F1 are each averaged arithmetically across
-    pairs (per-pair F1 first, then the mean — not F1 of the mean).
+    pairs (per-pair F1 first, then the mean — not F1 of the mean).  Each
+    is summed left to right in plain floats, not by ``sum()``, which is
+    compensated from Python 3.12 on, so every version gives the same
+    bytes.
     """
     per_pair = list(per_pair)
     if not per_pair:
@@ -136,13 +139,14 @@ def mean_scores(per_pair) -> dict[int, RougeScore]:
     count = len(per_pair)
     out = {}
     for n in per_pair[0]:
-        scores = [pair[n] for pair in per_pair]
-        out[n] = RougeScore(
-            n=n,
-            precision=sum(s.precision for s in scores) / count,
-            recall=sum(s.recall for s in scores) / count,
-            f1=sum(s.f1 for s in scores) / count,
-        )
+        precision = recall = f1 = 0.0
+        for pair in per_pair:
+            score = pair[n]
+            precision += score.precision
+            recall += score.recall
+            f1 += score.f1
+        out[n] = RougeScore(n=n, precision=precision / count,
+                            recall=recall / count, f1=f1 / count)
     return out
 
 

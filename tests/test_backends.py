@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import closing
 
 import pytest
 
@@ -251,7 +252,7 @@ class TestFineTune:
                       SummarizerSpec(model_id="m", epochs=1))
 
     def test_zero_epochs(self, stub_argv):
-        with AdapterBackend(argv=stub_argv()) as backend:
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
             with pytest.raises(InvalidSpec):
                 fine_tune(backend, train_split(),
                           SummarizerSpec(model_id="m", epochs=0))
@@ -259,7 +260,7 @@ class TestFineTune:
     def test_wrong_split_kind(self, stub_argv):
         split = DatasetSplit(kind="validation", language="english",
                              records=train_split().records)
-        with AdapterBackend(argv=stub_argv()) as backend:
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
             with pytest.raises(InvalidSpec):
                 fine_tune(backend, split, SummarizerSpec(model_id="m", epochs=1))
 
@@ -270,7 +271,7 @@ class TestFineTune:
 
 class TestAdapterStdio:
     def test_train_then_generate(self, stub_argv):
-        with AdapterBackend(argv=stub_argv()) as backend:
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
             handle = fine_tune(backend, train_split(4),
                                get_preset("english-pegasus").spec)
             assert handle.checkpoint == "ckpt-4x1"
@@ -279,18 +280,19 @@ class TestAdapterStdio:
             assert out == "one two three"
 
     def test_generate_without_training(self, stub_argv):
-        with AdapterBackend(argv=stub_argv()) as backend:
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
             handle_out = backend.generate("alpha beta gamma delta",
                                           GenerationParams(max_tokens=2))
             assert handle_out == "alpha beta"
 
     def test_adapter_error_response(self, stub_argv):
-        with AdapterBackend(argv=stub_argv("--fail-op", "generate")) as backend:
+        with closing(AdapterBackend(
+                argv=stub_argv("--fail-op", "generate"))) as backend:
             with pytest.raises(BackendUnavailable):
                 backend.generate("some text", GenerationParams())
 
     def test_malformed_response(self, stub_argv):
-        with AdapterBackend(argv=stub_argv("--malformed")) as backend:
+        with closing(AdapterBackend(argv=stub_argv("--malformed"))) as backend:
             with pytest.raises(BackendUnavailable):
                 backend.generate("some text", GenerationParams())
 
@@ -311,7 +313,7 @@ class TestAdapterStdio:
             "    sys.stdout.buffer.write(json.dumps(reply).encode()"
             f" + b'\\n' + {stray!r})\n"
             "    sys.stdout.flush()\n", encoding="utf-8")
-        with AdapterBackend(argv=[sys.executable, str(adapter)]) as backend:
+        with closing(AdapterBackend(argv=[sys.executable, str(adapter)])) as backend:
             assert backend.generate("a b", GenerationParams()) == "ok"
             with pytest.raises(BackendUnavailable) as info:
                 backend.generate("a b", GenerationParams())
@@ -319,7 +321,7 @@ class TestAdapterStdio:
             assert backend.generate("a b", GenerationParams()) == "ok"
 
     def test_crash_mid_session(self, stub_argv):
-        with AdapterBackend(argv=stub_argv("--crash-after", "1")) as backend:
+        with closing(AdapterBackend(argv=stub_argv("--crash-after", "1"))) as backend:
             assert backend.generate("a b c", GenerationParams())
             with pytest.raises(BackendUnavailable):
                 backend.generate("a b c", GenerationParams())
@@ -379,7 +381,7 @@ class TestAdapterStreaming:
             "spec": dataclasses.asdict(spec)}, "id": 1},
             ensure_ascii=False).encode("utf-8"))
         assert request > 4_000_000
-        with AdapterBackend(argv=stub_argv()) as backend:
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
             tracemalloc.start()
             try:
                 assert backend.train(split, spec) == "ckpt-1000x1"
@@ -393,7 +395,7 @@ class TestAdapterStreaming:
         them, so the request holds at most one at a time."""
         split = large_train_split()
         spec = SummarizerSpec(model_id="m", epochs=1)
-        with AdapterBackend(argv=stub_argv()) as backend:
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
             tracemalloc.start()
             try:
                 augmented = augment_split(split, noise_rate=0.1)
@@ -413,7 +415,8 @@ class TestAdapterStreaming:
         split = DatasetSplit("train", "english", (
             ArticleRecord("a0", "A long article body.", summary="s"),
             ArticleRecord("a1", "S one.", summary="s")))
-        with AdapterBackend(argv=stub_argv("--pid-file", str(pid_file))) as backend:
+        with closing(AdapterBackend(
+                argv=stub_argv("--pid-file", str(pid_file)))) as backend:
             assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
             first = pid_file.read_text()
             with pytest.raises(EmptyArticle, match="^noise copy 'a0-noise' "):
@@ -425,7 +428,8 @@ class TestAdapterStreaming:
     def test_unencodable_record_partway(self, stub_argv, tmp_path):
         pid_file = tmp_path / "stub.pid"
         split = large_train_split(ArticleRecord("bad", "Lone \ud800 half.", summary="s"))
-        with AdapterBackend(argv=stub_argv("--pid-file", str(pid_file))) as backend:
+        with closing(AdapterBackend(
+                argv=stub_argv("--pid-file", str(pid_file)))) as backend:
             assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
             first = pid_file.read_text()
             with pytest.raises(BackendUnavailable, match=r"^adapter transport failed: "
@@ -439,7 +443,8 @@ class TestAdapterStreaming:
         the torn line never reaches the adapter's next request."""
         pid_file = tmp_path / "stub.pid"
         split = large_train_split(ArticleRecord("bad", b"bytes", summary="s"))
-        with AdapterBackend(argv=stub_argv("--pid-file", str(pid_file))) as backend:
+        with closing(AdapterBackend(
+                argv=stub_argv("--pid-file", str(pid_file)))) as backend:
             assert backend.generate("a b c", GenerationParams(max_tokens=2)) == "a b"
             first = pid_file.read_text()
             with pytest.raises(TypeError, match="bytes is not JSON serializable"):
@@ -456,7 +461,7 @@ class TestAdapterStreaming:
             "        sys.exit()  # read 64 KiB of a longer request\n"
             "    reply = {'id': json.loads(line)['id'], 'result': {'summary': 'ok'}}\n"
             "    print(json.dumps(reply), flush=True)\n", encoding="utf-8")
-        with AdapterBackend(argv=[sys.executable, str(adapter)]) as backend:
+        with closing(AdapterBackend(argv=[sys.executable, str(adapter)])) as backend:
             with pytest.raises(BackendUnavailable,
                                match="^adapter transport failed: "):
                 backend.train(large_train_split(), SummarizerSpec(model_id="m", epochs=1))
@@ -480,7 +485,7 @@ class TestAdapterSocket:
             proc.stdout.close()
 
     def test_round_trip_over_socket(self, socket_stub):
-        with AdapterBackend(address=socket_stub) as backend:
+        with closing(AdapterBackend(address=socket_stub)) as backend:
             handle = fine_tune(backend, train_split(2),
                                SummarizerSpec(model_id="m", epochs=5))
             assert handle.checkpoint == "ckpt-2x5"
@@ -557,7 +562,7 @@ class TestAdapterDeadlines:
     def test_stalled_request_times_out(self, open_adapter, op):
         backend, kill = open_adapter("--delay-op", op, "--delay", "60",
                                      timeout=0.5)
-        with backend:
+        with closing(backend):
             outcome, elapsed = call_within(10, lambda: backend.generate(
                 "a b c", GenerationParams()), kill)
         assert isinstance(outcome.get("error"), BackendUnavailable)
@@ -567,7 +572,7 @@ class TestAdapterDeadlines:
     def test_train_longer_than_timeout(self, open_adapter):
         backend, kill = open_adapter("--delay-op", "train", "--delay", "1.5",
                                      timeout=0.5)
-        with backend:
+        with closing(backend):
             outcome, _ = call_within(10, lambda: fine_tune(
                 backend, train_split(3), SummarizerSpec(model_id="m", epochs=1),
             ), kill)
@@ -578,7 +583,7 @@ class TestAdapterDeadlines:
 
     def test_crash_ends_an_unbounded_wait(self, open_adapter):
         backend, kill = open_adapter("--crash-after", "1", timeout=60)
-        with backend:
+        with closing(backend):
             assert backend.generate("a b c", GenerationParams())
             # train has no deadline: only the closed connection ends it.
             outcome, elapsed = call_within(10, lambda: backend.train(

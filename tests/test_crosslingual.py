@@ -4,6 +4,7 @@ import random
 import re
 import threading
 from collections import Counter
+from contextlib import closing
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -73,7 +74,7 @@ class TestBuildMapping:
     def test_identity_three_sentences(self):
         mapping = build_mapping(GUJ, IdentityTranslator())
         assert mapping.english_article == " ".join(GUJ_SENTENCES)
-        assert list(mapping) == [
+        assert list(mapping.entries) == [
             (i, s, s) for i, s in enumerate(GUJ_SENTENCES)
         ]
 
@@ -135,7 +136,7 @@ class TestBuildMapping:
         client = CountingIdentity()
         repeated = "એક સરખું વાક્ય. બીજું વાક્ય. એક સરખું વાક્ય."
         mapping = build_mapping(repeated, client)
-        assert len(mapping) == 3
+        assert len(mapping.entries) == 3
         assert sorted(client.calls) == sorted(set(client.calls))
 
     def test_parallel_translation_preserves_order(self):
@@ -159,7 +160,7 @@ class TestBuildMapping:
         mapping = build_mapping(" ".join(sentences), Remote())
         assert finished.index(sentences[3]) < finished.index(sentences[0])
         assert sorted(finished) == sorted(sentences)
-        assert [e[1] for e in mapping] == sentences
+        assert [e[1] for e in mapping.entries] == sentences
         assert mapping.english_article == " ".join(f"en({s})" for s in sentences)
 
     def test_local_translator_runs_on_calling_thread(self):
@@ -804,7 +805,7 @@ class TestPipeline:
             GUJ_SENTENCES[2]: "third english sentence here.",
         }
         argv = stub_argv("--fixed-summary", "second english sentence here.")
-        with AdapterBackend(argv=argv) as backend:
+        with closing(AdapterBackend(argv=argv)) as backend:
             out = pipeline_summarize(
                 GUJ, TableTranslator(table), TrainedHandle(backend=backend),
                 get_preset("gujarati-translate-map").generation,

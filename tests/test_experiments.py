@@ -13,6 +13,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -243,10 +244,11 @@ class TestRunExperiment:
             language=preset.language, eval_path=str(eval_csv),
             output_dir=str(tmp_path / "out"), preset=name,
         ))
-        # No adapter serves a model preset here, so the lead baseline made
-        # the summaries and the results table names it; a preset that
-        # names no model is its own pipeline and keeps its name.
-        assert run.approach == (name if preset.spec is None else "lead-baseline")
+        # No adapter serves a preset here, so the lead baseline made the
+        # summaries and the results table names it, after its pipeline.
+        assert run.approach == ("translate-map+lead-baseline"
+                                if preset.pipeline == "translate-map"
+                                else "lead-baseline")
         assert len(run.records) == len(ENG_ROWS)
         cache = tmp_path / "out" / "translation-cache.jsonl"
         assert cache.exists() == (preset.pipeline == "translate-map")
@@ -831,7 +833,7 @@ class TestRunExperiment:
 class TestRunLog:
     def test_round_trip(self, eval_csv, tmp_path):
         run = run_experiment(base_config(eval_csv, tmp_path))
-        runs = load_runs(tmp_path / "out" / "runs.jsonl")
+        runs = list(load_runs(tmp_path / "out" / "runs.jsonl"))
         assert len(runs) == 1
         assert runs[0] == run
 
@@ -842,7 +844,7 @@ class TestRunLog:
         for bad in ("{not json", "[1]", "7"):
             log.write_text(bad + "\n" + good + "\n", encoding="utf-8")
             with pytest.raises(ConfigError, match="runs.jsonl:1: bad run record"):
-                load_runs(log)
+                list(load_runs(log))
 
     def test_torn_last_line_skipped(self, tmp_path):
         log = tmp_path / "runs.jsonl"
@@ -850,11 +852,11 @@ class TestRunLog:
         data = (good + "\n" + good[:-1]).encode("utf-8")
         for torn in (data[:-1], data[:-len(good) // 2], data):
             log.write_bytes(torn)
-            assert load_runs(log) == [NON_ASCII_RUN]
+            assert list(load_runs(log)) == [NON_ASCII_RUN]
         # cut inside a multibyte character of the summary
         cut = data.index("સારાંશ".encode("utf-8"), len(good) + 1) + 1
         log.write_bytes(data[:cut])
-        assert load_runs(log) == [NON_ASCII_RUN]
+        assert list(load_runs(log)) == [NON_ASCII_RUN]
 
     def test_unterminated_last_line_loads(self, tmp_path):
         """A whole last record without its newline is torn until the
@@ -862,10 +864,10 @@ class TestRunLog:
         log = tmp_path / "runs.jsonl"
         good = NON_ASCII_RUN.to_json()
         log.write_text(good + "\n" + good, encoding="utf-8")
-        assert load_runs(log) == [NON_ASCII_RUN]
+        assert list(load_runs(log)) == [NON_ASCII_RUN]
         with open(log, "a", encoding="utf-8") as fh:
             fh.write("\n")
-        assert load_runs(log) == [NON_ASCII_RUN, NON_ASCII_RUN]
+        assert list(load_runs(log)) == [NON_ASCII_RUN, NON_ASCII_RUN]
 
     @pytest.mark.parametrize("tail", ["torn", "not an object", "unterminated",
                                       "blank lines"])
@@ -886,10 +888,10 @@ class TestRunLog:
             # A whole line is never cut off, even as the last.
             assert text == line + "\n[1]\n" + second.to_json() + "\n"
             with pytest.raises(ConfigError, match="runs.jsonl:2: bad run record"):
-                load_runs(log)
+                list(load_runs(log))
             return
         want = [first] + ([first] if tail == "blank lines" else []) + [second]
-        assert load_runs(log) == want
+        assert list(load_runs(log)) == want
 
     def test_to_json_bytes(self, tmp_path):
         run = NON_ASCII_RUN
@@ -902,7 +904,7 @@ class TestRunLog:
         assert RunRecord.from_json(line) == run
         log = tmp_path / "runs.jsonl"
         log.write_text(line + "\n", encoding="utf-8")
-        assert load_runs(log) == [run]
+        assert list(load_runs(log)) == [run]
 
     def test_tampered_aggregate_detected(self, eval_csv, tmp_path):
         run_experiment(base_config(eval_csv, tmp_path))
@@ -922,7 +924,18 @@ class TestRunLog:
             log.write_text(json.dumps(payload) + "\n", encoding="utf-8")
             # A whole line is never taken for a torn one, even as the last.
             with pytest.raises(ConfigError, match="runs.jsonl:1: "):
-                load_runs(log)
+                list(load_runs(log))
+
+    def test_score_too_large_for_a_float(self, tmp_path, capsys):
+        payload = json.loads(fake_run("x", (0.5, 0.2, 0.1)).to_json())
+        payload["records"][0]["scores"]["1"]["f1"] = 10 ** 400
+        log = tmp_path / "runs.jsonl"
+        log.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        assert main(["report", "--runs", str(log)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}:1: malformed run record:"
+                              " OverflowError(")
+        assert err.count("\n") == 1
 
 
 def fake_run(approach, f1s):
@@ -1556,6 +1569,54 @@ class TestCli:
         assert done.stderr.startswith(error)
         assert done.stderr.count("\n") == 1
         assert sorted(p.name for p in work.iterdir()) == sorted(files)
+
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_stopped_run_stops_its_adapter(self, signum, write_csv, tmp_path):
+        """A run stopped while its adapter trains ends the adapter, prints
+        one line, leaves no ``*.tmp`` and holds no lock."""
+        rows = [["h1", "", "", "पहला वाक्य यहाँ है। दूसरा वाक्य यहाँ है।",
+                 "पहला वाक्य यहाँ है।"]]
+        pid_file = tmp_path / "stub.pid"
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+
+        def write_config(*stub_flags):
+            adapter = shlex.join([sys.executable, str(STUB_PATH), *stub_flags])
+            cfg.write_text(
+                f"language = hindi\neval = {write_csv(rows)}\n"
+                f"train = {write_csv(rows)}\noutput_dir = {out}\n"
+                f"preset = hindi-indicbart\nadapter = {adapter}\n",
+                encoding="utf-8")
+
+        write_config("--delay-op", "train", "--delay", "30",
+                     "--pid-file", str(pid_file))
+        with subprocess.Popen(
+            [sys.executable, "-m", "indicsum.cli", "run", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            deadline = time.monotonic() + 30
+            while not (pid_file.exists() and pid_file.read_text().strip()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            stub = int(pid_file.read_text())
+            proc.send_signal(signum)
+            stdout, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == 128 + signum
+        assert stderr == "error: interrupted\n"
+        assert stdout == ""
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                os.kill(stub, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the adapter outlived its run"
+            time.sleep(0.02)
+        assert list(tmp_path.rglob("*.tmp")) == []
+        write_config()
+        assert main(["run", "--config", str(cfg)]) == 0
 
     def test_translate_map_cli(self, write_csv, tmp_path, gujarati_records, capsys):
         rows = [[r.id, "", "", r.article, r.summary or ""]

@@ -19,7 +19,7 @@ import tempfile
 import threading
 import unicodedata
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -653,7 +653,7 @@ def test_adapter_requests_are_json_dumps(rows, shift, noise_rate, append, spec,
         sent, expected = split, list(split.records)
     params = GenerationParams(max_tokens=max_tokens, seed=seed)
     with recording_adapter() as (address, lines):
-        with AdapterBackend(address=address) as backend:
+        with closing(AdapterBackend(address=address)) as backend:
             backend.train(sent, spec)
             backend.generate(article, params, checkpoint)
     assert list(sent.records) == expected
