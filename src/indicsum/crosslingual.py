@@ -168,29 +168,23 @@ _quote = json.encoder.encode_basestring  # a JSON string, non-ASCII kept
 
 # A whole line in the exact form ``put`` writes, where no field holds a
 # character JSON must escape: ``json.loads`` of it gives the four
-# captured substrings.
+# captured substrings.  No field holds a newline, so a match found
+# anywhere in a block ends at the end of the line it starts in.
 _CANONICAL_LINE = re.compile(
     r'\{"src": "([^"\\\x00-\x1f]*)", "src_lang": "([^"\\\x00-\x1f]*)",'
     r' "tgt_lang": "([^"\\\x00-\x1f]*)", "dst": "([^"\\\x00-\x1f]*)"\}\n')
 
 
 def _parse_cache_line(line: bytes):
-    """``(key, translation)`` of one cache line; ``ValueError`` unless
-    all four fields are UTF-8 strings and the translation is not blank.
-    A line in ``put``'s own form is read by one regex match, any other
-    by the JSON decoder."""
+    """``(key, translation)`` of one cache line, read by the JSON
+    decoder; ``ValueError`` unless all four fields are UTF-8 strings and
+    the translation is not blank."""
     try:
-        text = line.decode("utf-8")
-        canonical = _CANONICAL_LINE.fullmatch(text)
-        if canonical is not None:
-            fields = canonical.groups()
-        else:
-            rec = json.loads(text)
-            fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
+        rec = json.loads(line.decode("utf-8"))
+        fields = rec["src"], rec["src_lang"], rec["tgt_lang"], rec["dst"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"bad cache record: {exc}") from None
-    if (canonical is None and not all(isinstance(f, str) for f in fields)
-            or not fields[3].strip()):
+    if not all(isinstance(f, str) for f in fields) or not fields[3].strip():
         raise ValueError("bad cache record: a non-string field or a blank dst")
     try:  # a lone surrogate does not encode; only a JSON escape spells one
         if b"\\" in line:
@@ -205,10 +199,11 @@ class TranslationCache:
 
     One JSON record per line: {"src", "src_lang", "tgt_lang", "dst"},
     where ``tgt_lang`` is always ``TARGET_LANG``.  Constructing a cache
-    reads nothing: ``load`` reads the file once per split and keeps only
-    that split's translations, so memory grows with the split, not with
-    the file's history.  Each ``put`` streams its records to the end of
-    the file through ``jsonlog.append`` and keeps none of them.
+    reads nothing: ``load`` reads the file once per split, a block of
+    whole lines at a time, and keeps only that split's translations, so
+    memory grows with the split, not with the file's history.  Each
+    ``put`` streams its records to the end of the file through
+    ``jsonlog.append`` and keeps none of them.
     One process may write a file at a time (``run_experiment`` and
     ``translate-map --cache`` hold ``experiments.directory_lock`` on the
     file's directory), on one thread.  A process killed mid-``put``
@@ -233,14 +228,57 @@ class TranslationCache:
         ``build_mappings``' memo does), so each kept translation is keyed
         by the caller's own string, not by a copy parsed from the file.
         Every whole line is parsed and checked, wanted or not; of two
-        lines for one sentence, the later wins."""
+        lines for one sentence, the later wins.
+
+        The file is read in ``jsonlog`` blocks of whole lines, each
+        decoded once.  One regex scan reads a block's run of lines in
+        ``put``'s own form whose translation is not blank.  A line that
+        breaks the run, and every line of a block that is not UTF-8,
+        goes on its own to ``_parse_cache_line`` through
+        ``jsonlog.parse_lines`` (which skips a blank line and names a bad
+        one), and the scan resumes at the next line."""
         kept = {}
-        if os.path.exists(self.path):
-            for _, ((src, src_l, tgt_l), dst) in jsonlog.read(self.path,
-                                                             _parse_cache_line):
-                own = sentences.get(src)
+        wanted = sentences.get
+
+        def keep(lineno, data):  # lines off the run, one by one
+            for _, ((src, src_l, tgt_l), dst) in jsonlog.parse_lines(
+                    self.path, lineno, data, _parse_cache_line):
+                own = wanted(src)
                 if own is not None and src_l == src_lang and tgt_l == TARGET_LANG:
                     kept[own] = dst
+
+        if os.path.exists(self.path):
+            for lineno, block in jsonlog.blocks(self.path):
+                try:
+                    text = block.decode("utf-8")
+                except UnicodeDecodeError:
+                    keep(lineno, block)
+                    continue
+                # text[:pos] is read; line lineno starts at offset counted.
+                pos = counted = 0
+                while pos < len(text):
+                    stop = len(text)
+                    for match in _CANONICAL_LINE.finditer(text, pos):
+                        src, src_l, tgt_l, dst = match.groups()
+                        start, end = match.span()
+                        if start != pos or not dst.strip():
+                            # The run breaks at pos.  The lines up to the
+                            # match are off it, and so is the match's own
+                            # line when it begins inside that line or has
+                            # a blank dst.
+                            stop = (start if start > pos and text[start - 1] == "\n"
+                                    else end)
+                            break
+                        own = wanted(src)
+                        if (own is not None and src_l == src_lang
+                                and tgt_l == TARGET_LANG):
+                            kept[own] = dst
+                        pos = end
+                    if pos < stop:
+                        lineno += text.count("\n", counted, pos)
+                        counted = pos
+                        keep(lineno, text[pos:stop].encode("utf-8"))
+                        pos = stop
         self._held = kept
 
     def get(self, src: str) -> str | None:

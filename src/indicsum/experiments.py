@@ -528,6 +528,9 @@ def _approach(preset, spec, backend, translate_map: bool) -> str:
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run one experiment end to end and append its RunRecord.
 
+    Before the backend starts, a run log whose last whole line is no run
+    record is refused with the ``ConfigError`` that ``report`` gives for
+    it, and keeps its bytes.
     Deterministic for a fixed config when the backend and translator
     are deterministic (the baseline and the offline translators are).
     Module errors raised while processing a record are re-raised with
@@ -539,6 +542,9 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     # The eval split is checked before the backend starts, so an
     # unscorable split fails before anything trains.
     eval_split = _load_scorable(config, language)
+
+    log = os.path.join(config.output_dir, "runs.jsonl")
+    jsonlog.last(log, RunRecord.from_json)
 
     digest = config_hash(config)
     with run_setup(
@@ -597,8 +603,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             os.path.join(config.output_dir, f"summaries-{digest[:12]}.csv"),
             ((row["id"], row["summary"]) for row in record_rows),
         )
-        jsonlog.append(os.path.join(config.output_dir, "runs.jsonl"),
-                       [run.to_json()])
+        jsonlog.append(log, [run.to_json()])
         return run
 
 

@@ -2,10 +2,12 @@
 
 Runs a small fixed corpus, built here, through ``run_experiment``: the
 direct pipeline in English, Hindi and Gujarati, and translate-map on
-Gujarati with a ``table:`` translator.  The sha256 of each run's
-records, aggregate, summaries CSV and translation cache must equal the
-constants below.  Nothing hashed holds a path: ``config_hash``, and so
-the summaries file name, includes the output directory.
+Gujarati with a ``table:`` translator, twice in one output directory,
+the second run reading the cache the first wrote.  The sha256 of each
+run's records, aggregate, summaries CSV and translation cache must
+equal the constants below, the same for both translate-map runs.
+Nothing hashed holds a path: ``config_hash``, and so the summaries file
+name, includes the output directory.
 
 Run from the repository root, with no test runner:
 
@@ -76,6 +78,8 @@ GOLDEN = {
             "a800195d915b6192a52bbe80d26995605abc69405e2f8b271d711203a3dd5293",
     },
 }
+# Read back, the cache gives the same outputs, and nothing is appended.
+GOLDEN["translate-map-gujarati-warm"] = GOLDEN["translate-map-gujarati"]
 
 
 def words(language, i, j):
@@ -153,9 +157,12 @@ def run_all(root) -> dict:
     calls["translate-map-gujarati"] = dict(
         language="gujarati", eval_path=os.path.join(root, "gujarati.csv"),
         pipeline="translate-map", translator=f"table:{table}")
+    # The warm run repeats translate-map in the same directory, over the
+    # cache the first run wrote.
+    calls["translate-map-gujarati-warm"] = calls["translate-map-gujarati"]
     out = {}
     for name, kwargs in calls.items():
-        out_dir = os.path.join(root, name)
+        out_dir = os.path.join(root, name.removesuffix("-warm"))
         run = run_experiment(ExperimentConfig(
             output_dir=out_dir, max_tokens=MAX_TOKENS, **kwargs))
         out[name] = digests(run, out_dir)

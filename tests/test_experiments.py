@@ -881,17 +881,66 @@ class TestRunLog:
             "unterminated": line,
             "blank lines": line + "\n\n \n",
         }[tail], encoding="utf-8")
+        if tail == "not an object":
+            # A whole line is never cut off, even as the last: the next
+            # run refuses the log before it starts and leaves its bytes.
+            with pytest.raises(ConfigError, match="runs.jsonl:2: bad run record"):
+                run_experiment(base_config(eval_csv, tmp_path))
+            assert log.read_text(encoding="utf-8") == line + "\n[1]\n"
+            return
         second = run_experiment(base_config(eval_csv, tmp_path))
         text = log.read_text(encoding="utf-8")
         assert text.endswith(second.to_json() + "\n")
-        if tail == "not an object":
-            # A whole line is never cut off, even as the last.
-            assert text == line + "\n[1]\n" + second.to_json() + "\n"
-            with pytest.raises(ConfigError, match="runs.jsonl:2: bad run record"):
-                list(load_runs(log))
-            return
         want = [first] + ([first] if tail == "blank lines" else []) + [second]
         assert list(load_runs(log)) == want
+
+    @pytest.mark.parametrize("last, after, message", [
+        ("not an object", "", "bad run record: "),
+        ("not an object", "\n \n", "bad run record: "),
+        ("not an object", '{"torn', "bad run record: "),
+        ("inconsistent", "", "aggregate f1 for n=1 is 0.75, per-record mean is 0.5"),
+        ("no records", "", "run has no records"),
+    ], ids=["not-an-object", "blank-lines-after", "torn-line-after",
+            "inconsistent-aggregate", "no-records"])
+    def test_run_refuses_a_log_it_cannot_extend(self, last, after, message,
+                                                eval_csv, tmp_path):
+        """A run whose log ends in a whole line that is no run record (a
+        blank or torn line after it does not hide it) fails before its
+        adapter starts, with the error ``report`` gives, and leaves the
+        log's bytes."""
+        log = tmp_path / "out" / "runs.jsonl"
+        log.parent.mkdir()
+        good = json.loads(NON_ASCII_RUN.to_json())
+        bad = {
+            "not an object": "[1]",
+            "inconsistent": json.dumps(good | {"aggregate": good["aggregate"] | {
+                "1": {"precision": 0.5, "recall": 0.5, "f1": 0.75}}}),
+            "no records": json.dumps(good | {"records": []}),
+        }[last]
+        data = json.dumps(good) + "\n" + bad + "\n" + after
+        log.write_text(data, encoding="utf-8")
+        pid_file = tmp_path / "stub.pid"
+        config = base_config(
+            eval_csv, tmp_path, spec=SummarizerSpec(model_id="m", epochs=1),
+            train_path=str(eval_csv),
+            adapter=shlex.join([sys.executable, str(STUB_PATH),
+                                "--pid-file", str(pid_file)]))
+        with pytest.raises(ConfigError) as got:
+            run_experiment(config)
+        assert str(got.value).startswith(f"{log}:2: {message}")
+        assert not pid_file.exists()
+        assert log.read_text(encoding="utf-8") == data
+        assert os.listdir(log.parent) == ["runs.jsonl"]
+
+    def test_run_checks_only_the_last_line(self, eval_csv, tmp_path):
+        """``run`` reads the log's last whole line only: a bad middle line
+        is ``report``'s to name, and the run appends after a good last one."""
+        log = tmp_path / "out" / "runs.jsonl"
+        log.parent.mkdir()
+        line = NON_ASCII_RUN.to_json()
+        log.write_text(f"[1]\n{line}\n", encoding="utf-8")
+        run = run_experiment(base_config(eval_csv, tmp_path))
+        assert log.read_text(encoding="utf-8") == f"[1]\n{line}\n{run.to_json()}\n"
 
     def test_to_json_bytes(self, tmp_path):
         run = NON_ASCII_RUN
@@ -1910,5 +1959,6 @@ class TestCli:
         assert captured.err.startswith(f"error: {log}:2: bad run record: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
-        run = run_experiment(base_config(eval_csv, tmp_path))
-        assert log.read_text(encoding="utf-8") == f"{good}\n{bad}\n{run.to_json()}\n"
+        with pytest.raises(ConfigError, match=re.escape(f"{log}:2: bad run record: ")):
+            run_experiment(base_config(eval_csv, tmp_path))
+        assert log.read_text(encoding="utf-8") == f"{good}\n{bad}\n"

@@ -2,7 +2,8 @@
 and every name the benchmark's tracer patches exists too; what the
 tracer reads of a traced run matches what the run sent.  Importing the
 package loads none of the modules only the live translator, the
-translation pool and the adapter transport use."""
+translation pool and the adapter transport use, and exactly the
+modules pinned here."""
 
 import importlib
 import importlib.util
@@ -128,3 +129,39 @@ def test_import_defers_transport_modules():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert json.loads(done.stdout) == []
+
+
+# Every module ``import indicsum`` loads under ``python -I -S`` on 3.11:
+# the standard library's own and the package's.  Import time is what
+# the benchmark's ``setup_s`` measures, so a new module-level import
+# must change this list on purpose.
+IMPORTED = [
+    "_ast", "_bisect", "_blake2", "_collections", "_collections_abc", "_csv",
+    "_datetime", "_functools", "_hashlib", "_json", "_opcode", "_operator",
+    "_random", "_sha512", "_sre", "_stat", "_weakrefset", "ast", "bisect",
+    "collections", "collections.abc", "contextlib", "copy", "copyreg", "csv",
+    "dataclasses", "datetime", "dis", "enum", "fcntl", "functools",
+    "genericpath", "hashlib", "importlib", "importlib._bootstrap",
+    "importlib._bootstrap_external", "importlib.machinery", "indicsum",
+    "indicsum.augment", "indicsum.backends", "indicsum.corpus",
+    "indicsum.crosslingual", "indicsum.errors", "indicsum.experiments",
+    "indicsum.extractive", "indicsum.jsonlog", "indicsum.rouge",
+    "indicsum.segment", "inspect", "ipaddress", "itertools", "json",
+    "json.decoder", "json.encoder", "json.scanner", "keyword", "linecache",
+    "math", "opcode", "operator", "os", "os.path", "posixpath", "random", "re",
+    "re._casefix", "re._compiler", "re._constants", "re._parser", "reprlib",
+    "shlex", "stat", "threading", "token", "tokenize", "types", "unicodedata",
+    "urllib", "urllib.parse", "warnings", "weakref",
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the list is the standard library of Python 3.11")
+def test_import_loads_the_pinned_modules():
+    src = str(Path(indicsum.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "before = set(sys.modules); import indicsum; "
+            "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          check=True, capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == IMPORTED

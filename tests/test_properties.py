@@ -39,7 +39,7 @@ from indicsum.corpus import (SPLIT_KINDS, ArticleRecord, DatasetSplit,
 from indicsum.crosslingual import (IdentityTranslator, SentenceMapping,
                                    TranslationCache, _parse_cache_line,
                                    back_map, pipeline_summarize)
-from indicsum.errors import EmptyArticle, NoAlignment
+from indicsum.errors import ConfigError, EmptyArticle, NoAlignment
 from indicsum.experiments import (ExperimentConfig, RunRecord, config_hash,
                                   load_runs, parse_config_file)
 from indicsum.rouge import (DEFAULT_ORDERS, ngrams, rouge_scores,
@@ -587,6 +587,149 @@ def test_cache_line_parse_matches_json_rule(line):
         assert str(got.value) == str(exc)
     else:
         assert _parse_cache_line(line) == expected
+
+
+# Sentences a cache file may hold, in one, two, three and four bytes a
+# character; few, so that later lines often replace earlier ones.
+_CACHE_SRCS = ["", "a b.", "વાક્ય ૧.", "ક\u0acd\u0ab7", "😀 x", "x" * 70]
+
+
+@st.composite
+def cache_files(draw):
+    """``(file bytes, wanted)``: lines in ``put``'s own form, ASCII-escaped,
+    reordered, CRLF-ended, space-led (a canonical match inside a line),
+    for another source language and whitespace-only; at most one bad
+    line among them (a blank ``dst``, not JSON, text before a canonical
+    line, a byte that is not UTF-8, a non-ASCII space); maybe a torn
+    tail.  ``wanted`` maps some of the sentences to themselves."""
+    def record():
+        return {"src": draw(st.sampled_from(_CACHE_SRCS)),
+                "src_lang": draw(st.sampled_from(["gujarati", "gujarati",
+                                                  "hindi"])),
+                "tgt_lang": "english",
+                "dst": draw(st.sampled_from(["e.", "ઈ ૨", "😀", " x "]))}
+
+    def canonical(rec):
+        return json.dumps(rec, ensure_ascii=False)
+
+    good = {
+        "canonical": lambda: canonical(record()),
+        "escaped": lambda: json.dumps(record()),
+        "reordered": lambda: json.dumps(dict(reversed(record().items())),
+                                        ensure_ascii=False),
+        "crlf": lambda: canonical(record()) + "\r",
+        "space-led": lambda: " " + canonical(record()),
+        "whitespace": lambda: draw(st.sampled_from(["", " ", "\t\r",
+                                                    "\x0b\x0c"])),
+    }
+    bad = {
+        "blank dst": lambda: canonical(record() | {"dst": draw(
+            st.sampled_from(["", " "]))}),
+        "not JSON": lambda: "{not json",
+        "text before": lambda: "x" + canonical(record()),
+        "non-ASCII space": lambda: "\u3000",
+    }
+    kinds = draw(st.lists(st.sampled_from(
+        ["canonical"] * 4 + sorted(good)), max_size=14))
+    lines = [good[kind]().encode("utf-8") + b"\n" for kind in kinds]
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from([*sorted(bad), "not UTF-8"]))
+        if kind == "not UTF-8":
+            line = canonical(record()).encode("utf-8")
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + b"\xff" + line[at:]
+        else:
+            line = bad[kind]().encode("utf-8")
+        lines.insert(draw(st.integers(0, len(lines))), line + b"\n")
+    tail = canonical(record()).encode("utf-8")
+    tail = tail[:draw(st.integers(0, len(tail)))]  # a torn tail, maybe none
+    wanted = {s: s for s in draw(st.sets(st.sampled_from(_CACHE_SRCS)))}
+    return b"".join(lines) + tail, wanted
+
+
+def per_line_cache_load(path, data, wanted):
+    """The cache-file rule one line at a time: the bytes after the last
+    newline are dropped, whitespace-only lines skipped, every other line
+    read by ``json_parse_cache_line``, the later of two lines for one
+    wanted Gujarati sentence kept under the caller's string.  The kept
+    dict, or the first bad line's ``path:line: message``."""
+    *whole, _torn = data.split(b"\n")
+    kept = {}
+    for lineno, line in enumerate(whole, start=1):
+        line += b"\n"
+        if line.isspace():
+            continue
+        try:
+            (src, src_lang, tgt_lang), dst = json_parse_cache_line(line)
+        except ValueError as exc:
+            return f"{path}:{lineno}: {exc}"
+        if src in wanted and src_lang == "gujarati" and tgt_lang == "english":
+            kept[wanted[src]] = dst
+    return kept
+
+
+@derandomized
+@given(cache_files(), st.sampled_from([1, 7, 64, jsonlog.BLOCK_BYTES]))
+def test_cache_load_matches_per_line_rule(case, block_bytes):
+    """``TranslationCache.load``, reading blocks of whole lines by one
+    regex scan, keeps what the per-line rule keeps, or fails with its
+    message, whatever the block size: with blocks of 1, 7 or 64 bytes a
+    read ends inside lines and inside multibyte characters."""
+    data, wanted = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        expected = per_line_cache_load(path, data, wanted)
+        cache = TranslationCache(path)
+        with mock.patch.object(jsonlog, "BLOCK_BYTES", block_bytes):
+            try:
+                cache.load(wanted, "gujarati")
+            except ConfigError as exc:
+                got = str(exc)
+            else:
+                got = cache._held
+                assert all(key is wanted[key] for key in got)
+    assert got == expected
+
+
+@st.composite
+def log_files(draw):
+    """Whole lines (``b"ok N"``, ``b"bad N"`` or whitespace-only), maybe
+    followed by a torn tail, as the bytes of a log file."""
+    lines = draw(st.lists(st.sampled_from(
+        [b"ok", b"ok \xe0\xaa\x95", b"bad", b"", b" \t", b"\r"]), max_size=8))
+    tail = draw(st.sampled_from([b"", b"ok torn", b"\xe0\xaa"]))
+    return b"".join(line + b" %d\n" % i if line.strip() else line + b"\n"
+                    for i, line in enumerate(lines)) + tail
+
+
+def parse_ok(line):
+    if line.startswith(b"bad"):
+        raise ValueError("bad line")
+    return line
+
+
+@derandomized
+@given(log_files(), st.sampled_from([1, 7, 64, jsonlog.BLOCK_BYTES]))
+def test_last_reads_the_last_whole_line(data, block_bytes):
+    """``jsonlog.last`` gives what ``jsonlog.read`` gives last, and
+    rejects the last line as ``read`` would, at any block size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        *whole, _torn = data.split(b"\n")
+        lines = [(n, line + b"\n") for n, line in enumerate(whole, start=1)
+                 if not (line + b"\n").isspace()]
+        with mock.patch.object(jsonlog, "BLOCK_BYTES", block_bytes):
+            if lines and lines[-1][1].startswith(b"bad"):
+                with pytest.raises(ConfigError) as got:
+                    jsonlog.last(path, parse_ok)
+                assert str(got.value) == f"{path}:{lines[-1][0]}: bad line"
+            else:
+                assert jsonlog.last(path, parse_ok) == (lines[-1] if lines else None)
+            assert list(jsonlog.read(path, bytes)) == lines
 
 
 @contextmanager
