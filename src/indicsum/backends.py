@@ -19,6 +19,12 @@ whole.  Supported ops:
 An adapter that serves an extractive model selects its sentences
 inside ``generate``.
 
+``AdapterBackend.generate_all`` keeps one ``generate`` request in
+flight: it writes request k+1 before it reads reply k, so the adapter
+works while the caller uses summary k.  An adapter must answer requests
+in the order it reads them, one reply each, as a single-threaded read
+loop does.
+
 Any transport failure, malformed response, adapter-reported error or
 result field that is blank or not UTF-8 surfaces as BackendUnavailable.
 
@@ -251,12 +257,14 @@ class AdapterBackend:
     transport (one stream over the socket: requests go out as text in
     pieces, replies are read as lines from its byte buffer) starts
     lazily on the first request and is reused; requests are serialized
-    through a lock, matching the adapters' single-threaded loop.  Every
-    reply is parsed and checked in ``_request``: ``train``'s checkpoint
-    and ``generate``'s summary must be text that is not blank and
-    encodes as UTF-8.  ``generate`` fails after
-    ``ADAPTER_TIMEOUT`` seconds without an answer; ``train`` waits until
-    the adapter answers or its end of the connection closes.
+    through a lock, matching the adapters' single-threaded loop.  A
+    spawned adapter runs in its own session, so a terminal's Ctrl-C
+    reaches only this process.  Every request is written by ``_send``
+    and every reply is parsed and checked by ``_receive``: ``train``'s
+    checkpoint and ``generate``'s summary must be text that is not blank
+    and encodes as UTF-8.  A ``generate`` write or reply fails after
+    ``ADAPTER_TIMEOUT`` seconds; ``train`` waits until the adapter
+    answers or its end of the connection closes.
     """
 
     trainable = True
@@ -294,7 +302,8 @@ class AdapterBackend:
                 self._sock, child_end = socket.socketpair()
                 with child_end:
                     self._proc = subprocess.Popen(
-                        self._argv, stdin=child_end, stdout=child_end
+                        self._argv, stdin=child_end, stdout=child_end,
+                        start_new_session=True,
                     )
             else:
                 self._sock = socket.create_connection(
@@ -323,53 +332,65 @@ class AdapterBackend:
                 self._proc.wait()
         self._proc = self._sock = self._stream = None
 
-    def _request(self, op: str, payload, key: str) -> str:
-        """Send one ``op`` request and return its ``result[key]``, a
-        string that is not blank and encodes as UTF-8.  ``payload`` is JSON
-        text in pieces, each written as it comes inside the request's frame;
-        a torn request line is always followed by closing the connection."""
-        with self._lock:
-            self._connect()
-            self._next_id += 1
-            req_id = self._next_id
-            try:
-                # No deadline on train: a real fine-tune runs for hours.
-                self._sock.settimeout(None if op == "train" else ADAPTER_TIMEOUT)
-                self._stream.write(f'{{"op": "{op}", "payload": ')
-                for piece in payload:
-                    self._stream.write(piece)
-                self._stream.write(f', "id": {req_id}}}\n')
-                self._stream.flush()
-                # From the byte buffer: a text write drops decoded text not
-                # yet read, and stray output must be read as the next reply.
-                raw = self._stream.buffer.readline().decode("utf-8")
-            except (OSError, ValueError) as exc:
-                self.close()
-                raise BackendUnavailable(f"adapter transport failed: {exc}") from exc
-            except BaseException:  # e.g. a record json.dumps cannot encode
-                self.close()
-                raise
-            if not raw:
-                self.close()
-                raise BackendUnavailable("adapter closed the connection")
-            try:
-                response = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                self.close()
-                raise BackendUnavailable(
-                    f"adapter sent a malformed response: {raw!r}"
-                ) from exc
-            if not isinstance(response, dict) or response.get("id") != req_id:
-                self.close()
-                raise BackendUnavailable(
-                    f"adapter response id mismatch: {response!r}"
-                )
-            if "error" in response:
-                raise BackendUnavailable(f"adapter error: {response['error']}")
-            result = response.get("result")
-            if not isinstance(result, dict):
-                self.close()
-                raise BackendUnavailable(f"adapter sent no result: {response!r}")
+    def _send(self, op: str, payload) -> int:
+        """Write one ``op`` request and return its id; the caller holds the
+        lock.  ``payload`` is JSON text in pieces, each written as it comes
+        inside the request's frame.  A failure leaves the connection open
+        for the caller to close once it has read the replies sent before:
+        a torn request line must never reach the adapter's next read."""
+        self._connect()
+        self._next_id += 1
+        try:
+            # No deadline on train: a real fine-tune runs for hours.
+            self._sock.settimeout(None if op == "train" else ADAPTER_TIMEOUT)
+            self._stream.write(f'{{"op": "{op}", "payload": ')
+            for piece in payload:
+                self._stream.write(piece)
+            self._stream.write(f', "id": {self._next_id}}}\n')
+            self._stream.flush()
+        except (OSError, ValueError) as exc:
+            raise BackendUnavailable(f"adapter transport failed: {exc}") from exc
+        return self._next_id
+
+    def _receive(self, op: str, req_id: int, key: str) -> str:
+        """Read the reply to request ``req_id`` and return its
+        ``result[key]``, a string that is not blank and encodes as UTF-8;
+        the caller holds the lock.  A reply that cannot be read or is not
+        this request's closes the connection; an adapter-reported error or
+        a bad value leaves it open, in step for the next reply."""
+        try:
+            # From the byte buffer: a text write drops decoded text not
+            # yet read, and stray output must be read as the next reply.
+            raw = self._stream.buffer.readline().decode("utf-8")
+        except ConnectionResetError:  # it exited with a request unread
+            raw = ""
+        except (OSError, ValueError) as exc:
+            self.close()
+            raise BackendUnavailable(f"adapter transport failed: {exc}") from exc
+        except BaseException:
+            self.close()
+            raise
+        if not raw:
+            self.close()
+            raise BackendUnavailable("adapter closed the connection")
+        try:
+            response = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            self.close()
+            raise BackendUnavailable(
+                f"adapter sent a malformed response: {raw!r}"
+            ) from exc
+        if not isinstance(response, dict) or response.get("id") != req_id:
+            self.close()
+            raise BackendUnavailable(
+                f"adapter response id mismatch: {response!r}"
+            )
+        if "error" in response:
+            raise BackendUnavailable(f"adapter error: {response['error']}")
+        result = response.get("result")
+        if not isinstance(result, dict):
+            self.close()
+            raise BackendUnavailable(f"adapter sent no result: {response!r}")
         value = result.get(key)
         if not isinstance(value, str) or not value.strip():
             raise BackendUnavailable(f"{op} returned no {key}: {result!r}")
@@ -379,6 +400,17 @@ class AdapterBackend:
             raise BackendUnavailable(
                 f"{op} returned text that is not UTF-8: {value!r}") from None
         return value
+
+    def _request(self, op: str, payload, key: str) -> str:
+        """Send one ``op`` request and return its reply's ``result[key]``;
+        a request that fails partway closes the connection."""
+        with self._lock:
+            try:
+                req_id = self._send(op, payload)
+            except BaseException:  # also e.g. a record json.dumps cannot encode
+                self.close()
+                raise
+            return self._receive(op, req_id, key)
 
     # -- operations --------------------------------------------------
 
@@ -393,12 +425,61 @@ class AdapterBackend:
 
     def generate(self, article: str, params: GenerationParams,
                  checkpoint: str | None = None) -> str:
-        return self._request("generate", (json.dumps({
-            "article": article,
-            "checkpoint": checkpoint,
-            "max_tokens": params.max_tokens,
-            "seed": params.seed,
-        }, ensure_ascii=False),), "summary")
+        return self._request(
+            "generate", (_generate_payload(article, params, checkpoint),), "summary")
+
+    def generate_all(self, articles, params: GenerationParams,
+                     checkpoint: str | None = None):
+        """Yield ``generate``'s summary of each of ``articles``, in order,
+        with one request written ahead: request k+1 goes out before reply
+        k is read, so the adapter works on it while the caller uses
+        summary k.  Each error, one that ``articles`` raises too, comes
+        when its article's summary is asked for, after every earlier
+        summary, as a loop over ``generate`` would raise it.  A reply
+        still in flight when an error is raised or the caller stops is
+        read and dropped; the connection closes only if that read fails
+        or a request was torn."""
+        payloads = (_generate_payload(a, params, checkpoint) for a in articles)
+        pending = []    # ids of the requests written whose replies are unread
+        failure = None  # what stopped the next request, raised in its turn
+        torn = False    # whether a request's write did not finish
+        conn = None     # the connection the pending requests went out on
+        try:
+            while True:
+                with self._lock:
+                    if pending and self._sock is not conn:
+                        raise BackendUnavailable("adapter closed the connection")
+                    while failure is None and len(pending) < 2:
+                        try:
+                            payload = next(payloads, None)
+                        except Exception as exc:
+                            failure = exc
+                            break
+                        if payload is None:
+                            break
+                        torn = True
+                        try:
+                            pending.append(self._send("generate", (payload,)))
+                            torn = False
+                        except Exception as exc:
+                            failure = exc
+                        conn = self._sock
+                    if not pending:
+                        if failure is not None:
+                            raise failure
+                        return
+                    summary = self._receive("generate", pending.pop(0), "summary")
+                yield summary
+        finally:
+            if self._sock is conn:  # else closed since, with nothing left on it
+                if torn:
+                    self.close()
+                elif pending:
+                    with self._lock:
+                        try:
+                            self._receive("generate", pending[0], "summary")
+                        except BackendUnavailable:
+                            pass
 
     def describe(self) -> dict:
         transport = (
@@ -407,6 +488,16 @@ class AdapterBackend:
             else {"transport": "socket", "address": list(self._address)}
         )
         return {"kind": "adapter", "name": "adapter", **transport}
+
+
+def _generate_payload(article: str, params: GenerationParams,
+                      checkpoint: str | None) -> str:
+    return json.dumps({
+        "article": article,
+        "checkpoint": checkpoint,
+        "max_tokens": params.max_tokens,
+        "seed": params.seed,
+    }, ensure_ascii=False)
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from .crosslingual import (
 )
 from .errors import (
     ConfigError,
+    EmptyInput,
     EmptyReport,
     IndicSumError,
     InvalidSpec,
@@ -79,6 +80,7 @@ __all__ = [
 ]
 
 DEFAULT_NOISE_RATE = 0.1
+RUN_SCHEMA = 1  # the run-log line layout this build writes and reads
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
@@ -230,6 +232,7 @@ class RunRecord:
     backend: dict
     records: tuple = field(default_factory=tuple)
     aggregate: dict = field(default_factory=dict)
+    schema: int = RUN_SCHEMA  # of the run-log line; a line without one is 1
 
     def to_json(self) -> str:
         # The record is frozen and json.dumps only reads it, so the fields
@@ -242,18 +245,29 @@ class RunRecord:
         """Decode and check one run-log line (str or UTF-8 bytes);
         ``ValueError`` unless it is a JSON object with a RunRecord's
         fields, each of its declared type, with records and an aggregate
-        for every reported order, each the mean of its records' scores."""
+        for every reported order, each the mean of its records' scores.
+        A line of a later ``schema`` than ``RUN_SCHEMA`` is refused as
+        written by a newer indicsum, before its fields are read."""
         try:
             payload = json.loads(line)
-            payload["records"] = tuple(payload.get("records", ()))
-            run = cls(**payload)
+            schema = payload.get("schema", RUN_SCHEMA)
+            newer = isinstance(schema, int) and schema > RUN_SCHEMA
+            if not newer:
+                payload["records"] = tuple(payload.get("records", ()))
+                run = cls(**payload)
         except (ValueError, TypeError, AttributeError) as exc:
             raise ValueError(f"bad run record: {exc}") from None
+        if newer:
+            raise ValueError(f"run record schema {schema} was written by a newer"
+                             f" indicsum; this one reads schema {RUN_SCHEMA}")
         for f in fields(run):
             value = getattr(run, f.name)
             if not isinstance(value, f.type):
                 raise ValueError(f"malformed run record: {f.name} must be"
                                  f" a {f.type.__name__}, got {value!r}")
+        if run.schema != RUN_SCHEMA:
+            raise ValueError(f"malformed run record: schema must be"
+                             f" {RUN_SCHEMA}, got {run.schema}")
         count = len(run.records)
         if not count:
             raise ValueError("run has no records")
@@ -402,37 +416,60 @@ def _with_record_id(rec, fn, *args, **kwargs):
         raise
 
 
+def _summarized(records, texts, handle, generation):
+    """``(record, summary)`` for each of ``records`` as the summary of its
+    text in ``texts`` arrives: through an adapter's ``generate_all``, one
+    request ahead, else ``summarize`` one text at a time.  A toolkit
+    error met getting a summary names its record."""
+    def articles():  # checked as summarize checks them
+        for text in texts:
+            if not text.strip():
+                raise EmptyInput("cannot summarize an empty article")
+            yield text
+
+    if isinstance(handle.backend, AdapterBackend):
+        summaries = handle.backend.generate_all(articles(), generation,
+                                                handle.checkpoint)
+    else:
+        summaries = (summarize(handle, text, generation) for text in texts)
+    for rec in records:
+        try:
+            summary = next(summaries)
+        except IndicSumError as exc:
+            _name_record(rec, exc)
+            raise
+        yield rec, summary
+
+
 def summarize_split(split, handle, generation, *, translator=None,
                     cache=None, threshold: float = DEFAULT_THRESHOLD):
     """``(record, summary)`` for every record of ``split``, in order.
 
-    Each stage runs over the whole split before the next: translate
-    (with a ``translator``: each distinct sentence once, one cache
-    ``put``), generate through ``handle``, back-map (with a
-    translator), so a translation error comes before any generation.
-    Toolkit errors name the record; a translation error names the
-    first record holding the sentence, and a bad cache line none.
+    The direct pipeline yields each pair as its summary arrives, so the
+    caller works on record k while an adapter generates k+1.  With a
+    ``translator`` each stage runs over the whole split before the next,
+    here, before this returns: translate (each distinct sentence once,
+    one cache ``put``), generate through ``handle``, back-map, so a
+    translation error comes before any generation.  Toolkit errors name
+    the record; a translation error names the first record holding the
+    sentence, and a bad cache line none.
     """
     records = list(split)
     texts = [rec.article for rec in records]
-    if translator is not None:
-        # Only the mappings are kept; each English article is joined below.
-        try:
-            mappings = crosslingual.build_mappings(texts, translator,
-                                                   cache=cache)
-        except IndicSumError as exc:
-            index = getattr(exc, "article_index", None)
-            if index is not None:
-                _name_record(records[index], exc)
-            raise
-        texts = (m.english_article for m in mappings)
-    summaries = [_with_record_id(rec, summarize, handle, text, generation)
-                 for rec, text in zip(records, texts)]
-    if translator is not None:
-        summaries = [_with_record_id(rec, crosslingual.back_map, summary, m,
-                                     threshold)
-                     for rec, summary, m in zip(records, summaries, mappings)]
-    return list(zip(records, summaries))
+    if translator is None:
+        return _summarized(records, texts, handle, generation)
+    # Only the mappings are kept; each English article is joined below.
+    try:
+        mappings = crosslingual.build_mappings(texts, translator, cache=cache)
+    except IndicSumError as exc:
+        index = getattr(exc, "article_index", None)
+        if index is not None:
+            _name_record(records[index], exc)
+        raise
+    english = (m.english_article for m in mappings)
+    pairs = list(_summarized(records, english, handle, generation))
+    return [(rec, _with_record_id(rec, crosslingual.back_map, summary, m, threshold))
+            for (rec, summary), m in zip(pairs, mappings)]
 
 
 @contextmanager

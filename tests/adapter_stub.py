@@ -9,7 +9,7 @@ predict every response:
               --fixed-summary text when given
 
 Failure modes for transport tests: --fail-op returns an error response
-for one op, --malformed writes a non-JSON line, --crash-after exits
+for one op (only to its first --fail-count requests, when given), --malformed writes a non-JSON line, --crash-after exits
 hard after N requests, --delay-op with --delay sleeps that many seconds
 before answering one op.  --pid-file records the process id on start, so
 a test can check that the process has exited.
@@ -26,7 +26,9 @@ import time
 def handle(request, opts):
     op = request.get("op")
     payload = request.get("payload") or {}
-    if opts.fail_op == op:
+    if opts.fail_op == op and opts.fail_count != 0:
+        if opts.fail_count is not None:
+            opts.fail_count -= 1
         return {"error": f"stub was told to fail op {op!r}"}
     if op == "train":
         records = payload.get("records") or []
@@ -72,6 +74,7 @@ def main():
     parser.add_argument("--port", type=int,
                         help="serve one TCP connection on this port (0 = pick)")
     parser.add_argument("--fail-op")
+    parser.add_argument("--fail-count", type=int)
     parser.add_argument("--crash-after", type=int)
     parser.add_argument("--malformed", action="store_true")
     parser.add_argument("--delay-op")

@@ -73,6 +73,48 @@ def _english_sentence(rng, tag=None):
     return " ".join(words).capitalize() + "."
 
 
+# An adapter that, before it answers request k of the ``expected`` it is
+# told of, waits up to 5 s for bytes of request k+1, and appends
+# "k ahead" (they came) or "k alone" to its log.  It reads the raw
+# descriptor, so a request held in a reader's buffer counts as come.
+_AHEAD_ADAPTER = """\
+import json, os, select, sys
+log, expected = sys.argv[1], int(sys.argv[2])
+data, served = b"", 0
+while True:
+    while b"\\n" not in data:
+        chunk = os.read(0, 65536)
+        if not chunk:
+            sys.exit()
+        data += chunk
+    line, data = data.split(b"\\n", 1)
+    request = json.loads(line)
+    served += 1
+    ahead = bool(data) or (served < expected
+                           and bool(select.select([0], [], [], 5)[0]))
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{served} {'ahead' if ahead else 'alone'}\\n")
+    words = request["payload"]["article"].split()[:2]
+    reply = {"id": request["id"], "result": {"summary": " ".join(words)}}
+    os.write(1, json.dumps(reply).encode() + b"\\n")
+"""
+
+
+@pytest.fixture
+def ahead_adapter(tmp_path):
+    """Builder of ``(argv, log)`` for an adapter told to expect
+    ``expected`` requests, which logs whether each next request had come
+    before it answered the one before."""
+    script = tmp_path / "ahead_adapter.py"
+    script.write_text(_AHEAD_ADAPTER, encoding="utf-8")
+
+    def build(expected):
+        log = tmp_path / "ahead.log"
+        return [sys.executable, str(script), str(log), str(expected)], log
+
+    return build
+
+
 @pytest.fixture(scope="session")
 def stub_argv():
     """Command-line builder for the out-of-process adapter stub."""

@@ -591,3 +591,188 @@ class TestAdapterDeadlines:
             ), kill)
         assert isinstance(outcome.get("error"), BackendUnavailable)
         assert elapsed < 5
+
+
+ARTICLES = ["a1 b1 c1", "a2 b2 c2", "a3 b3 c3"]
+TWO_WORDS = GenerationParams(max_tokens=2)
+
+
+def sequential_outcome(backend):
+    """The summaries a loop over ``generate`` gets, and what it raised."""
+    got = []
+    try:
+        for article in ARTICLES:
+            got.append(backend.generate(article, TWO_WORDS))
+    except BackendUnavailable as exc:
+        return got, str(exc)
+    return got, None
+
+
+def pipelined_outcome(backend):
+    """The summaries ``generate_all`` yields, and what it raised."""
+    got = []
+    try:
+        for summary in backend.generate_all(ARTICLES, TWO_WORDS):
+            got.append(summary)
+    except BackendUnavailable as exc:
+        return got, str(exc)
+    return got, None
+
+
+class TestAdapterPipelined:
+    """``generate_all`` writes one request ahead, yet gives what a loop
+    over ``generate`` gives: the same summaries, and each error after
+    the summaries before it, leaving the backend as usable."""
+
+    def test_summaries_in_order_then_generate(self, stub_argv):
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
+            assert list(backend.generate_all(ARTICLES, TWO_WORDS)) == [
+                "a1 b1", "a2 b2", "a3 b3"]
+            assert list(backend.generate_all([], TWO_WORDS)) == []
+            assert backend.generate("x y z", TWO_WORDS) == "x y"
+
+    def test_next_request_is_written_before_the_reply_is_read(self,
+                                                                ahead_adapter):
+        argv, log = ahead_adapter(len(ARTICLES))
+        with closing(AdapterBackend(argv=argv)) as backend:
+            assert list(backend.generate_all(ARTICLES, TWO_WORDS)) == [
+                "a1 b1", "a2 b2", "a3 b3"]
+        assert log.read_text(encoding="utf-8").split("\n") == [
+            "1 ahead", "2 ahead", "3 alone", ""]
+
+    @pytest.mark.parametrize("served", [0, 1, len(ARTICLES) - 1],
+                             ids=["first", "middle", "last"])
+    def test_crash_fails_the_record_the_loop_fails(self, served, stub_argv):
+        flags = ("--crash-after", str(served))
+        with closing(AdapterBackend(argv=stub_argv(*flags))) as backend:
+            expected = sequential_outcome(backend)
+        with closing(AdapterBackend(argv=stub_argv(*flags))) as backend:
+            assert pipelined_outcome(backend) == expected
+        assert expected == (["a1 b1", "a2 b2", "a3 b3"][:served],
+                            "adapter closed the connection")
+
+    def test_exit_with_a_request_unread_reads_as_closed(self, tmp_path):
+        """An adapter that exits with a request still unread resets the
+        connection; that reads as the close it is, for the record whose
+        reply never came."""
+        adapter = tmp_path / "one_reply.py"
+        adapter.write_text(
+            "import json, os, time\n"
+            "line = b''\n"
+            "while not line.endswith(b'\\n'):\n"
+            "    line += os.read(0, 1)  # leaves request 2 unread\n"
+            "reply = {'id': json.loads(line)['id'], 'result': {'summary': 'ok'}}\n"
+            "os.write(1, json.dumps(reply).encode() + b'\\n')\n"
+            "time.sleep(0.2)\n", encoding="utf-8")
+        with closing(AdapterBackend(argv=[sys.executable, str(adapter)])) as backend:
+            assert pipelined_outcome(backend) == (
+                ["ok"], "adapter closed the connection")
+
+    def test_adapter_error_leaves_the_backend_usable(self, stub_argv, tmp_path):
+        """The reply written ahead is read before the error is raised, so
+        the next request reads its own reply from the same adapter."""
+        pid_file = tmp_path / "stub.pid"
+        with closing(AdapterBackend(argv=stub_argv(
+                "--fail-op", "generate", "--fail-count", "1",
+                "--pid-file", str(pid_file)))) as backend:
+            assert pipelined_outcome(backend) == (
+                [], "adapter error: stub was told to fail op 'generate'")
+            first = pid_file.read_text()
+            assert backend.generate("x y z", TWO_WORDS) == "x y"
+            assert pid_file.read_text() == first
+
+    def test_malformed_reply(self, stub_argv):
+        with closing(AdapterBackend(argv=stub_argv("--malformed"))) as backend:
+            assert pipelined_outcome(backend) == (
+                [], "adapter sent a malformed response:"
+                    " 'this is not a json response\\n'")
+
+    def test_stray_line_fails_the_next_record(self, tmp_path):
+        adapter = tmp_path / "stray_adapter.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    reply = {'id': json.loads(line)['id'],\n"
+            "             'result': {'summary': 'ok'}}\n"
+            "    print(json.dumps(reply) + '\\nstray', flush=True)\n",
+            encoding="utf-8")
+        with closing(AdapterBackend(argv=[sys.executable, str(adapter)])) as backend:
+            assert pipelined_outcome(backend) == (
+                ["ok"], "adapter sent a malformed response: 'stray\\n'")
+
+    def test_stalled_reply_times_out(self, stub_argv, tmp_path, monkeypatch):
+        monkeypatch.setattr(backends, "ADAPTER_TIMEOUT", 0.5)
+        pid_file = tmp_path / "stub.pid"
+        backend = AdapterBackend(argv=stub_argv(
+            "--delay-op", "generate", "--delay", "60", "--pid-file", str(pid_file)))
+        with closing(backend):
+            outcome, elapsed = call_within(
+                10, lambda: pipelined_outcome(backend),
+                lambda: os.kill(int(pid_file.read_text()), signal.SIGKILL))
+        assert outcome["result"] == ([], "adapter transport failed: timed out")
+        assert elapsed < 5
+
+    @pytest.mark.parametrize("stop", ["close", "throw", "del"])
+    def test_abandoned_after_one_summary(self, stop, stub_argv, tmp_path):
+        """A caller that stops after one summary leaves one reply in
+        flight; it is read and dropped, so ``generate`` gets its own."""
+        pid_file = tmp_path / "stub.pid"
+        with closing(AdapterBackend(
+                argv=stub_argv("--pid-file", str(pid_file)))) as backend:
+            summaries = backend.generate_all(ARTICLES, TWO_WORDS)
+            assert next(summaries) == "a1 b1"
+            first = pid_file.read_text()
+            if stop == "close":
+                summaries.close()
+            elif stop == "throw":
+                with pytest.raises(KeyError):
+                    summaries.throw(KeyError("stop"))
+            else:
+                del summaries
+            assert backend.generate("x y z", TWO_WORDS) == "x y"
+            assert pid_file.read_text() == first
+
+    def test_bad_article_comes_in_its_turn(self, stub_argv):
+        """An error of the articles' own comes after every summary
+        before it, and writes nothing, so the adapter stays in step."""
+        def articles():
+            yield ARTICLES[0]
+            raise ValueError("no second article")
+
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
+            summaries = backend.generate_all(articles(), TWO_WORDS)
+            assert next(summaries) == "a1 b1"
+            with pytest.raises(ValueError, match="no second article"):
+                next(summaries)
+            assert backend.generate("x y z", TWO_WORDS) == "x y"
+
+    def test_failed_write_comes_after_the_reply_before_it(self, tmp_path):
+        """Request 3 cannot be written once the adapter has gone, but reply
+        2 was sent before: summary 2 comes first, then the write's error."""
+        adapter = tmp_path / "two_replies.py"
+        adapter.write_text(
+            "import json, sys\n"
+            "for served, line in enumerate(sys.stdin, start=1):\n"
+            "    reply = {'id': json.loads(line)['id'], 'result': {'summary': 'ok'}}\n"
+            "    print(json.dumps(reply), flush=True)\n"
+            "    if served == 2:\n"
+            "        break\n", encoding="utf-8")
+        with closing(AdapterBackend(argv=[sys.executable, str(adapter)])) as backend:
+            summaries = backend.generate_all(ARTICLES, TWO_WORDS)
+            assert next(summaries) == "ok"
+            backend._proc.wait(timeout=10)  # gone before request 3 is written
+            assert next(summaries) == "ok"
+            with pytest.raises(BackendUnavailable, match=r"^adapter transport"
+                               r" failed: \[Errno 32\] Broken pipe$"):
+                next(summaries)
+            assert backend.generate("x y z", TWO_WORDS) == "ok"
+
+    def test_closed_while_suspended(self, stub_argv):
+        with closing(AdapterBackend(argv=stub_argv())) as backend:
+            summaries = backend.generate_all(ARTICLES, TWO_WORDS)
+            assert next(summaries) == "a1 b1"
+            backend.close()
+            with pytest.raises(BackendUnavailable,
+                               match="^adapter closed the connection$"):
+                next(summaries)
+            assert backend.generate("x y z", TWO_WORDS) == "x y"

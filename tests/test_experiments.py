@@ -14,21 +14,21 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
 
 import indicsum
-from indicsum import corpus, experiments, jsonlog
-from indicsum.backends import (PRESETS, GenerationParams, SummarizerSpec,
-                               baseline_handle)
+from indicsum import backends, corpus, experiments, jsonlog
+from indicsum.backends import (PRESETS, AdapterBackend, GenerationParams,
+                               SummarizerSpec, TrainedHandle, baseline_handle)
 from indicsum.cli import main
 from indicsum.corpus import ArticleRecord, DatasetSplit
 from indicsum.crosslingual import TableTranslator, TranslationCache
 from indicsum.errors import (BackendUnavailable, ConfigError, EmptyArticle,
-                             EmptyReport, MissingGoldSummary, NoAlignment,
-                             TranslationFailure)
+                             EmptyInput, EmptyReport, MissingGoldSummary,
+                             NoAlignment, TranslationFailure)
 from indicsum.experiments import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -1667,6 +1667,45 @@ class TestCli:
         write_config()
         assert main(["run", "--config", str(cfg)]) == 0
 
+    def test_terminal_interrupt_reaches_only_the_run(self, write_csv, tmp_path):
+        """Ctrl-C in a terminal signals the whole foreground process group.
+        The adapter runs in its own session, so only the run sees it: one
+        line on stderr, no traceback from the adapter, and the run's
+        close ends the adapter."""
+        rows = [["h1", "", "", "पहला वाक्य यहाँ है। दूसरा वाक्य यहाँ है।",
+                 "पहला वाक्य यहाँ है।"]]
+        pid_file = tmp_path / "stub.pid"
+        adapter = shlex.join([sys.executable, str(STUB_PATH), "--delay-op", "train",
+                              "--delay", "30", "--pid-file", str(pid_file)])
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"language = hindi\neval = {write_csv(rows)}\n"
+            f"train = {write_csv(rows)}\noutput_dir = {tmp_path / 'out'}\n"
+            f"preset = hindi-indicbart\nadapter = {adapter}\n", encoding="utf-8")
+        with subprocess.Popen(
+            [sys.executable, "-m", "indicsum.cli", "run", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": SRC_DIR}, start_new_session=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            deadline = time.monotonic() + 30
+            while not (pid_file.exists() and pid_file.read_text().strip()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            stub = int(pid_file.read_text())
+            os.killpg(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == 128 + signal.SIGINT
+        assert stderr == "error: interrupted\n"
+        assert stdout == ""
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                os.kill(stub, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the adapter outlived its run"
+            time.sleep(0.02)
+
     def test_translate_map_cli(self, write_csv, tmp_path, gujarati_records, capsys):
         rows = [[r.id, "", "", r.article, r.summary or ""]
                 for r in gujarati_records[:5]]
@@ -1962,3 +2001,151 @@ class TestCli:
         with pytest.raises(ConfigError, match=re.escape(f"{log}:2: bad run record: ")):
             run_experiment(base_config(eval_csv, tmp_path))
         assert log.read_text(encoding="utf-8") == f"{good}\n{bad}\n"
+
+    def test_newer_schema_is_refused_by_report_and_run(self, eval_csv, tmp_path,
+                                                       capsys):
+        """A line of a later schema, with a field this build does not
+        know, is one error naming it and the newer writer, from ``report``
+        and from ``run`` before its adapter starts; the log keeps its bytes."""
+        log = tmp_path / "out" / "runs.jsonl"
+        log.parent.mkdir()
+        good = fake_run("x", (0.5, 0.2, 0.1)).to_json()
+        newer = json.dumps(json.loads(good) | {"schema": 2, "metrics": {}})
+        log.write_text(f"{good}\n{newer}\n", encoding="utf-8")
+        error = (f"error: {log}:2: run record schema 2 was written by a newer"
+                 " indicsum; this one reads schema 1\n")
+        assert main(["report", "--runs", str(log)]) == 1
+        assert capsys.readouterr().err == error
+        pid_file = tmp_path / "stub.pid"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"language = english\neval = {eval_csv}\noutput_dir = {log.parent}\n"
+            f"adapter = {shlex.join([sys.executable, str(STUB_PATH), '--pid-file', str(pid_file)])}\n",
+            encoding="utf-8")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == error
+        assert not pid_file.exists()
+        assert log.read_text(encoding="utf-8") == f"{good}\n{newer}\n"
+
+
+class TestRunLogSchema:
+    def test_line_carries_schema_one(self):
+        run = fake_run("x", (0.5, 0.2, 0.1))
+        assert run.schema == 1
+        assert json.loads(run.to_json())["schema"] == 1
+        assert RunRecord.from_json(run.to_json()) == run
+
+    def test_line_without_schema_reads_as_one(self, tmp_path):
+        """Logs written before the field existed still load."""
+        log = tmp_path / "runs.jsonl"
+        payload = json.loads(NON_ASCII_RUN.to_json())
+        del payload["schema"]
+        log.write_text(json.dumps(payload, ensure_ascii=False) + "\n",
+                       encoding="utf-8")
+        assert list(load_runs(log)) == [NON_ASCII_RUN]
+
+    @pytest.mark.parametrize("schema, message", [
+        (0, "malformed run record: schema must be 1, got 0"),
+        ("2", "malformed run record: schema must be a int, got '2'"),
+        (3, "run record schema 3 was written by a newer indicsum;"
+            " this one reads schema 1"),
+    ])
+    def test_other_schemas_are_refused(self, schema, message, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        line = json.dumps(json.loads(fake_run("x", (0.5, 0.2, 0.1)).to_json())
+                          | {"schema": schema})
+        log.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            list(load_runs(log))
+        assert str(info.value) == f"{log}:1: {message}"
+
+
+def adapter_handle(argv):
+    return TrainedHandle(backend=AdapterBackend(argv=argv))
+
+
+class TestPipelinedGeneration:
+    """Behind an adapter, ``summarize_split`` generates one request ahead
+    and, in the direct pipeline, hands out each pair as its summary
+    arrives; every error names the record a loop over ``summarize``
+    names."""
+
+    RECORDS = [ArticleRecord(id=row[0], article=row[3], summary=row[4])
+               for row in ENG_ROWS]
+
+    def test_direct_pairs_arrive_one_at_a_time(self, ahead_adapter):
+        argv, log = ahead_adapter(len(self.RECORDS))
+        handle = adapter_handle(argv)
+        with closing(handle.backend):
+            pairs = summarize_split(self.RECORDS, handle, GenerationParams())
+            rec, summary = next(pairs)
+            # Request 2 went out with request 1; request 3 waits for the
+            # caller to ask for the second pair.
+            assert (rec.id, summary) == ("e1", "Rain hit")
+            assert log.read_text(encoding="utf-8") == "1 ahead\n"
+            assert [(r.id, s) for r, s in pairs] == [("e2", "The council"),
+                                                    ("e3", "Farmers finished")]
+        assert log.read_text(encoding="utf-8") == "1 ahead\n2 ahead\n3 alone\n"
+
+    @pytest.mark.parametrize("served", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_crash_names_the_record(self, served, eval_csv, tmp_path):
+        adapter = shlex.join([sys.executable, str(STUB_PATH),
+                              "--crash-after", str(served)])
+        with pytest.raises(BackendUnavailable) as info:
+            run_experiment(base_config(eval_csv, tmp_path, adapter=adapter))
+        assert str(info.value) == (f"record {ENG_ROWS[served][0]!r}:"
+                                   " adapter closed the connection")
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("flags, error", [
+        (("--fail-op", "generate"),
+         "adapter error: stub was told to fail op 'generate'"),
+        (("--malformed",),
+         "adapter sent a malformed response: 'this is not a json response\\n'"),
+    ], ids=["fail-op", "malformed"])
+    def test_bad_reply_names_the_first_record(self, flags, error, eval_csv,
+                                              tmp_path):
+        adapter = shlex.join([sys.executable, str(STUB_PATH), *flags])
+        with pytest.raises(BackendUnavailable) as info:
+            run_experiment(base_config(eval_csv, tmp_path, adapter=adapter))
+        assert str(info.value) == f"record 'e1': {error}"
+
+    def test_adapter_error_leaves_the_backend_usable(self):
+        handle = adapter_handle([sys.executable, str(STUB_PATH), "--fail-op",
+                                 "generate", "--fail-count", "1"])
+        with closing(handle.backend):
+            with pytest.raises(BackendUnavailable, match="^record 'e1': adapter error"):
+                list(summarize_split(self.RECORDS, handle, GenerationParams()))
+            assert [s for _, s in summarize_split(
+                self.RECORDS, handle, GenerationParams(max_tokens=2))] == [
+                "Rain hit", "The council", "Farmers finished"]
+
+    def test_stalled_adapter_fails_the_run_in_time(self, eval_csv, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(backends, "ADAPTER_TIMEOUT", 0.5)
+        adapter = shlex.join([sys.executable, str(STUB_PATH), "--delay-op",
+                              "generate", "--delay", "60"])
+        start = time.monotonic()
+        with pytest.raises(BackendUnavailable) as info:
+            run_experiment(base_config(eval_csv, tmp_path, adapter=adapter))
+        assert str(info.value) == "record 'e1': adapter transport failed: timed out"
+        assert time.monotonic() - start < 5
+
+    def test_abandoned_split_then_generate(self):
+        handle = adapter_handle([sys.executable, str(STUB_PATH)])
+        with closing(handle.backend):
+            pairs = summarize_split(self.RECORDS, handle, GenerationParams(max_tokens=2))
+            assert next(pairs)[1] == "Rain hit"
+            pairs.close()
+            assert handle.backend.generate("x y z", GenerationParams(max_tokens=2)) == "x y"
+
+    def test_blank_article_names_its_record(self):
+        records = [*self.RECORDS[:1], ArticleRecord(id="blank", article=" ", summary="s")]
+        handle = adapter_handle([sys.executable, str(STUB_PATH)])
+        with closing(handle.backend):
+            pairs = summarize_split(records, handle, GenerationParams(max_tokens=2))
+            assert next(pairs)[1] == "Rain hit"
+            with pytest.raises(EmptyInput, match="^record 'blank': cannot summarize"
+                                                 " an empty article$"):
+                next(pairs)
+            assert handle.backend.generate("x y z", GenerationParams(max_tokens=2)) == "x y"
