@@ -19,11 +19,15 @@ whole.  Supported ops:
 An adapter that serves an extractive model selects its sentences
 inside ``generate``.
 
-``AdapterBackend.generate_all`` keeps one ``generate`` request in
-flight: it writes request k+1 before it reads reply k, so the adapter
-works while the caller uses summary k.  An adapter must answer requests
-in the order it reads them, one reply each, as a single-threaded read
-loop does.
+Every summary is made one way: ``summarize_all`` refuses a blank
+article in its turn, then hands the articles to the backend's
+``generate_all``, which yields their summaries in order; ``summarize``
+is its one-article call.  ``AdapterBackend.generate_all`` keeps one
+``generate`` request in flight: it writes request k+1 before it reads
+reply k, so the adapter works while the caller uses summary k.  An
+adapter must answer requests in the order it reads them, one reply
+each, as a single-threaded read loop does.  On Linux a spawned adapter
+is sent SIGTERM when the process that spawned it dies, even by SIGKILL.
 
 Any transport failure, malformed response, adapter-reported error or
 result field that is blank or not UTF-8 surfaces as BackendUnavailable.
@@ -35,6 +39,7 @@ run without an adapter never loads them.
 import json
 import math
 import shlex
+import sys
 import threading
 from dataclasses import asdict, dataclass, field
 
@@ -55,9 +60,11 @@ __all__ = [
     "get_preset",
     "lead_baseline",
     "summarize",
+    "summarize_all",
 ]
 
 ADAPTER_TIMEOUT = 30.0  # seconds an adapter has to answer any op but train
+PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
 
 
 @dataclass(frozen=True)
@@ -234,9 +241,10 @@ class LeadBaselineBackend:
             raise ValueError(f"unknown language: {language!r}")
         self.language = language
 
-    def generate(self, article: str, params: GenerationParams,
-                 checkpoint: str | None = None) -> str:
-        return lead_baseline(article, params, self.language)
+    def generate_all(self, articles, params: GenerationParams,
+                     checkpoint: str | None = None):
+        for article in articles:
+            yield lead_baseline(article, params, self.language)
 
     def describe(self) -> dict:
         return {"kind": "lead-baseline", "language": self.language}
@@ -259,7 +267,8 @@ class AdapterBackend:
     lazily on the first request and is reused; requests are serialized
     through a lock, matching the adapters' single-threaded loop.  A
     spawned adapter runs in its own session, so a terminal's Ctrl-C
-    reaches only this process.  Every request is written by ``_send``
+    reaches only this process, and on Linux it gets SIGTERM when this
+    process dies.  Every request is written by ``_send``
     and every reply is parsed and checked by ``_receive``: ``train``'s
     checkpoint and ``generate``'s summary must be text that is not blank
     and encodes as UTF-8.  A ``generate`` write or reply fails after
@@ -303,7 +312,7 @@ class AdapterBackend:
                 with child_end:
                     self._proc = subprocess.Popen(
                         self._argv, stdin=child_end, stdout=child_end,
-                        start_new_session=True,
+                        start_new_session=True, preexec_fn=_parent_death_signal(),
                     )
             else:
                 self._sock = socket.create_connection(
@@ -401,17 +410,6 @@ class AdapterBackend:
                 f"{op} returned text that is not UTF-8: {value!r}") from None
         return value
 
-    def _request(self, op: str, payload, key: str) -> str:
-        """Send one ``op`` request and return its reply's ``result[key]``;
-        a request that fails partway closes the connection."""
-        with self._lock:
-            try:
-                req_id = self._send(op, payload)
-            except BaseException:  # also e.g. a record json.dumps cannot encode
-                self.close()
-                raise
-            return self._receive(op, req_id, key)
-
     # -- operations --------------------------------------------------
 
     def train(self, dataset: DatasetSplit, spec: SummarizerSpec) -> str:
@@ -421,12 +419,18 @@ class AdapterBackend:
                 record = {"id": r.id, "article": r.article, "summary": r.summary or ""}
                 yield (", " if i else "") + json.dumps(record, ensure_ascii=False)
             yield f'], "spec": {json.dumps(asdict(spec), ensure_ascii=False)}}}'
-        return self._request("train", payload(), "checkpoint")
+        with self._lock:
+            try:
+                req_id = self._send("train", payload())
+            except BaseException:  # also e.g. a record json.dumps cannot encode
+                self.close()  # a torn request must not reach the next read
+                raise
+            return self._receive("train", req_id, "checkpoint")
 
     def generate(self, article: str, params: GenerationParams,
                  checkpoint: str | None = None) -> str:
-        return self._request(
-            "generate", (_generate_payload(article, params, checkpoint),), "summary")
+        [summary] = self.generate_all([article], params, checkpoint)
+        return summary
 
     def generate_all(self, articles, params: GenerationParams,
                      checkpoint: str | None = None):
@@ -463,7 +467,8 @@ class AdapterBackend:
                             torn = False
                         except Exception as exc:
                             failure = exc
-                        conn = self._sock
+                        finally:  # also under e.g. KeyboardInterrupt
+                            conn = self._sock
                     if not pending:
                         if failure is not None:
                             raise failure
@@ -488,6 +493,25 @@ class AdapterBackend:
             else {"transport": "socket", "address": list(self._address)}
         )
         return {"kind": "adapter", "name": "adapter", **transport}
+
+
+def _parent_death_signal():
+    """A ``preexec_fn`` that has Linux send the adapter SIGTERM when this
+    process dies, even by SIGKILL; None elsewhere.  ``ctypes`` and
+    ``prctl`` are resolved here, in the parent, so the child only calls."""
+    # The signal follows the death of the thread that spawned the child,
+    # not of the process, so only the main thread, which outlives every
+    # other, asks for it: an adapter spawned by a worker thread would
+    # otherwise die when that thread returns.
+    if (not sys.platform.startswith("linux")
+            or threading.current_thread() is not threading.main_thread()):
+        return None
+    import ctypes
+    import signal
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    return lambda: prctl(PR_SET_PDEATHSIG, signal.SIGTERM)
 
 
 def _generate_payload(article: str, params: GenerationParams,
@@ -528,10 +552,23 @@ def fine_tune(backend, dataset: DatasetSplit, spec: SummarizerSpec) -> TrainedHa
     return TrainedHandle(backend=backend, checkpoint=checkpoint)
 
 
+def summarize_all(handle: TrainedHandle, articles, params: GenerationParams):
+    """The summaries of ``articles`` through ``handle``, in order, as its
+    backend's ``generate_all`` yields them.  A blank article raises
+    ``EmptyInput`` in its turn, after every earlier summary, and never
+    reaches the backend."""
+    def checked():
+        for article in articles:
+            if not article.strip():
+                raise EmptyInput("cannot summarize an empty article")
+            yield article
+
+    return handle.backend.generate_all(checked(), params, handle.checkpoint)
+
+
 def summarize(handle: TrainedHandle, article: str,
               params: GenerationParams) -> str:
     """Generate a summary for ``article`` through ``handle``."""
-    if not article.strip():
-        raise EmptyInput("cannot summarize an empty article")
-    return handle.backend.generate(article, params, handle.checkpoint)
+    [summary] = summarize_all(handle, [article], params)
+    return summary
 

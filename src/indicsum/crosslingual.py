@@ -217,9 +217,6 @@ class TranslationCache:
         self.path = path
         self._held = {}  # src -> dst, as the last load kept them
 
-    def __len__(self):
-        return len(self._held)
-
     def load(self, sentences, src_lang: str) -> None:
         """Read the file, keeping only the ``src_lang`` to English
         translations of ``sentences``, in place of what was held.

@@ -38,7 +38,7 @@ from .backends import (
     TrainedHandle,
     fine_tune,
     get_preset,
-    summarize,
+    summarize_all,
 )
 from .corpus import SPLIT_KINDS, load_csv, open_utf8, write_summaries
 from .crosslingual import (
@@ -50,7 +50,6 @@ from .crosslingual import (
 )
 from .errors import (
     ConfigError,
-    EmptyInput,
     EmptyReport,
     IndicSumError,
     InvalidSpec,
@@ -58,6 +57,7 @@ from .errors import (
 )
 from .rouge import DEFAULT_ORDERS, mean_scores, rouge_scores
 # Unused here, but e2ebench/tracing.py wraps these names in this module.
+from .backends import summarize  # noqa: F401
 from .crosslingual import pipeline_summarize  # noqa: F401
 from .rouge import corpus_rouge, rouge_n  # noqa: F401
 from .segment import LANGUAGES
@@ -418,20 +418,10 @@ def _with_record_id(rec, fn, *args, **kwargs):
 
 def _summarized(records, texts, handle, generation):
     """``(record, summary)`` for each of ``records`` as the summary of its
-    text in ``texts`` arrives: through an adapter's ``generate_all``, one
-    request ahead, else ``summarize`` one text at a time.  A toolkit
-    error met getting a summary names its record."""
-    def articles():  # checked as summarize checks them
-        for text in texts:
-            if not text.strip():
-                raise EmptyInput("cannot summarize an empty article")
-            yield text
-
-    if isinstance(handle.backend, AdapterBackend):
-        summaries = handle.backend.generate_all(articles(), generation,
-                                                handle.checkpoint)
-    else:
-        summaries = (summarize(handle, text, generation) for text in texts)
+    text in ``texts`` arrives from ``summarize_all`` (through an adapter,
+    one request ahead).  A toolkit error met getting a summary names its
+    record."""
+    summaries = summarize_all(handle, texts, generation)
     for rec in records:
         try:
             summary = next(summaries)

@@ -12,7 +12,8 @@ Failure modes for transport tests: --fail-op returns an error response
 for one op (only to its first --fail-count requests, when given), --malformed writes a non-JSON line, --crash-after exits
 hard after N requests, --delay-op with --delay sleeps that many seconds
 before answering one op.  --pid-file records the process id on start, so
-a test can check that the process has exited.
+a test can check that the process has exited; --request-log appends each
+request line to a file as it is read, so a test can hash the wire.
 """
 
 import argparse
@@ -53,6 +54,9 @@ def serve(reader, writer, opts):
     for line in reader:
         if not line.strip():
             continue
+        if opts.request_log:
+            with open(opts.request_log, "a", encoding="utf-8") as fh:
+                fh.write(line)
         request = json.loads(line)
         served += 1
         if opts.crash_after is not None and served > opts.crash_after:
@@ -81,6 +85,7 @@ def main():
     parser.add_argument("--delay", type=float, default=0.0)
     parser.add_argument("--fixed-summary")
     parser.add_argument("--pid-file")
+    parser.add_argument("--request-log")
     opts = parser.parse_args()
     if opts.pid_file:
         with open(opts.pid_file, "w", encoding="utf-8") as fh:

@@ -1,13 +1,15 @@
 """Golden outputs: the same run bytes on every supported Python.
 
 Runs a small fixed corpus, built here, through ``run_experiment``: the
-direct pipeline in English, Hindi and Gujarati, and translate-map on
+direct pipeline in English, Hindi and Gujarati, translate-map on
 Gujarati with a ``table:`` translator, twice in one output directory,
-the second run reading the cache the first wrote.  The sha256 of each
-run's records, aggregate, summaries CSV and translation cache must
-equal the constants below, the same for both translate-map runs.
-Nothing hashed holds a path: ``config_hash``, and so the summaries file
-name, includes the output directory.
+the second run reading the cache the first wrote, and the
+``hindi-indicbart`` preset, which trains on the Hindi corpus with noise
+copies and generates one request ahead, through ``adapter_stub.py``.
+The sha256 of each run's records, aggregate, summaries CSV, translation
+cache and adapter requests must equal the constants below, the same for
+both translate-map runs.  Nothing hashed holds a path: ``config_hash``,
+and so the summaries file name, includes the output directory.
 
 Run from the repository root, with no test runner:
 
@@ -22,6 +24,7 @@ import glob
 import hashlib
 import json
 import os
+import shlex
 import sys
 import tempfile
 
@@ -39,6 +42,7 @@ WORDS = {
                  " ટ્રેન પાક કિનારો તોફાન પુલ ગામ પાણી વીજળી ટીમ").split(),
 }
 END = {"english": ".", "hindi": "।", "gujarati": "."}
+STUB = os.path.join(os.path.dirname(os.path.abspath(__file__)), "adapter_stub.py")
 RECORDS = 40
 MAX_TOKENS = 12
 
@@ -76,6 +80,16 @@ GOLDEN = {
             "15a01940b3d43d0fcb49ecaa5fb8326a32fcdca0cd47d09260b1aa51a0ca0148",
         "cache":
             "a800195d915b6192a52bbe80d26995605abc69405e2f8b271d711203a3dd5293",
+    },
+    "hindi-indicbart": {
+        "records":
+            "f0aa94bbc9090181fa45d65bb4e7a5747257fedf606bc2266a323b8d10f20f8b",
+        "aggregate":
+            "cfe01616f5ba36f8a1629a081e1e547db8f08874a669e8187f232f7ef15f4583",
+        "summaries":
+            "5e73ee72d1d78e41a9dee8bd81c890f83541d2e2993e942d543c3c7e81f84803",
+        "requests":
+            "d98dc14dc46d67f32af55ee4338568a8381e129a12aa51ed511855d30d6e93bb",
     },
 }
 # Read back, the cache gives the same outputs, and nothing is appended.
@@ -121,7 +135,8 @@ def sha256(data: bytes) -> str:
 
 
 def digests(run, out_dir) -> dict:
-    """The digests of one run's outputs, none of which holds a path."""
+    """The digests of one run's outputs and adapter requests, none of
+    which holds a path."""
     (summaries,) = glob.glob(os.path.join(out_dir, "summaries-*.csv"))
     got = {
         key: sha256(json.dumps(value, ensure_ascii=False, sort_keys=True)
@@ -131,10 +146,12 @@ def digests(run, out_dir) -> dict:
     }
     with open(summaries, "rb") as fh:
         got["summaries"] = sha256(fh.read())
-    cache = os.path.join(out_dir, "translation-cache.jsonl")
-    if os.path.exists(cache):
-        with open(cache, "rb") as fh:
-            got["cache"] = sha256(fh.read())
+    for key, name in (("cache", "translation-cache.jsonl"),
+                      ("requests", "requests.jsonl")):
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path):
+            with open(path, "rb") as fh:
+                got[key] = sha256(fh.read())
     return got
 
 
@@ -160,6 +177,12 @@ def run_all(root) -> dict:
     # The warm run repeats translate-map in the same directory, over the
     # cache the first run wrote.
     calls["translate-map-gujarati-warm"] = calls["translate-map-gujarati"]
+    # The stub logs each request it reads into the run's directory.
+    requests = os.path.join(root, "hindi-indicbart", "requests.jsonl")
+    calls["hindi-indicbart"] = dict(
+        language="hindi", eval_path=os.path.join(root, "hindi.csv"),
+        train_path=os.path.join(root, "hindi.csv"), preset="hindi-indicbart",
+        adapter=shlex.join([sys.executable, STUB, "--request-log", requests]))
     out = {}
     for name, kwargs in calls.items():
         out_dir = os.path.join(root, name.removesuffix("-warm"))

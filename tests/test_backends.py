@@ -21,6 +21,7 @@ from indicsum.backends import (
     LeadBaselineBackend,
     PRESETS,
     SummarizerSpec,
+    TrainedHandle,
     baseline_handle,
     fine_tune,
     get_preset,
@@ -284,6 +285,16 @@ class TestAdapterStdio:
             handle_out = backend.generate("alpha beta gamma delta",
                                           GenerationParams(max_tokens=2))
             assert handle_out == "alpha beta"
+
+    def test_blank_article_never_starts_the_adapter(self, stub_argv, tmp_path):
+        pid_file = tmp_path / "stub.pid"
+        handle = TrainedHandle(backend=AdapterBackend(
+            argv=stub_argv("--pid-file", str(pid_file))))
+        with closing(handle.backend):
+            with pytest.raises(EmptyInput,
+                               match="^cannot summarize an empty article$"):
+                summarize(handle, " ", GenerationParams())
+        assert not pid_file.exists()
 
     def test_adapter_error_response(self, stub_argv):
         with closing(AdapterBackend(
@@ -766,6 +777,30 @@ class TestAdapterPipelined:
                                r" failed: \[Errno 32\] Broken pipe$"):
                 next(summaries)
             assert backend.generate("x y z", TWO_WORDS) == "ok"
+
+    def test_interrupted_write_closes_the_connection(self, stub_argv, tmp_path,
+                                                     monkeypatch):
+        """A write cut off by ``KeyboardInterrupt`` leaves a torn request,
+        so the connection closes and the next request starts a fresh
+        adapter, which never reads the torn line."""
+        pid_file = tmp_path / "stub.pid"
+        with closing(AdapterBackend(
+                argv=stub_argv("--pid-file", str(pid_file)))) as backend:
+            assert backend.generate("a b c", TWO_WORDS) == "a b"
+            first = pid_file.read_text()
+            write = backend._stream.write
+
+            def interrupted(text):
+                if text.startswith(', "id": '):
+                    raise KeyboardInterrupt
+                return write(text)
+
+            monkeypatch.setattr(backend._stream, "write", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                backend.generate("x y z", TWO_WORDS)
+            assert backend._sock is None
+            assert backend.generate("x y z", TWO_WORDS) == "x y"
+            assert pid_file.read_text() != first
 
     def test_closed_while_suspended(self, stub_argv):
         with closing(AdapterBackend(argv=stub_argv())) as backend:

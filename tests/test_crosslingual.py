@@ -345,7 +345,7 @@ class TestBuildMappings:
             assert mappings[2].entries[1][1] is first
             assert mappings[3].entries[1][1] is mappings[1].entries[0][1]
         # The new translations live only in the memo, not in the cache.
-        assert len(cache) == 1 and cache.get(S[2]) == "e2."
+        assert len(cache._held) == 1 and cache.get(S[2]) == "e2."
         key = next(iter(cache._held))
         assert key is mappings[1].entries[0][1]
 
@@ -416,7 +416,7 @@ class TestTranslationCache:
 
     def test_torn_last_line_skipped_then_cut_off(self, torn):
         cache = loaded(torn)
-        assert len(cache) == 1
+        assert len(cache._held) == 1
         cache.put([(GUJ_SENTENCES[2], "e3.")], "gujarati")
         assert torn.read_text(encoding="utf-8") == (
             cache_line(GUJ_SENTENCES[0], "e1.") + cache_line(GUJ_SENTENCES[2], "e3.")
@@ -429,7 +429,7 @@ class TestTranslationCache:
         path.write_text(cache_line(GUJ_SENTENCES[0], "e1.").rstrip("\n"),
                         encoding="utf-8")
         cache = loaded(path)
-        assert len(cache) == 0
+        assert len(cache._held) == 0
         cache.put([(GUJ_SENTENCES[1], "e2.")], "gujarati")
         assert path.read_text(encoding="utf-8") == cache_line(GUJ_SENTENCES[1], "e2.")
 
@@ -437,7 +437,7 @@ class TestTranslationCache:
         path = tmp_path / "cache.jsonl"
         path.write_text("{not json\n", encoding="utf-8")
         cache = TranslationCache(path)
-        assert len(cache) == 0
+        assert len(cache._held) == 0
         assert cache.get(GUJ_SENTENCES[0]) is None
 
     def test_kept_translations_keyed_by_callers_strings(self, tmp_path):
@@ -467,13 +467,13 @@ class TestTranslationCache:
                         + other_pair("gujarati", "hindi", "g1."),
                         encoding="utf-8")
         cache = loaded(path, GUJ_SENTENCES[:1])
-        assert len(cache) == 1
+        assert len(cache._held) == 1
         # Of two lines for one sentence, the later wins; a line into a
         # language other than English is skipped.
         assert cache.get(GUJ_SENTENCES[0]) == "e1b."
         assert cache.get(GUJ_SENTENCES[1]) is None
         cache.load({GUJ_SENTENCES[0]: GUJ_SENTENCES[0]}, "hindi")
-        assert len(cache) == 1
+        assert len(cache._held) == 1
         assert cache.get(GUJ_SENTENCES[0]) == "h1."
 
     def test_bad_middle_line(self, torn):

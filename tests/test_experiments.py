@@ -488,7 +488,7 @@ class TestRunExperiment:
         assert str(info.value) == f"record 'g3': no table entry for sentence: {s[4]!r}"
         cache = TranslationCache(path)
         cache.load({x: x for x in s}, "gujarati")
-        assert len(cache) == 4
+        assert len(cache._held) == 4
         assert [x for x in s if cache.get(x) == x] == s[:4]
 
     def test_surrogate_translation_names_record(self, write_csv, tmp_path,
@@ -510,7 +510,7 @@ class TestRunExperiment:
         assert os.listdir(out) == ["translation-cache.jsonl"]
         cache = TranslationCache(out / "translation-cache.jsonl")
         cache.load({x: x for x in s}, "gujarati")
-        assert len(cache) == 1
+        assert len(cache._held) == 1
         assert cache.get(s[0]) == s[0]
 
     def test_surrogate_summary_names_record(self, eval_csv, tmp_path):
@@ -609,7 +609,7 @@ class TestRunExperiment:
 
         cache = TranslationCache(cache_path)
         cache.load({x: x for x in split}, "gujarati")
-        assert len(cache) == len(own)
+        assert len(cache._held) == len(own)
 
         runs, written = {}, {}
         for name, out in outs.items():
@@ -1040,7 +1040,7 @@ class CacheLog:
         cache.load({src: src for src in GUJ_SOURCES}, "gujarati")
         held = [i for i, src in enumerate(GUJ_SOURCES)
                 if cache.get(src) == f"e{i}."]
-        assert len(cache) == len(held)
+        assert len(cache._held) == len(held)
         return held
 
     def append(self):
@@ -1667,6 +1667,60 @@ class TestCli:
         write_config()
         assert main(["run", "--config", str(cfg)]) == 0
 
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="the parent-death signal is Linux only")
+    def test_killed_run_stops_its_adapter(self, write_csv, tmp_path):
+        """A run killed by SIGKILL while its adapter trains takes the
+        adapter with it, and a re-run gives what an unbroken run gives."""
+        rows = [["h1", "", "", "पहला वाक्य यहाँ है। दूसरा वाक्य यहाँ है।",
+                 "पहला वाक्य यहाँ है।"]]
+        pid_file = tmp_path / "stub.pid"
+        cfg = tmp_path / "exp.cfg"
+
+        def write_config(out, *stub_flags):
+            adapter = shlex.join([sys.executable, str(STUB_PATH), *stub_flags])
+            cfg.write_text(
+                f"language = hindi\neval = {write_csv(rows)}\n"
+                f"train = {write_csv(rows)}\noutput_dir = {out}\n"
+                f"preset = hindi-indicbart\nadapter = {adapter}\n",
+                encoding="utf-8")
+
+        def exited(pid):
+            """No such process, or a zombie not yet reaped by its new
+            parent, on which ``os.kill(pid, 0)`` still succeeds."""
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+            except FileNotFoundError:
+                return True
+            return stat.rpartition(")")[2].split()[0] == "Z"
+
+        write_config(tmp_path / "out", "--delay-op", "train", "--delay", "30",
+                     "--pid-file", str(pid_file))
+        with subprocess.Popen(
+            [sys.executable, "-m", "indicsum.cli", "run", "--config", str(cfg)],
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ) as proc:
+            deadline = time.monotonic() + 30
+            while not (pid_file.exists() and pid_file.read_text().strip()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            stub = int(pid_file.read_text())
+            proc.kill()
+        assert proc.returncode == -signal.SIGKILL
+        deadline = time.monotonic() + 2
+        while not exited(stub):
+            assert time.monotonic() < deadline, "the adapter outlived its run"
+            time.sleep(0.02)
+        outputs = []
+        for out in (tmp_path / "out", tmp_path / "unbroken"):
+            write_config(out)
+            assert main(["run", "--config", str(cfg)]) == 0
+            [run] = load_runs(out / "runs.jsonl")
+            [summaries] = out.glob("summaries-*.csv")
+            outputs.append((run.records, run.aggregate, summaries.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_terminal_interrupt_reaches_only_the_run(self, write_csv, tmp_path):
         """Ctrl-C in a terminal signals the whole foreground process group.
         The adapter runs in its own session, so only the run sees it: one
@@ -2139,13 +2193,19 @@ class TestPipelinedGeneration:
             pairs.close()
             assert handle.backend.generate("x y z", GenerationParams(max_tokens=2)) == "x y"
 
-    def test_blank_article_names_its_record(self):
+    @pytest.mark.parametrize("adapter", [False, True],
+                             ids=["lead-baseline", "adapter"])
+    def test_blank_article_names_its_record(self, adapter):
+        """Every backend gives the summary before a blank article, then
+        the blank article's error, and stays usable."""
         records = [*self.RECORDS[:1], ArticleRecord(id="blank", article=" ", summary="s")]
-        handle = adapter_handle([sys.executable, str(STUB_PATH)])
+        handle = (adapter_handle([sys.executable, str(STUB_PATH)]) if adapter
+                  else baseline_handle())
         with closing(handle.backend):
             pairs = summarize_split(records, handle, GenerationParams(max_tokens=2))
             assert next(pairs)[1] == "Rain hit"
             with pytest.raises(EmptyInput, match="^record 'blank': cannot summarize"
                                                  " an empty article$"):
                 next(pairs)
-            assert handle.backend.generate("x y z", GenerationParams(max_tokens=2)) == "x y"
+            assert backends.summarize(handle, "x y z",
+                                      GenerationParams(max_tokens=2)) == "x y"

@@ -871,7 +871,7 @@ class CacheLog:
         cache.load({src: src for src in GUJ_SOURCES}, "gujarati")
         held = [i for i, src in enumerate(GUJ_SOURCES)
                 if cache.get(src) == f"e{i}."]
-        assert len(cache) == len(held)
+        assert len(cache._held) == len(held)
         return held
 
     @staticmethod
